@@ -16,13 +16,7 @@ import numpy as np
 
 from .grid import Signal, TorusGrid, forward_transform, lattice
 from .norms import FLNormSpec, fl_norm
-from .wavefront import (
-    _annulus_index,
-    _fl_verdict,
-    _nonzero_scale,
-    annulus_averages,
-    fit_decay_slope,
-)
+from .wavefront import _cone_fits, _fl_verdict, _nonzero_scale, _segment_table
 from .weights import Weight
 from .windows import WindowSpec, window_values
 
@@ -56,25 +50,10 @@ def stft(f: Signal, window: WindowSpec) -> np.ndarray:
     """V(x_j, k): rows are window positions, columns lattice frequencies."""
     grid = f.grid
     out = np.empty((grid.size, grid.size), dtype=complex)
-    n, d = grid.n, grid.d
-    centers = _all_cells(grid)
-    for row, center in enumerate(centers):
+    for row, center in enumerate(np.ndindex(grid.shape)):
         shifted = np.conj(window_values(grid, window, center))
         out[row] = forward_transform(Signal(grid, f.values * shifted)).coeffs
     return out
-
-
-def _all_cells(grid: TorusGrid) -> list:
-    cells = []
-    n, d = grid.n, grid.d
-    for flat in range(grid.size):
-        cell = []
-        rem = flat
-        for _ in range(d):
-            cell.append(rem % n)
-            rem //= n
-        cells.append(tuple(reversed(cell)))
-    return cells
 
 
 def modulation_norm(f: Signal, p: float, q: float,
@@ -177,10 +156,11 @@ def modulation_sup_profile(f: Signal, x0, window: WindowSpec,
         position_radius = max(2, int(window.width) // 8)
     x0 = np.atleast_1d(np.asarray(x0, dtype=int))
     sup_v = np.zeros(grid.size)
-    for cell in _all_cells(grid):
-        if grid.cell_distance(cell, x0) > position_radius or \
-                any(c % position_step for c in cell):
-            continue
+    cells = np.stack(np.unravel_index(np.arange(grid.size), grid.shape), -1)
+    delta = (cells - x0 + grid.n / 2) % grid.n - grid.n / 2
+    near = (np.sqrt(np.sum(delta**2, axis=-1)) <= position_radius) & \
+        np.all(cells % position_step == 0, axis=-1)
+    for cell in cells[near]:
         shifted = np.conj(window_values(grid, window, cell))
         coeffs = forward_transform(Signal(grid, f.values * shifted)).coeffs
         np.maximum(sup_v, np.abs(coeffs), out=sup_v)
@@ -206,13 +186,9 @@ def modulation_direction_verdict(f: Signal, x0, direction, q: float,
         sup_v = modulation_sup_profile(f, x0, window, position_radius,
                                        position_step)
     wvals = Weight.power(s).on_lattice(grid)
-    idx = _annulus_index(grid)
-    mask = idx.cone(tuple(direction), aperture)
-    raw = annulus_averages(grid, sup_v, mask, octaves, q)
+    table = _segment_table(grid, (direction,), aperture, octaves)
     floor = rel_floor * _nonzero_scale(grid, forward_transform(f).coeffs)
-    usable = ~np.isnan(raw) & (raw > floor)
-    avgs = annulus_averages(grid, sup_v * wvals, mask, octaves, q)
-    slope, used = fit_decay_slope(avgs, usable, octaves)
+    [(slope, used)], _ = _cone_fits(table, sup_v, sup_v * wvals, q, floor)
     regular, slope_out = _fl_verdict(slope, used, grid.d, q, margin)
     return {"verdict": "regular" if regular else "singular",
             "slope": slope_out}

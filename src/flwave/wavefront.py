@@ -14,6 +14,13 @@ count normalization makes the threshold equivalent to summability of
 the weighted tail: sum_m count_m * A_m^q converges exactly when the
 mass slope stays below -d/q.
 
+All annulus statistics come from one cached segment table per (grid,
+directions, aperture, octaves): an int32 gather index that lists each
+direction cone's lattice points, banded by octave.  Per scan position
+one gather of |F| and one of |F w|, each followed by a single
+``reduceat`` over the band starts, give the averages and the cone
+seminorms of every direction at once.
+
 Annuli whose content falls below a relative floor are dropped from the
 fit; if nothing in the fit range rises above the floor the direction is
 regular outright (an empty cone cannot carry a singularity).
@@ -26,6 +33,7 @@ beta = -slope reaches the query threshold T.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -33,7 +41,7 @@ import numpy as np
 
 from .cones import Cone, cone_mask
 from .grid import Signal, TorusGrid, forward_transform, lattice
-from .norms import FLNormSpec, sequence_norm
+from .norms import FLNormSpec
 from .weights import Weight
 from .windows import WindowSpec, window_signal, window_values
 
@@ -111,7 +119,7 @@ def default_query(grid: TorusGrid, spec: FLNormSpec | None = None,
     if spec is None:
         spec = FLNormSpec(q=1.0, weight=Weight.power(2.75 if d == 1 else 1.0))
     step = max(1, n // 4)
-    positions = _position_grid(grid, step)
+    positions = tuple(itertools.product(range(0, n, step), repeat=d))
     if d == 1:
         # the top octave holds only the unpaired -n/2 row; stop below it,
         # and keep at least three octaves in range on small grids
@@ -137,74 +145,87 @@ def default_query(grid: TorusGrid, spec: FLNormSpec | None = None,
     )
 
 
-def _position_grid(grid: TorusGrid, step: int) -> tuple:
-    axes = [range(0, grid.n, step)] * grid.d
-    out = []
-
-    def rec(prefix, rest):
-        if not rest:
-            out.append(tuple(prefix))
-            return
-        for v in rest[0]:
-            rec(prefix + [v], rest[1:])
-
-    rec([], axes)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Annulus statistics and the decay fit
 # ---------------------------------------------------------------------------
 
 
-class _AnnulusIndex:
-    """Per-grid cache of octave labels and direction-cone masks."""
+class _SegmentTable:
+    """Every cone's lattice points, grouped into octave bands.
 
-    def __init__(self, grid: TorusGrid):
-        self.grid = grid
+    ``index`` lists, direction after direction, the flat lattice indices
+    of the cone (origin excluded), stably sorted into bands: below m_lo,
+    one band per octave m_lo..m_hi, above m_hi.  Inside a band the points
+    keep row-major order.  ``counts`` holds the band sizes, shape
+    (directions, octaves + 2); ``starts`` are the offsets of the non-empty
+    bands, where one ``reduceat`` over the gathered values begins a sum.
+    Cones overlap, so a point may appear under several directions.
+    """
+
+    def __init__(self, grid: TorusGrid, directions, aperture, octaves):
+        m_lo, m_hi = octaves
+        top = m_hi - m_lo + 2
+        # origin -> octave -1; every other point has |k| >= 1
         norms = lattice(grid).norms
-        with np.errstate(divide="ignore"):
-            octave = np.floor(np.log2(np.where(norms > 0, norms, 1.0)))
-        self.octave = np.where(norms > 0, octave, -1).astype(int)
-        self._cone_cache: dict = {}
-
-    def cone(self, direction, aperture) -> np.ndarray:
-        key = (tuple(direction), float(aperture))
-        if key not in self._cone_cache:
-            self._cone_cache[key] = cone_mask(
-                self.grid, Cone(tuple(direction), aperture)
-            )
-        return self._cone_cache[key]
-
-
-_INDEX_CACHE: dict = {}
+        octave = np.floor(np.log2(np.maximum(norms, 0.5))).astype(np.int8)
+        band = np.clip(octave - (m_lo - 1), 0, top)
+        index, counts = [], []
+        for direction in directions:
+            pts = np.flatnonzero(cone_mask(grid, Cone(direction, aperture)))
+            index.append(pts[np.argsort(band[pts], kind="stable")])
+            counts.append(np.bincount(band[pts], minlength=top + 1))
+        self.octaves = octaves
+        self.index = np.concatenate(index).astype(np.int32)
+        self.counts = np.array(counts)
+        flat = self.counts.ravel()
+        self.filled = flat > 0
+        self.starts = (np.cumsum(flat) - flat)[self.filled]
 
 
-def _annulus_index(grid: TorusGrid) -> _AnnulusIndex:
-    key = (grid.d, grid.n)
-    if key not in _INDEX_CACHE:
-        _INDEX_CACHE[key] = _AnnulusIndex(grid)
-    return _INDEX_CACHE[key]
+_TABLE_CACHE: dict = {}
 
 
-def annulus_averages(grid: TorusGrid, weighted: np.ndarray, conemask,
-                     octaves, q: float) -> np.ndarray:
-    """Count-normalized l^q annulus averages; NaN where the annulus is empty."""
-    idx = _annulus_index(grid)
-    m_lo, m_hi = octaves
-    out = np.full(m_hi - m_lo + 1, np.nan)
-    mags = np.abs(weighted)
-    for m in range(m_lo, m_hi + 1):
-        sel = (idx.octave == m) & conemask
-        cnt = int(np.count_nonzero(sel))
-        if cnt == 0:
-            continue
-        vals = mags[sel]
-        if np.isinf(q):
-            out[m - m_lo] = np.max(vals)
-        else:
-            out[m - m_lo] = (np.sum(vals**q) / cnt) ** (1.0 / q)
-    return out
+def _segment_table(grid: TorusGrid, directions, aperture,
+                   octaves) -> _SegmentTable:
+    key = (grid.d, grid.n, tuple(tuple(t) for t in directions),
+           float(aperture), tuple(octaves))
+    if key not in _TABLE_CACHE:
+        _TABLE_CACHE[key] = _SegmentTable(grid, *key[2:])
+    return _TABLE_CACHE[key]
+
+
+def _band_reduce(table: _SegmentTable, values: np.ndarray, q: float):
+    """Per (direction, band): sum of |values|^q, or max at q=inf; 0 if empty."""
+    mags = np.abs(values)[table.index]
+    out = np.zeros(table.counts.size)
+    if np.isinf(q):
+        out[table.filled] = np.maximum.reduceat(mags, table.starts)
+    else:
+        out[table.filled] = np.add.reduceat(mags**q, table.starts)
+    return out.reshape(table.counts.shape)
+
+
+def annulus_averages(table: _SegmentTable, raw: np.ndarray,
+                     weighted: np.ndarray, q: float):
+    """Annulus statistics of every cone in the table at once.
+
+    Returns (raw_avgs, avgs, seminorms): the count-normalized l^q annulus
+    averages of |raw| and of |weighted| (max at q=inf), each of shape
+    (directions, octaves) with NaN where the annulus is empty, and the
+    l^q norm of ``weighted`` over each whole cone (0 for an empty cone).
+    """
+    inner = table.counts[:, 1:-1]
+
+    def averages(bands):
+        bands = bands[:, 1:-1]
+        if not np.isinf(q):
+            bands = (bands / np.maximum(inner, 1)) ** (1.0 / q)
+        return np.where(inner > 0, bands, np.nan)
+
+    bands = _band_reduce(table, weighted, q)
+    seminorms = (bands.max(axis=1) if np.isinf(q)
+                 else bands.sum(axis=1) ** (1.0 / q))
+    return averages(_band_reduce(table, raw, q)), averages(bands), seminorms
 
 
 def fit_decay_slope(averages: np.ndarray, usable: np.ndarray, octaves):
@@ -232,22 +253,17 @@ def fit_decay_slope(averages: np.ndarray, usable: np.ndarray, octaves):
     return slope, len(ms)
 
 
-def _direction_stats(grid, weighted, unweighted, direction, aperture,
-                     octaves, q, floor):
-    """(averages, slope, n_used, seminorm) for one cone.
+def _cone_fits(table: _SegmentTable, raw, weighted, q, floor):
+    """([(slope, n_used) per direction], seminorms) for every table cone.
 
     Annulus usability is decided on the unweighted coefficients against
     the floor, so the usable set does not move with the weight order; the
     decay slope is then fitted to the weighted averages over that set.
     """
-    idx = _annulus_index(grid)
-    mask = idx.cone(direction, aperture)
-    raw = annulus_averages(grid, unweighted, mask, octaves, q)
-    usable = ~np.isnan(raw) & (raw > floor)
-    avgs = annulus_averages(grid, weighted, mask, octaves, q)
-    slope, used = fit_decay_slope(avgs, usable, octaves)
-    seminorm = sequence_norm(weighted[mask], q)
-    return avgs, slope, used, seminorm
+    raw_avgs, avgs, seminorms = annulus_averages(table, raw, weighted, q)
+    fits = [fit_decay_slope(a, ok, table.octaves)
+            for a, ok in zip(avgs, raw_avgs > floor)]
+    return fits, seminorms
 
 
 def _fl_verdict(slope, used, d, q, margin):
@@ -391,11 +407,10 @@ def regular_directions(f: Signal, spec: FLNormSpec, aperture: float,
     w = spec.weight.on_lattice(grid)
     weighted = coeffs * w
     floor = rel_floor * _nonzero_scale(grid, coeffs)
+    table = _segment_table(grid, dirs, aperture, octaves)
+    fits, _ = _cone_fits(table, coeffs, weighted, spec.q, floor)
     theta, sigma, slopes = [], [], {}
-    for direction in dirs:
-        _, slope, used, _ = _direction_stats(
-            grid, weighted, coeffs, direction, aperture, octaves, spec.q,
-            floor)
+    for direction, (slope, used) in zip(dirs, fits):
         regular, slope_out = _fl_verdict(slope, used, grid.d, spec.q, margin)
         slopes[direction] = slope_out
         (theta if regular else sigma).append(direction)
@@ -428,15 +443,15 @@ def _scan(f: Signal, query: WavefrontQuery, classical: bool) -> WavefrontReport:
         rel = query.rel_floor
     floor = rel * scale
     q = np.inf if classical else spec.q
+    table = _segment_table(grid, query.directions, query.aperture,
+                           query.octaves)
     records = []
     for x0 in query.positions:
-        g = window_signal(f, query.window, x0)
-        coeffs = forward_transform(g).coeffs
-        weighted = coeffs * w
-        for direction in query.directions:
-            _, slope, used, semi = _direction_stats(
-                grid, weighted, coeffs, direction, query.aperture,
-                query.octaves, q, floor)
+        coeffs = forward_transform(window_signal(f, query.window, x0)).coeffs
+        fits, seminorms = _cone_fits(table, coeffs, coeffs * w, q, floor)
+        cell = tuple(int(c) for c in np.atleast_1d(x0))
+        for direction, (slope, used), semi in zip(query.directions, fits,
+                                                  seminorms):
             if classical:
                 if used <= 1:
                     regular, slope_out = True, REGULAR_SENTINEL
@@ -447,7 +462,7 @@ def _scan(f: Signal, query: WavefrontQuery, classical: bool) -> WavefrontReport:
                 regular, slope_out = _fl_verdict(
                     slope, used, grid.d, q, query.margin)
             records.append(WavefrontRecord(
-                x0=tuple(int(c) for c in np.atleast_1d(x0)),
+                x0=cell,
                 theta=tuple(direction),
                 verdict="regular" if regular else "singular",
                 slope=float(slope_out),
@@ -497,20 +512,26 @@ def superior_scan(f: Signal, query: WavefrontQuery, s_list) -> dict:
     ladders = [(1.0, 1.0), (0.5, 1.0), (0.25, 1.0)]
     if grid.d > 1:
         ladders += [(1.0, 0.5), (0.5, 0.5)]
+    weights = [Weight.power(float(s)).on_lattice(grid) for s in s_list]
     for x0 in query.positions:
-        for direction in query.directions:
-            fixed, adaptive = [], []
-            for s in s_list:
-                w = Weight.power(float(s)).on_lattice(grid)
-                ok_fixed = _passes(grid, f, query, x0, direction, w, q,
-                                   floor, 1.0, 1.0)
-                fixed.append(ok_fixed)
-                ok_any = ok_fixed or any(
-                    _passes(grid, f, query, x0, direction, w, q, floor,
-                            wf, af)
-                    for wf, af in ladders[1:]
-                )
-                adaptive.append(ok_any)
+        # passes[ladder, order, direction]; ladder 0 is the fixed variant
+        passes = []
+        for wfactor, afactor in ladders:
+            window = (query.window.narrowed(wfactor) if wfactor != 1.0
+                      else query.window)
+            coeffs = forward_transform(window_signal(f, window, x0)).coeffs
+            table = _segment_table(grid, query.directions,
+                                   query.aperture * afactor, query.octaves)
+            passes.append([
+                [_fl_verdict(slope, used, grid.d, q, query.margin)[0]
+                 for slope, used in _cone_fits(table, coeffs, coeffs * w,
+                                               q, floor)[0]]
+                for w in weights
+            ])
+        passes = np.array(passes, dtype=bool)
+        for i, direction in enumerate(query.directions):
+            fixed = passes[0, :, i].tolist()
+            adaptive = passes[:, :, i].any(axis=0).tolist()
             out[(tuple(int(c) for c in np.atleast_1d(x0)),
                  tuple(direction))] = {
                 "s_list": s_list,
@@ -520,17 +541,6 @@ def superior_scan(f: Signal, query: WavefrontQuery, s_list) -> dict:
                 "adaptive_max_index": _last_true_prefix(adaptive),
             }
     return out
-
-
-def _passes(grid, f, query, x0, direction, w, q, floor, wfactor, afactor):
-    window = query.window.narrowed(wfactor) if wfactor != 1.0 else query.window
-    g = window_signal(f, window, x0)
-    coeffs = forward_transform(g).coeffs
-    _, slope, used, _ = _direction_stats(
-        grid, coeffs * w, coeffs, direction, query.aperture * afactor,
-        query.octaves, q, floor)
-    regular, _ = _fl_verdict(slope, used, grid.d, q, query.margin)
-    return regular
 
 
 def _last_true_prefix(flags) -> int:

@@ -13,6 +13,7 @@ w(x+y) <= C w(x) v(y) actually holds is checked numerically by
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +31,11 @@ class Weight:
     s: float = 0.0
     scale: float = 1.0
     blocks: tuple = ()  # ((axis indices), order) pairs for kind="block"
-    table: np.ndarray | None = field(default=None, repr=False)
+    table: np.ndarray | None = field(default=None, repr=False, compare=False)
     table_grid: TorusGrid | None = None
     witness: "Weight | None" = None
+    # content digest of ``table``: equality and hashing go through it
+    table_digest: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("power", "block", "table"):
@@ -48,6 +51,8 @@ class Weight:
             if np.any(tab <= 0):
                 raise ValueError("weights must be strictly positive")
             object.__setattr__(self, "table", tab)
+            object.__setattr__(self, "table_digest",
+                               hashlib.sha256(tab.tobytes()).hexdigest())
 
     @staticmethod
     def power(s: float, scale: float = 1.0, witness: "Weight | None" = None):

@@ -3,16 +3,21 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from flwave.cones import Cone
-from flwave.corpus import make_power_cusp, make_smooth
+from flwave.cones import Cone, cone_mask
+from flwave.corpus import make_power_cusp, make_smooth, standard_corpus
 from flwave.grid import Signal, TorusGrid, forward_transform, impulse, \
-    single_mode
-from flwave.norms import FLNormSpec, fl_norm
+    lattice, single_mode
+from flwave.norms import FLNormSpec, fl_norm, sequence_norm
 from flwave.wavefront import (
+    _segment_table,
+    annulus_averages,
     classical_wavefront,
     default_query,
     estimate_wavefront,
+    fit_decay_slope,
     regular_directions,
     report_included_in,
     split_regular,
@@ -256,3 +261,124 @@ def test_classical_cusp_finite_order_singular():
     rep = classical_wavefront(entry.signal, default_query(g))
     assert any(r.x0 == (64,) and r.verdict == "singular"
                for r in rep.records)
+
+
+# ---------------------------------------------------------------------------
+# Segment-table engine against a boolean-mask reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_stats(grid, raw, weighted, direction, aperture, octaves, q):
+    """One cone's (raw averages, weighted averages, seminorm), one boolean
+    mask per octave: the straightforward algorithm the engine replaces."""
+    norms = lattice(grid).norms
+    octave = np.floor(np.log2(np.where(norms > 0, norms, 1.0)))
+    octave[norms == 0] = -1
+    cone = cone_mask(grid, Cone(tuple(direction), aperture))
+    m_lo, m_hi = octaves
+
+    def averages(values):
+        out = np.full(m_hi - m_lo + 1, np.nan)
+        mags = np.abs(values)
+        for m in range(m_lo, m_hi + 1):
+            sel = (octave == m) & cone
+            cnt = np.count_nonzero(sel)
+            if cnt == 0:
+                continue
+            vals = mags[sel]
+            out[m - m_lo] = (np.max(vals) if np.isinf(q)
+                             else (np.sum(vals**q) / cnt) ** (1.0 / q))
+        return out
+
+    return averages(raw), averages(weighted), sequence_norm(weighted[cone], q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), size=st.integers(0, 2),
+       q=st.sampled_from([1.0, 1.5, 2.0, np.inf]),
+       aperture=st.floats(1e-3, np.pi / 2),
+       m_lo=st.integers(0, 3), span=st.integers(0, 4),
+       count=st.integers(1, 5), seed=st.integers(0, 2**16))
+# an empty cone: no lattice point of n = 4 within 1e-3 rad of the axis
+@example(d=3, size=0, q=1.5, aperture=1e-3, m_lo=0, span=2, count=1,
+         seed=0)
+# wide overlapping cones, bands below and above the octave range
+@example(d=2, size=1, q=2.0, aperture=np.pi / 2, m_lo=2, span=1, count=5,
+         seed=1)
+def test_engine_matches_mask_reference(d, size, q, aperture, m_lo, span,
+                                       count, seed):
+    n = {1: (8, 32, 64), 2: (8, 16, 32), 3: (4, 8, 8)}[d][size]
+    grid = TorusGrid(d, n)
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    weighted = raw * rng.uniform(0.5, 4.0, grid.size)
+    if d == 1:
+        dirs = ((1.0,), (-1.0,))[:count]
+    else:
+        # cones normalize their axes
+        dirs = tuple(tuple(rng.standard_normal(d)) for _ in range(count))
+    octaves = (m_lo, m_lo + span)
+    raw_avgs, avgs, seminorms = annulus_averages(
+        _segment_table(grid, dirs, aperture, octaves), raw, weighted, q)
+    assert raw_avgs.shape == avgs.shape == (len(dirs), span + 1)
+    for i, direction in enumerate(dirs):
+        want = _reference_stats(grid, raw, weighted, direction, aperture,
+                                octaves, q)
+        np.testing.assert_allclose(raw_avgs[i], want[0], rtol=1e-12)
+        np.testing.assert_allclose(avgs[i], want[1], rtol=1e-12)
+        np.testing.assert_allclose(seminorms[i], want[2], rtol=1e-12)
+
+
+def test_engine_empty_cone_and_annuli():
+    grid = TorusGrid(2, 8)
+    coeffs = np.ones(grid.size, dtype=complex)
+    table = _segment_table(grid, ((np.cos(0.1), np.sin(0.1)), (1.0, 0.0)),
+                           1e-3, (0, 3))
+    raw_avgs, avgs, seminorms = annulus_averages(table, coeffs, coeffs, 1.0)
+    # the first cone holds no lattice point; the second only k = (1..3, 0),
+    # which fill octaves 0 and 1
+    assert np.all(np.isnan(avgs[0])) and seminorms[0] == 0.0
+    np.testing.assert_array_equal(np.isnan(avgs[1]),
+                                  [False, False, True, True])
+    np.testing.assert_array_equal(avgs[1][:2], [1.0, 1.0])
+    assert seminorms[1] == 3.0
+
+
+def _reference_verdicts(f, query, classical):
+    grid = f.grid
+    full = forward_transform(f).coeffs
+    floor = np.max(np.abs(full[lattice(grid).norms > 0])) * (
+        query.classical_rel_floor if classical else query.rel_floor)
+    q = np.inf if classical else query.spec.q
+    w = 1.0 if classical else query.spec.weight.on_lattice(grid)
+    out = []
+    for x0 in query.positions:
+        coeffs = forward_transform(window_signal(f, query.window, x0)).coeffs
+        for direction in query.directions:
+            raw, avgs, _ = _reference_stats(grid, coeffs, coeffs * w,
+                                            direction, query.aperture,
+                                            query.octaves, q)
+            slope, used = fit_decay_slope(avgs, raw > floor, query.octaves)
+            if used <= 1:
+                regular = True
+            elif classical:
+                regular = -slope >= query.decay_threshold
+            else:
+                dq = 0.0 if np.isinf(q) else grid.d / q
+                regular = slope <= -(dq + query.margin)
+            out.append("regular" if regular else "singular")
+    return out
+
+
+@pytest.mark.parametrize("q, s", [(1.0, 1.0), (1.0, 1.5), (2.0, 1.25),
+                                  (np.inf, 1.0), (None, None)])
+def test_scan_verdicts_match_mask_reference(q, s):
+    entries = standard_corpus(2, 64)
+    query = default_query(entries[0].signal.grid)
+    classical = q is None
+    if not classical:
+        query = replace(query, spec=FLNormSpec(q, Weight.power(s)))
+    scan = classical_wavefront if classical else estimate_wavefront
+    for entry in entries:
+        got = [r.verdict for r in scan(entry.signal, query).records]
+        assert got == _reference_verdicts(entry.signal, query, classical)

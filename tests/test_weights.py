@@ -43,6 +43,17 @@ def test_table_weight():
         Weight.from_table(g, np.zeros(8))
 
 
+def test_table_weight_compares_and_hashes_on_content():
+    g = TorusGrid(1, 8)
+    a = Weight.from_table(g, np.arange(1.0, 9.0))
+    b = Weight.from_table(g, np.arange(1.0, 9.0))
+    c = Weight.from_table(g, np.arange(2.0, 10.0))
+    assert a == b and hash(a) == hash(b)
+    assert a != c and a != Weight.power(0.0)
+    # usable as a cache key, also inside a norm spec
+    assert {FLNormSpec(1.0, a): "a"}[FLNormSpec(1.0, b)] == "a"
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-32, 32), st.integers(-32, 32),
        st.sampled_from([0.5, -0.5, 1.0, -1.0, 2.0, -2.0]))
