@@ -16,7 +16,7 @@ import numpy as np
 
 from .cones import RegionMask
 from .grid import TorusGrid, lattice
-from .norms import KernelGrid, mixed_norm, sequence_norm
+from .norms import KernelGrid, _axis_norm, mixed_norm, sequence_norm
 from .rng import random_coeffs, random_kernel, trial_rng
 from .weights import Weight
 
@@ -259,10 +259,10 @@ def kernel_slice_norms(spec: PowerKernelSpec, regions: RegionMask,
     for j, mask in enumerate(regions.masks, start=1):
         vals = np.abs(F.values) * mask
         if j in (1, 2):
-            slices = _p_norm_axis(vals, p, axis=1)
+            slices = _axis_norm(vals, p, axis=1)
             bound, branch = _slice_bound_regions12(spec, p, brackets, j)
         else:
-            slices = _p_norm_axis(vals, p, axis=0)
+            slices = _axis_norm(vals, p, axis=0)
             bound, branch = _slice_bound_regions345(spec, p, brackets, j)
         nz = slices > 0
         if not np.any(nz):
@@ -308,7 +308,7 @@ def tail_slice_norms(grid: TorusGrid, spec: PowerKernelSpec, c: float,
     mask = sep & (k_br >= R) & (l_br >= R)
     F = power_kernel(grid, spec)
     vals = np.abs(F.values) * mask
-    slices = _p_norm_axis(vals, p, axis=1)
+    slices = _axis_norm(vals, p, axis=1)
     brackets = lat.brackets
     if spec.t2 >= -dp:
         bound = brackets**spec.t0
@@ -327,9 +327,3 @@ def tail_slice_norms(grid: TorusGrid, spec: PowerKernelSpec, c: float,
         "max_residual": float(np.max(slices[nz] - C * bound[nz])),
         "slices": int(np.count_nonzero(nz)),
     }
-
-
-def _p_norm_axis(vals: np.ndarray, p: float, axis: int) -> np.ndarray:
-    if np.isinf(p):
-        return np.max(vals, axis=axis)
-    return np.sum(vals**p, axis=axis) ** (1.0 / p)

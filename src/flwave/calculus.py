@@ -18,6 +18,7 @@ from .grid import Signal, TorusGrid, cyclic_convolve, forward_transform, lattice
 from .norms import FLNormSpec, fl_norm
 from .wavefront import (
     WavefrontQuery,
+    _merge_singular,
     default_query,
     estimate_wavefront,
     report_included_in,
@@ -128,7 +129,6 @@ def product_critical_norm_check(f1: Signal, f2: Signal, q, s1, s2, r,
     """
     d = f1.grid.d
     qp = conjugate_exponent(q)
-    dq = 0.0 if np.isinf(q) else d / q
     dqp = 0.0 if np.isinf(qp) else d / qp
     if s is None:
         s = min(s1, s2, s1 + s2 - dqp)
@@ -314,27 +314,12 @@ def wf_product_check(f1: Signal, f2: Signal, mode: str, q, s1, s2,
         left = _scan_at_order(product, query, q, crit)
         r1 = _scan_at_order(f1, query, q, N1)
         r2 = _scan_at_order(f2, query, q, N2)
-        merged = _merge_reports(r1, r2)
+        merged = _merge_singular(r1, r2)
         result = report_included_in(left, merged, cell_tol, bin_tol)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return {"holds": result["holds"], "violations": result["violations"],
             "hypotheses": hypotheses}
-
-
-def _merge_reports(r1, r2):
-    """Union of singular verdicts: singular wherever either report is."""
-    from .wavefront import WavefrontReport
-
-    merged = []
-    by_key = {(rec.x0, rec.theta): rec for rec in r2.records}
-    for rec in r1.records:
-        other = by_key.get((rec.x0, rec.theta))
-        if other is not None and other.verdict == "singular":
-            merged.append(other)
-        else:
-            merged.append(rec)
-    return WavefrontReport(grid=r1.grid, records=tuple(merged), mode=r1.mode)
 
 
 def wf_derivative_check(f: Signal, axis: int, q, s,

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Signal, Spectrum, forward_transform, inverse_transform, lattice
-from .pdo import Symbol
-from .wavefront import WavefrontQuery, default_query, estimate_wavefront, report_included_in
+from .pdo import Symbol, quantize_apply
+from .wavefront import (WavefrontQuery, _merge_singular, default_query,
+                        estimate_wavefront, report_included_in)
 from .weights import Weight
 
 __all__ = [
@@ -179,20 +180,6 @@ def wf_nonlinearity_check(G: PolynomialNonlinearity, fs: list, q, s, sigma,
                            "lifted_order": lifted}}
 
 
-def _merge_singular(r1, r2):
-    from .wavefront import WavefrontReport
-
-    by_key = {(rec.x0, rec.theta): rec for rec in r2.records}
-    merged = []
-    for rec in r1.records:
-        other = by_key.get((rec.x0, rec.theta))
-        if other is not None and other.verdict == "singular":
-            merged.append(other)
-        else:
-            merged.append(rec)
-    return WavefrontReport(grid=r1.grid, records=tuple(merged), mode=r1.mode)
-
-
 def _d_over_conjugate(q, d) -> float:
     if q == 1:
         return 0.0
@@ -299,13 +286,7 @@ def demo_solve(P: Symbol, G: PolynomialNonlinearity | None, source: Signal,
             break
     else:
         raise RuntimeError(f"no convergence within {max_iter} iterations")
-    lhs = quantize_residual(P, f)
+    lhs = quantize_apply(P, f)
     rhs = eval_nonlinearity(G, list(jet(f, jet_order).components)) + source
     residual = np.linalg.norm(lhs.values - rhs.values) / max(src_norm, 1e-300)
     return {"solution": f, "iterations": it, "residual": float(residual)}
-
-
-def quantize_residual(P: Symbol, f: Signal) -> Signal:
-    from .pdo import quantize_apply
-
-    return quantize_apply(P, f)

@@ -97,6 +97,8 @@ def directions_for(d: int, count: int = 32) -> tuple:
     """Direction bins: ``count`` unit vectors (d=2) or the two signs (d=1)."""
     if d == 1:
         return ((1.0,), (-1.0,))
+    if d > 2:
+        raise ValueError(f"direction bins exist for d = 1 and 2, not d = {d}")
     if count < 4:
         raise ValueError("need at least 4 direction bins")
     angles = 2.0 * np.pi * np.arange(count) / count
@@ -348,6 +350,20 @@ def _nearest_bin(directions: tuple, theta) -> int:
     return int(np.argmax(dots))
 
 
+def _merge_singular(r1: WavefrontReport,
+                    r2: WavefrontReport) -> WavefrontReport:
+    """Union of singular verdicts: singular wherever either report is."""
+    by_key = {(rec.x0, rec.theta): rec for rec in r2.records}
+    merged = []
+    for rec in r1.records:
+        other = by_key.get((rec.x0, rec.theta))
+        if other is not None and other.verdict == "singular":
+            merged.append(other)
+        else:
+            merged.append(rec)
+    return WavefrontReport(grid=r1.grid, records=tuple(merged), mode=r1.mode)
+
+
 def report_included_in(left: WavefrontReport, right: WavefrontReport,
                        cell_tol: float = 2.0, bin_tol: int = 1) -> dict:
     """Check singular(left) within (cell_tol, bin_tol) of singular(right).
@@ -397,8 +413,6 @@ def regular_directions(f: Signal, spec: FLNormSpec, aperture: float,
     "slopes": {direction: slope}}.
     """
     grid = f.grid
-    if grid.d > 1 and direction_count < 4:
-        raise ValueError("need at least 4 direction bins")
     dirs = directions_for(grid.d, direction_count)
     if octaves is None:
         m_hi = int(np.log2(grid.n // 2))

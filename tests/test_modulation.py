@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flwave.grid import Signal, TorusGrid, forward_transform, random_signal, \
     single_mode, zero_signal
@@ -9,6 +11,7 @@ from flwave.modulation import (
     embedding_check,
     equivalence_check,
     modulation_norm,
+    modulation_sup_profile,
     stft,
 )
 from flwave.rng import trial_rng
@@ -24,6 +27,86 @@ def _bump(grid, center, width, rng=None):
         vals = vals * (rng.standard_normal(grid.n)
                        + 1j * rng.standard_normal(grid.n))
     return Signal(grid, vals)
+
+
+def _stft_reference(f, window):
+    """Per-row STFT: window and transform each position on its own."""
+    grid = f.grid
+    out = np.empty((grid.size, grid.size), dtype=complex)
+    for row, center in enumerate(np.ndindex(grid.shape)):
+        shifted = np.conj(window_values(grid, window, center))
+        out[row] = forward_transform(Signal(grid, f.values * shifted)).coeffs
+    return out
+
+
+def _sup_profile_reference(f, x0, window, radius, step):
+    """Per-cell sup profile: one window_values call per near cell."""
+    grid = f.grid
+    sup_v = np.zeros(grid.size)
+    for cell in np.ndindex(grid.shape):
+        if grid.cell_distance(cell, x0) > radius or \
+                any(c % step for c in cell):
+            continue
+        shifted = np.conj(window_values(grid, window, cell))
+        coeffs = forward_transform(Signal(grid, f.values * shifted)).coeffs
+        np.maximum(sup_v, np.abs(coeffs), out=sup_v)
+    return sup_v
+
+
+# (d, n) grids small enough for the per-row reference at d = 3
+_GRIDS = [(1, 8), (1, 16), (1, 64), (2, 8), (2, 16), (3, 6), (3, 8)]
+
+
+def _random_case(grid_index, shape, width_frac, seed):
+    d, n = _GRIDS[grid_index]
+    g = TorusGrid(d, n)
+    window = WindowSpec(shape, 4.0 + width_frac * (n - 4.5))
+    return g, window, random_signal(g, np.random.default_rng(seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_index=st.integers(0, len(_GRIDS) - 1),
+       shape=st.sampled_from(["gauss", "hann", "flattop"]),
+       width_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+@example(grid_index=6, shape="flattop", width_frac=1.0, seed=0)
+@example(grid_index=0, shape="hann", width_frac=0.0, seed=1)
+def test_stft_equals_per_row_reference(grid_index, shape, width_frac, seed):
+    g, window, f = _random_case(grid_index, shape, width_frac, seed)
+    assert np.array_equal(stft(f, window), _stft_reference(f, window))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_index=st.integers(0, len(_GRIDS) - 1),
+       shape=st.sampled_from(["gauss", "hann", "flattop"]),
+       width_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**16),
+       radius=st.integers(0, 5), step=st.integers(1, 4),
+       x0_seed=st.integers(0, 2**16))
+@example(grid_index=4, shape="gauss", width_frac=0.5, seed=0, radius=0,
+         step=3, x0_seed=1)
+def test_sup_profile_equals_per_cell_reference(grid_index, shape, width_frac,
+                                               seed, radius, step, x0_seed):
+    g, window, f = _random_case(grid_index, shape, width_frac, seed)
+    x0 = tuple(np.random.default_rng(x0_seed).integers(0, g.n, g.d))
+    got = modulation_sup_profile(f, x0, window, position_radius=radius,
+                                 position_step=step)
+    want = _sup_profile_reference(f, x0, window, radius, step)
+    assert np.array_equal(got, want)
+
+
+def test_sup_profile_without_near_cell_is_zero():
+    g = TorusGrid(2, 16)
+    f = random_signal(g, np.random.default_rng(6))
+    sup_v = modulation_sup_profile(f, (1, 1), WindowSpec("gauss", 8),
+                                   position_radius=0, position_step=4)
+    assert sup_v.shape == (g.size,) and np.all(sup_v == 0)
+
+
+def test_stft_overflow_raises():
+    g = TorusGrid(2, 8)
+    f = Signal(g, np.full(g.size, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="finite"):
+        stft(f, WindowSpec("flattop", 7))
 
 
 def test_stft_zero():

@@ -16,6 +16,7 @@ from flwave.wavefront import (
     annulus_averages,
     classical_wavefront,
     default_query,
+    directions_for,
     estimate_wavefront,
     fit_decay_slope,
     regular_directions,
@@ -78,6 +79,17 @@ def test_query_validation():
         replace(q, window=WindowSpec("gauss", 300)).validate(g)
     with pytest.raises(ValueError):
         replace(q, aperture=2.0)
+
+
+def test_three_dimensional_queries_are_rejected():
+    # direction bins are planar; a 3-D grid must fail before any scan
+    g = TorusGrid(3, 8)
+    for build in (lambda: directions_for(3),
+                  lambda: default_query(g),
+                  lambda: regular_directions(single_mode(g, (1, 0, 0)),
+                                             FLNormSpec(1.0), 0.3)):
+        with pytest.raises(ValueError, match="not d = 3"):
+            build()
 
 
 def test_classical_needs_three_octaves():
