@@ -56,14 +56,10 @@ def _wrap_index_table(grid: TorusGrid) -> np.ndarray:
     """Flat index of wrap(k - l) for all lattice pairs, cached per grid."""
     key = (grid.d, grid.n)
     if key not in _WRAP_CACHE:
-        lat = lattice(grid)
-        n = grid.n
-        diff = lat.points[:, None, :] - lat.points[None, :, :]
-        wrapped = (diff + n // 2) % n - n // 2
-        idx = np.zeros(wrapped.shape[:2], dtype=np.int64)
-        for a in range(grid.d):
-            idx = idx * n + (wrapped[..., a] + n // 2)
-        _WRAP_CACHE[key] = idx
+        pts = lattice(grid).points + grid.n // 2
+        diff = pts[:, None, :] - pts[None, :, :] + grid.n // 2
+        _WRAP_CACHE[key] = np.ravel_multi_index(
+            tuple(np.moveaxis(diff, -1, 0)), grid.shape, mode="wrap")
     return _WRAP_CACHE[key]
 
 
@@ -101,13 +97,8 @@ def tf_dual_pair(F: KernelGrid, f, g, h) -> tuple:
 
 def _reflect(grid: TorusGrid, g: np.ndarray) -> np.ndarray:
     """g(-k) with -n/2 wrapping to itself."""
-    lat = lattice(grid)
-    n = grid.n
-    neg = (-lat.points + n // 2) % n - n // 2
-    idx = np.zeros(neg.shape[0], dtype=np.int64)
-    for a in range(grid.d):
-        idx = idx * n + (neg[:, a] + n // 2)
-    return g[idx]
+    neg = grid.n // 2 - lattice(grid).points
+    return g[np.ravel_multi_index(tuple(neg.T), grid.shape, mode="wrap")]
 
 
 def verify_tf_bound(case: int, q: float, r: float = 0.0, trials: int = 200,

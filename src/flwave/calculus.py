@@ -18,6 +18,7 @@ from .grid import Signal, TorusGrid, cyclic_convolve, forward_transform, lattice
 from .norms import FLNormSpec, fl_norm
 from .wavefront import (
     WavefrontQuery,
+    _included,
     _merge_singular,
     default_query,
     estimate_wavefront,
@@ -190,62 +191,23 @@ def algebra_check(fs: list, g: Signal, q, q0, s) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def numerical_support(f: Signal, rel: float = 1e-8) -> list:
-    """Grid indices where |f| exceeds rel * max|f|."""
+def numerical_support(f: Signal, rel: float = 1e-8) -> np.ndarray:
+    """Mask of the grid cells where |f| exceeds rel * max|f|."""
     mags = np.abs(f.values)
-    cut = rel * np.max(mags)
-    idx = np.nonzero(mags > cut)[0]
-    n, d = f.grid.n, f.grid.d
-    cells = []
-    for flat in idx:
-        cell = []
-        rem = int(flat)
-        for _ in range(d):
-            cell.append(rem % n)
-            rem //= n
-        cells.append(tuple(reversed(cell)))
-    return cells
+    return mags > rel * np.max(mags)
 
 
 def wf_convolution_check(f1: Signal, f2: Signal,
                          query: WavefrontQuery | None = None,
                          cell_tol: float = 2.0, bin_tol: int = 1) -> dict:
     """Estimated WF(f1*f2) against supp(f1) + WF(f2), within tolerance."""
-    grid = f1.grid
     if query is None:
-        query = default_query(grid)
-    conv = cyclic_convolve(f1, f2)
-    left = estimate_wavefront(conv, query)
+        query = default_query(f1.grid)
+    left = estimate_wavefront(cyclic_convolve(f1, f2), query)
     right = estimate_wavefront(f2, query)
-    supp = numerical_support(f1)
-    rs = right.singular()
-    violations = []
-    for rec in left.singular():
-        ok = False
-        for s in rs:
-            if _bin_dist(query.directions, rec.theta, s.theta) > bin_tol:
-                continue
-            for x in supp:
-                shifted = tuple((xi + yi) % grid.n
-                                for xi, yi in zip(x, s.x0))
-                if grid.cell_distance(rec.x0, shifted) <= cell_tol:
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
-            violations.append({"x0": list(rec.x0), "theta": list(rec.theta)})
-    return {"holds": not violations, "violations": violations,
-            "left_singular": len(left.singular()),
-            "right_singular": len(rs)}
-
-
-def _bin_dist(directions, t1, t2) -> int:
-    dirs = [np.asarray(t) for t in directions]
-    i1 = int(np.argmax([float(np.dot(t1, t)) for t in dirs]))
-    i2 = int(np.argmax([float(np.dot(t2, t)) for t in dirs]))
-    nb = len(dirs)
-    return min((i1 - i2) % nb, (i2 - i1) % nb)
+    result = _included(left, right, cell_tol, bin_tol, numerical_support(f1))
+    return {**result, "left_singular": int(left.singular_mask.sum()),
+            "right_singular": int(right.singular_mask.sum())}
 
 
 def _scan_at_order(f: Signal, query: WavefrontQuery, q, s) -> object:

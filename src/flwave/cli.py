@@ -40,6 +40,7 @@ from .wavefront import (
     classical_wavefront,
     default_query,
     estimate_wavefront,
+    oracle_recovery,
 )
 from .weights import Weight, parse_weight
 from .windows import WindowSpec
@@ -54,9 +55,6 @@ VERIFY_TARGETS = (
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--jobs", type=int, default=0,
-                        help="scan/trial parallelism (0 = serial); results "
-                             "are independent of this setting")
     parser = argparse.ArgumentParser(
         prog="flwave",
         description="Weighted Fourier-Lebesgue norms and wave-front scans "
@@ -190,15 +188,14 @@ def _run_wavefront(args) -> dict:
     scan = classical_wavefront if args.mode == "classical" \
         else estimate_wavefront
     report = scan(sig, query)
-    payload = json.loads(report.to_json())
+    text = report.to_json()
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(report.to_json())
+            fh.write(text)
     if args.csv:
         report.write_csv(args.csv)
-    singular = [r for r in payload["records"] if r["verdict"] == "singular"]
-    return {"mode": args.mode, "records": payload["records"],
-            "n_singular": len(singular),
+    return {"mode": args.mode, "records": json.loads(text)["records"],
+            "n_singular": len(report.singular()),
             "params": _echo(args, ("q", "s", "bins"))}
 
 
@@ -458,68 +455,21 @@ def _verify_modulation(args) -> dict:
 
 
 def _verify_corpus(args) -> dict:
-    import os
-    from concurrent.futures import ThreadPoolExecutor
-
-    jobs = args.jobs or os.cpu_count() or 1
-    tasks = []
+    failures = []
     for d, n in ((1, 256), (2, 128)):
         corpus = standard_corpus(d, n)
         query = default_query(corpus[0].signal.grid)
-        tasks.extend((d, entry, query) for entry in corpus)
-
-    def run(task):
-        d, entry, query = task
-        report = estimate_wavefront(entry.signal, query)
-        return d, entry, query, report
-
-    # scans are pure; merge preserves task order so reports are identical
-    # for every jobs setting
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        results = list(pool.map(run, tasks))
-    failures = []
-    for d, entry, query, report in results:
-        ok, detail = _oracle_match(entry, report, query)
-        if not ok:
-            failures.append({"entry": entry.id, "d": d, "detail": detail})
+        for entry in corpus:
+            # oracle components within two cells and one direction bin
+            missed, extras = oracle_recovery(
+                estimate_wavefront(entry.signal, query),
+                entry.expected_singular(query.spec.weight.s), 2.0, 1)
+            if missed or extras:
+                detail = (f"missed component at {missed[0].cells[0]}"
+                          if missed else
+                          f"extra singular verdict at {extras[0].x0}")
+                failures.append({"entry": entry.id, "d": d, "detail": detail})
     return {"pass": not failures, "failures": failures}
-
-
-def _oracle_match(entry, report, query) -> tuple:
-    """Singular verdicts must match expected components within tolerance."""
-    grid = report.grid
-    expected = entry.expected_singular(query.spec.weight.s)
-    singular = report.singular()
-    for comp in expected:
-        found = False
-        for rec in singular:
-            if _component_covers(comp, rec, grid, query):
-                found = True
-                break
-        if not found:
-            return False, f"missed component at {comp.cells[0]}"
-    for rec in singular:
-        if not any(_component_covers(comp, rec, grid, query)
-                   for comp in expected):
-            return False, f"extra singular verdict at {rec.x0}"
-    return True, ""
-
-
-def _component_covers(comp, rec, grid, query, cell_tol=2.0) -> bool:
-    close = any(grid.cell_distance(rec.x0, cell) <= cell_tol
-                for cell in comp.cells)
-    if not close:
-        return False
-    if comp.directions == "all":
-        return True
-    dirs = [np.asarray(t) for t in query.directions]
-    nb = len(dirs)
-    b_rec = int(np.argmax([float(np.dot(rec.theta, t)) for t in dirs]))
-    for target in comp.directions:
-        b_t = int(np.argmax([float(np.dot(target, t)) for t in dirs]))
-        if min((b_rec - b_t) % nb, (b_t - b_rec) % nb) <= 1:
-            return True
-    return False
 
 
 if __name__ == "__main__":

@@ -71,23 +71,6 @@ class CorpusEntry:
         return out
 
 
-def _cells_near(grid: TorusGrid, center, radius: int = 0) -> tuple:
-    """Cells within a cube of the given radius around a center index."""
-    center = np.atleast_1d(np.asarray(center, dtype=int))
-    offsets = range(-radius, radius + 1)
-    cells = []
-
-    def rec(prefix, axis):
-        if axis == grid.d:
-            cells.append(tuple(int(c) % grid.n for c in prefix))
-            return
-        for o in offsets:
-            rec(prefix + [center[axis] + o], axis + 1)
-
-    rec([], 0)
-    return tuple(cells)
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------

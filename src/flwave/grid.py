@@ -107,12 +107,9 @@ class FrequencyLattice:
         """Row-major flat index of a lattice point."""
         n = self.grid.n
         k = np.atleast_1d(np.asarray(k, dtype=int))
-        idx = 0
-        for c in k:
-            if not (-n // 2 <= c < n // 2):
-                raise ValueError(f"lattice point {k} out of range for n={n}")
-            idx = idx * n + (c + n // 2)
-        return int(idx)
+        if np.any(k < -n // 2) or np.any(k >= n // 2):
+            raise ValueError(f"lattice point {k} out of range for n={n}")
+        return int(np.ravel_multi_index(tuple(k + n // 2), self.grid.shape))
 
 
 _LATTICE_CACHE: dict = {}
@@ -319,13 +316,9 @@ def impulse(grid: TorusGrid, j=None, value: complex = 1.0) -> Signal:
     """Signal with a single nonzero sample at grid index j (default 0)."""
     vals = np.zeros(grid.size, dtype=complex)
     if j is None:
-        idx = 0
-    else:
-        j = np.atleast_1d(np.asarray(j, dtype=int)) % grid.n
-        idx = 0
-        for c in j:
-            idx = idx * grid.n + int(c)
-    vals[idx] = value
+        j = (0,) * grid.d
+    j = tuple(np.atleast_1d(np.asarray(j, dtype=int)))
+    vals[np.ravel_multi_index(j, grid.shape, mode="wrap")] = value
     return Signal(grid, vals)
 
 

@@ -189,56 +189,23 @@ def transport_check(a: Symbol, f: Signal, q: float, s: float,
 
     char = set(char_set_scan(a, query.positions, query.directions, c, R,
                              query.aperture, grid))
-    af_verdicts = {(r.x0, r.theta): r.verdict for r in rep_Af.records}
-    lift_violations = []
-    union_violations = []
-    for rec in rep_f.records:
-        key = (rec.x0, rec.theta)
-        if key in char:
-            continue
-        if rec.verdict == "singular" and af_verdicts.get(key) == "regular":
-            # tolerate estimator blur: look for singular Af nearby
-            near = _has_singular_near(rep_Af, rec, grid, cell_tol, bin_tol,
-                                      query.directions)
-            if not near:
-                lift_violations.append({"x0": list(rec.x0),
-                                        "theta": list(rec.theta)})
+    # Af regular at a point and no singular Af nearby is exactly "no
+    # singular Af within tolerance": the neighbourhood holds the point
+    char_mask = np.array([(r.x0, r.theta) in char for r in rep_f.records],
+                         dtype=bool).reshape(rep_f.singular_mask.shape)
+    off_char = replace(rep_f, singular_mask=rep_f.singular_mask & ~char_mask)
+    lift = report_included_in(off_char, rep_Af, cell_tol, bin_tol)
     rep_Af_s = estimate_wavefront(Af, replace(query, spec=spec_s))
-    af_s = {(r.x0, r.theta): r.verdict for r in rep_Af_s.records}
-    for rec in rep_f.records:
-        key = (rec.x0, rec.theta)
-        if rec.verdict != "singular" or key in char:
-            continue
-        if af_s.get(key) == "regular" and not _has_singular_near(
-                rep_Af_s, rec, grid, cell_tol, bin_tol, query.directions):
-            union_violations.append({"x0": list(rec.x0),
-                                     "theta": list(rec.theta)})
+    union = report_included_in(off_char, rep_Af_s, cell_tol, bin_tol)
     return {
         "forward_holds": forward["holds"],
         "forward_violations": forward["violations"],
-        "lift_holds": not lift_violations,
-        "lift_violations": lift_violations,
-        "union_holds": not union_violations,
-        "union_violations": union_violations,
+        "lift_holds": lift["holds"],
+        "lift_violations": lift["violations"],
+        "union_holds": union["holds"],
+        "union_violations": union["violations"],
         "char_points": sorted(char),
     }
-
-
-def _has_singular_near(report, rec, grid, cell_tol, bin_tol, directions):
-    dirs = [np.asarray(t) for t in directions]
-
-    def bin_of(theta):
-        return int(np.argmax([float(np.dot(theta, t)) for t in dirs]))
-
-    b0 = bin_of(rec.theta)
-    nb = len(dirs)
-    for other in report.singular():
-        if grid.cell_distance(rec.x0, other.x0) > cell_tol:
-            continue
-        b1 = bin_of(other.theta)
-        if min((b0 - b1) % nb, (b1 - b0) % nb) <= bin_tol:
-            return True
-    return False
 
 
 def parse_symbol(text: str, grid: TorusGrid) -> Symbol:
@@ -272,15 +239,11 @@ def parse_symbol(text: str, grid: TorusGrid) -> Symbol:
         def evaluator(xs, ks, _table=table, _grid=grid):
             # exact-grid x and lattice k only
             lat = lattice(_grid)
-            xs = np.atleast_2d(xs)
             cols = [lat.index_of(k.astype(int)) for k in np.atleast_2d(ks)]
-            rows = np.empty((xs.shape[0], len(cols)), dtype=complex)
-            for i, x_flat in enumerate(xs):
-                flat = 0
-                for v in x_flat:
-                    flat = flat * _grid.n + int(round(v / _grid.h)) % _grid.n
-                rows[i] = _table[flat, cols]
-            return rows
+            cells = np.rint(np.atleast_2d(xs) / _grid.h).astype(int)
+            rows = np.ravel_multi_index(tuple(cells.T), _grid.shape,
+                                        mode="wrap")
+            return _table[np.ix_(rows, cols)]
 
         return Symbol(order=float(payload.get("order", 0.0)),
                       evaluator=evaluator, label=text)

@@ -35,7 +35,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,7 @@ __all__ = [
     "superior_scan",
     "split_regular",
     "report_included_in",
+    "oracle_recovery",
 ]
 
 SLOPE_MARGIN = 0.25  # summability margin on the fitted slope
@@ -280,7 +282,7 @@ def _fl_verdict(slope, used, d, q, margin):
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Reports and the tolerance matcher
 # ---------------------------------------------------------------------------
 
 
@@ -293,21 +295,52 @@ class WavefrontRecord:
     seminorm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WavefrontReport:
+    """Verdicts of one scan over the query's positions x directions.
+
+    ``singular_mask``, ``slopes`` and ``seminorms`` have shape
+    (positions, directions); ``records`` lists the same entries
+    position-major, built once on first use.
+    """
+
     grid: TorusGrid
-    records: tuple
+    query: WavefrontQuery
+    singular_mask: np.ndarray
+    slopes: np.ndarray
+    seminorms: np.ndarray
     mode: str = "fl"
-    meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Scan positions as integer grid indices, shape (positions, d)."""
+        return np.array([np.atleast_1d(x) for x in self.query.positions],
+                        dtype=int).reshape(-1, self.grid.d)
+
+    @cached_property
+    def records(self) -> tuple:
+        thetas = [tuple(t) for t in self.query.directions]
+        return tuple(
+            WavefrontRecord(tuple(x0), theta,
+                            "singular" if flag else "regular", slope, semi)
+            for x0, flags, slopes, semis in zip(
+                self.cells.tolist(), self.singular_mask.tolist(),
+                self.slopes.tolist(), self.seminorms.tolist())
+            for theta, flag, slope, semi in zip(thetas, flags, slopes, semis)
+        )
 
     def singular(self) -> list:
-        return [r for r in self.records if r.verdict == "singular"]
+        return [r for r, flag in zip(self.records, self.singular_mask.flat)
+                if flag]
 
     def verdict_at(self, x0, theta) -> str:
         x0 = tuple(int(c) for c in np.atleast_1d(x0))
-        for r in self.records:
-            if r.x0 == x0 and np.allclose(r.theta, theta, atol=1e-9):
-                return r.verdict
+        cells = [tuple(c) for c in self.cells.tolist()]
+        near = np.all(np.isclose(self.query.directions, theta, atol=1e-9),
+                      axis=1)
+        if x0 in cells and near.any():
+            return self.records[cells.index(x0) * near.size
+                                + int(near.argmax())].verdict
         raise KeyError(f"no record at {x0}, {theta}")
 
     def to_json(self) -> str:
@@ -336,65 +369,107 @@ class WavefrontReport:
                 ])
 
 
-def _bin_distance(directions: tuple, t1, t2) -> int:
-    """Circular distance between two direction-bin entries."""
-    i1 = _nearest_bin(directions, t1)
-    i2 = _nearest_bin(directions, t2)
-    nb = len(directions)
-    return min((i1 - i2) % nb, (i2 - i1) % nb)
-
-
-def _nearest_bin(directions: tuple, theta) -> int:
-    theta = np.asarray(theta, dtype=float)
-    dots = [float(np.dot(theta, np.asarray(t))) for t in directions]
-    return int(np.argmax(dots))
-
-
 def _merge_singular(r1: WavefrontReport,
                     r2: WavefrontReport) -> WavefrontReport:
     """Union of singular verdicts: singular wherever either report is."""
-    by_key = {(rec.x0, rec.theta): rec for rec in r2.records}
-    merged = []
-    for rec in r1.records:
-        other = by_key.get((rec.x0, rec.theta))
-        if other is not None and other.verdict == "singular":
-            merged.append(other)
-        else:
-            merged.append(rec)
-    return WavefrontReport(grid=r1.grid, records=tuple(merged), mode=r1.mode)
+    take = r2.singular_mask
+    return replace(r1, singular_mask=r1.singular_mask | take,
+                   slopes=np.where(take, r2.slopes, r1.slopes),
+                   seminorms=np.where(take, r2.seminorms, r1.seminorms))
+
+
+def _nearest_bins(directions, thetas) -> np.ndarray:
+    """Index of the direction bin with the largest dot product, per theta."""
+    return np.argmax(np.asarray(thetas, dtype=float)
+                     @ np.asarray(directions, dtype=float).T, axis=1)
+
+
+def _reach(report: WavefrontReport, cells, targets, cell_tol, bin_tol,
+           support) -> np.ndarray:
+    """Scan entries of ``report`` within tolerance of a target entry.
+
+    ``targets`` is a (len(cells), directions) mask over the report's
+    direction bins.  Returns the (positions, directions) mask of entries
+    within cell_tol cells of a target's cell and bin_tol bins of its
+    direction, under the rule stated in ``report_included_in``.  A
+    ``support`` mask over the grid first dilates the cell ball by it.
+    """
+    grid, n = report.grid, report.grid.n
+    delta = (np.indices(grid.shape) + n / 2) % n - n / 2
+    ball = np.sqrt(np.sum(delta**2, axis=0)) <= cell_tol
+    if support is not None:
+        # Minkowski sum ball + support: a cyclic convolution of indicators
+        # counts integer overlaps, so > 0.5 is exact
+        ball = np.fft.ifftn(np.fft.fftn(ball) * np.fft.fftn(
+            support.reshape(grid.shape))).real > 0.5
+    diff = (report.cells[:, None, :] - cells[None, :, :]) % n
+    near_pos = ball[tuple(np.moveaxis(diff, -1, 0))]
+    bins = _nearest_bins(report.query.directions, report.query.directions)
+    gap = (bins[:, None] - bins[None, :]) % len(bins)
+    near_bin = np.minimum(gap, len(bins) - gap) <= bin_tol
+    return (near_pos.astype(int) @ targets.astype(int)
+            @ near_bin.astype(int)) > 0
+
+
+def _included(left: WavefrontReport, right: WavefrontReport, cell_tol,
+              bin_tol, support) -> dict:
+    if left.grid != right.grid or \
+            not np.array_equal(left.cells, right.cells) or \
+            not np.array_equal(left.query.directions, right.query.directions):
+        raise ValueError(
+            "reports were scanned at different positions or directions")
+    near = _reach(left, right.cells, right.singular_mask, cell_tol, bin_tol,
+                  support)
+    violations = [{"x0": list(r.x0), "theta": list(r.theta)}
+                  for r, bad in zip(left.records,
+                                    (left.singular_mask & ~near).flat) if bad]
+    return {"holds": not violations, "violations": violations}
 
 
 def report_included_in(left: WavefrontReport, right: WavefrontReport,
                        cell_tol: float = 2.0, bin_tol: int = 1) -> dict:
     """Check singular(left) within (cell_tol, bin_tol) of singular(right).
 
-    Every singular verdict on the left must have a right-side singular
-    verdict within cell_tol grid cells (periodic) and bin_tol direction
-    bins.  Returns {"holds", "violations"}.
+    The tolerance rule of every verdict match in flwave: an entry at
+    (x, theta) is matched by one at (y, eta) when the periodic Euclidean
+    distance between the grid cells x and y (``TorusGrid.cell_distance``)
+    is at most cell_tol, and the nearest direction bins of theta and eta
+    lie at most bin_tol bins apart around the circle of bins.  Every
+    singular verdict on the left must be matched by a right-side singular
+    verdict.  Both reports must come from one grid, positions and
+    directions (ValueError otherwise).  Returns {"holds", "violations"},
+    the violations in record order.
     """
-    grid = left.grid
-    dirs = tuple(r.theta for r in right.records[: _n_dirs(right)])
-    rs = right.singular()
-    violations = []
-    for r in left.singular():
-        ok = False
-        for s in rs:
-            if grid.cell_distance(r.x0, s.x0) <= cell_tol and \
-               _bin_distance(dirs or (r.theta,), r.theta, s.theta) <= bin_tol:
-                ok = True
-                break
-        if not ok:
-            violations.append({"x0": list(r.x0), "theta": list(r.theta)})
-    return {"holds": not violations, "violations": violations}
+    return _included(left, right, cell_tol, bin_tol, None)
 
 
-def _n_dirs(report: WavefrontReport) -> int:
-    seen = []
-    for r in report.records:
-        if r.theta in seen:
-            break
-        seen.append(r.theta)
-    return len(seen)
+def oracle_recovery(report: WavefrontReport, components, cell_tol,
+                    bin_tol) -> tuple:
+    """(missed components, extra singular records) against an oracle.
+
+    A component (``cells``, and ``directions`` as vectors or "all") is
+    found when a singular verdict matches one of its cells and directions
+    under the ``report_included_in`` rule; a singular verdict that no
+    component matches is extra.
+    """
+    singular = report.singular_mask
+    covered = np.zeros_like(singular)
+    missed = []
+    for comp in components:
+        cells = np.asarray(comp.cells, dtype=int).reshape(-1, report.grid.d)
+        targets = np.zeros((len(cells), singular.shape[1]), dtype=bool)
+        if comp.directions == "all":
+            targets[:] = True
+        else:
+            targets[:, _nearest_bins(report.query.directions,
+                                     comp.directions)] = True
+        reach = _reach(report, cells, targets, cell_tol, bin_tol, None)
+        if not np.any(reach & singular):
+            missed.append(comp)
+        covered |= reach
+    extras = [r for r, bad in zip(report.records, (singular & ~covered).flat)
+              if bad]
+    return missed, extras
 
 
 # ---------------------------------------------------------------------------
@@ -459,34 +534,25 @@ def _scan(f: Signal, query: WavefrontQuery, classical: bool) -> WavefrontReport:
     q = np.inf if classical else spec.q
     table = _segment_table(grid, query.directions, query.aperture,
                            query.octaves)
-    records = []
-    for x0 in query.positions:
+    shape = (len(query.positions), len(query.directions))
+    singular, slopes, seminorms = (np.zeros(shape, dtype=bool),
+                                   np.empty(shape), np.empty(shape))
+    for i, x0 in enumerate(query.positions):
         coeffs = forward_transform(window_signal(f, query.window, x0)).coeffs
-        fits, seminorms = _cone_fits(table, coeffs, coeffs * w, q, floor)
-        cell = tuple(int(c) for c in np.atleast_1d(x0))
-        for direction, (slope, used), semi in zip(query.directions, fits,
-                                                  seminorms):
+        fits, seminorms[i] = _cone_fits(table, coeffs, coeffs * w, q, floor)
+        for j, (slope, used) in enumerate(fits):
             if classical:
                 if used <= 1:
-                    regular, slope_out = True, REGULAR_SENTINEL
+                    regular, slopes[i, j] = True, REGULAR_SENTINEL
                 else:
                     regular = -slope >= query.decay_threshold
-                    slope_out = slope
+                    slopes[i, j] = slope
             else:
-                regular, slope_out = _fl_verdict(
+                regular, slopes[i, j] = _fl_verdict(
                     slope, used, grid.d, q, query.margin)
-            records.append(WavefrontRecord(
-                x0=cell,
-                theta=tuple(direction),
-                verdict="regular" if regular else "singular",
-                slope=float(slope_out),
-                seminorm=float(semi),
-            ))
-    return WavefrontReport(
-        grid=grid, records=tuple(records),
-        mode="classical" if classical else "fl",
-        meta={"spec_q": spec.q, "octaves": list(query.octaves)},
-    )
+            singular[i, j] = not regular
+    return WavefrontReport(grid, query, singular, slopes, seminorms,
+                           mode="classical" if classical else "fl")
 
 
 def estimate_wavefront(f: Signal, query: WavefrontQuery) -> WavefrontReport:

@@ -95,9 +95,8 @@ class Weight:
             raise ValueError("table weight defined on lattice points only")
         if np.any(ints < -n // 2) or np.any(ints >= n // 2):
             raise ValueError("lattice point outside table range")
-        idx = np.zeros(ints.shape[0], dtype=int)
-        for a in range(ints.shape[1]):
-            idx = idx * n + (ints[:, a] + n // 2)
+        idx = np.ravel_multi_index(tuple((ints + n // 2).T),
+                                   self.table_grid.shape)
         return self.scale * self.table[idx]
 
     def __call__(self, k) -> float:

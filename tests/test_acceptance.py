@@ -54,7 +54,9 @@ from flwave.wavefront import (
     classical_wavefront,
     default_query,
     estimate_wavefront,
+    oracle_recovery,
     regular_directions,
+    report_included_in,
     superior_scan,
 )
 from flwave.weights import Weight
@@ -246,35 +248,12 @@ def test_criterion_4_slice_norms():
 # ---------------------------------------------------------------------------
 
 
-def _bin_distance(directions, t1, t2):
-    dirs = [np.asarray(t) for t in directions]
-    i1 = int(np.argmax([float(np.dot(t1, t)) for t in dirs]))
-    i2 = int(np.argmax([float(np.dot(t2, t)) for t in dirs]))
-    nb = len(dirs)
-    return min((i1 - i2) % nb, (i2 - i1) % nb)
-
-
-def _component_covers(comp, rec, grid, query):
-    if not any(grid.cell_distance(rec.x0, cell) <= CELL_TOL
-               for cell in comp.cells):
-        return False
-    if comp.directions == "all":
-        return True
-    return any(_bin_distance(query.directions, rec.theta, t) <= BIN_TOL
-               for t in comp.directions)
-
-
 def _oracle_recovery(entry, query):
     report = estimate_wavefront(entry.signal, query)
-    expected = entry.expected_singular(query.spec.weight.s)
-    singular = report.singular()
-    missed = [comp.cells[0] for comp in expected
-              if not any(_component_covers(comp, rec, report.grid, query)
-                         for rec in singular)]
-    extras = [rec.x0 for rec in singular
-              if not any(_component_covers(comp, rec, report.grid, query)
-                         for comp in expected)]
-    return missed, extras
+    missed, extras = oracle_recovery(
+        report, entry.expected_singular(query.spec.weight.s), CELL_TOL,
+        BIN_TOL)
+    return [comp.cells[0] for comp in missed], [rec.x0 for rec in extras]
 
 
 def test_criterion_5_corpus_oracles():
@@ -600,35 +579,29 @@ def test_criterion_9c_wavefront_agreement():
         s = query.spec.weight.s
         for entry in corpus:
             est = estimate_wavefront(entry.signal, query)
-            est_map = {}
-            for rec in est.records:
-                est_map.setdefault(rec.x0, {})[rec.theta] = rec.verdict
-            for x0 in query.positions:
-                x0t = tuple(int(c) for c in np.atleast_1d(x0))
+            mod_singular = np.zeros_like(est.singular_mask)
+            for i, x0 in enumerate(query.positions):
                 # the sup radius must stay inside the scan stride's
                 # isolation budget or neighbors bleed into the verdict
                 sup_v = modulation_sup_profile(
                     entry.signal, x0, query.window,
                     position_radius=max(2, n // 32),
                     position_step=max(2, n // 64))
-                mod_sing = set()
-                for theta in query.directions:
+                for j, theta in enumerate(query.directions):
                     out = modulation_direction_verdict(
                         entry.signal, x0, theta, query.spec.q, s,
                         query.window, query.aperture, query.octaves,
                         rel_floor=query.rel_floor, sup_v=sup_v)
-                    if out["verdict"] == "singular":
-                        mod_sing.add(theta)
-                est_sing = {th for th, v in est_map[x0t].items()
-                            if v == "singular"}
-                for th in mod_sing:
-                    if all(_bin_distance(query.directions, th, other) > BIN_TOL
-                           for other in est_sing):
-                        mismatches.append((d, entry.id, x0t, th, "mod-only"))
-                for th in est_sing:
-                    if all(_bin_distance(query.directions, th, other) > BIN_TOL
-                           for other in mod_sing):
-                        mismatches.append((d, entry.id, x0t, th, "est-only"))
+                    mod_singular[i, j] = out["verdict"] == "singular"
+            # the modulation verdicts as a report over the same scan,
+            # matched at the same position within BIN_TOL bins, both ways
+            mod = replace(est, singular_mask=mod_singular)
+            for left, right, side in ((mod, est, "mod-only"),
+                                      (est, mod, "est-only")):
+                found = report_included_in(left, right, 0, BIN_TOL)
+                mismatches.extend((d, entry.id, tuple(v["x0"]),
+                                   tuple(v["theta"]), side)
+                                  for v in found["violations"])
     elapsed = time.time() - start
     _verdict(
         "criterion 9c: spectral and modulation wave-front verdicts agree",

@@ -1,13 +1,28 @@
 """CLI exit codes, determinism, and report formats."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from flwave.cli import main
 from flwave.grid import TorusGrid, read_signal, write_signal, zero_signal
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _module_run(argv):
+    """Run ``python -m flwave.cli`` in a child that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "flwave.cli", *argv],
+                          capture_output=True, env=env)
 
 
 def _run(argv, capsys):
@@ -64,18 +79,12 @@ def test_reports_byte_identical(capsys):
 
 
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "flwave.cli", "frobnicate"],
-        capture_output=True,
-    )
+    proc = _module_run(["frobnicate"])
     assert proc.returncode == 2
 
 
 def test_unknown_verify_target_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "flwave.cli", "verify", "nope"],
-        capture_output=True,
-    )
+    proc = _module_run(["verify", "nope"])
     assert proc.returncode == 2
 
 
@@ -116,3 +125,10 @@ def test_norm_on_missing_file_fails(capsys):
     code, out = _run(["norm", "--input", "/nonexistent.json"], capsys)
     assert code == 1
     assert "error" in json.loads(out.strip().splitlines()[-1])
+
+
+def test_jobs_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "corpus-oracles", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

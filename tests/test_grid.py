@@ -198,3 +198,84 @@ def test_lp_norm_spatial_weight():
     direct = np.sqrt(g.h * np.sum(
         (np.abs(f.values) * np.sqrt(1 + pts**2)) ** 2))
     assert abs(got - direct) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Row-major flat indices against the hand-written loop
+# ---------------------------------------------------------------------------
+
+
+def _row_major(cell, n):
+    """Flat index of a grid cell (components reduced mod n), axis 0 first."""
+    idx = 0
+    for c in cell:
+        idx = idx * n + int(c) % n
+    return idx
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), n=st.sampled_from([4, 6, 8]),
+       seed=st.integers(0, 2**16))
+def test_flat_indices_match_row_major_loop(tmp_path_factory, d, n, seed):
+    import json
+
+    from flwave.bilinear import _reflect, _wrap_index_table
+    from flwave.calculus import numerical_support
+    from flwave.grid import lattice
+    from flwave.pdo import parse_symbol
+    from flwave.weights import Weight
+
+    g = TorusGrid(d, n)
+    rng = np.random.default_rng(seed)
+    lat = lattice(g)
+    ks = rng.integers(-n // 2, n // 2, size=(5, d))
+    for k in ks:
+        assert lat.index_of(k) == _row_major(k + n // 2, n)
+    j = rng.integers(-2 * n, 2 * n, size=d)
+    assert np.flatnonzero(impulse(g, j).values).tolist() == \
+        [_row_major(j, n)]
+    table = rng.uniform(1.0, 2.0, g.size)
+    np.testing.assert_array_equal(
+        Weight.from_table(g, table).evaluate_points(ks),
+        table[[_row_major(k + n // 2, n) for k in ks]])
+    pts = lat.points
+    np.testing.assert_array_equal(_wrap_index_table(g), [
+        [_row_major(k - m + n // 2, n) for m in pts] for k in pts])
+    vals = rng.standard_normal(g.size)
+    np.testing.assert_array_equal(
+        _reflect(g, vals), vals[[_row_major(n // 2 - k, n) for k in pts]])
+    mags = np.where(rng.random(g.size) < 0.5, 1.0, 1e-12)
+    mags[rng.integers(g.size)] = 1.0
+    np.testing.assert_array_equal(numerical_support(Signal(g, mags)),
+                                  mags == 1.0)
+    if g.size <= 64:
+        path = tmp_path_factory.mktemp("symbol") / "table.json"
+        dense = rng.standard_normal((g.size, g.size))
+        path.write_text(json.dumps({"order": 0.0,
+                                    "values": dense.ravel().tolist()}))
+        symbol = parse_symbol(f"table:{path}", g)
+        cells = rng.integers(-n, 2 * n, size=(3, d))
+        got = symbol.evaluator(cells * g.h, ks.astype(float))
+        np.testing.assert_array_equal(got, dense[np.ix_(
+            [_row_major(c, n) for c in cells],
+            [_row_major(k + n // 2, n) for k in ks])])
+
+
+def test_flat_index_range_errors_keep_their_messages(tmp_path):
+    import json
+
+    from flwave.grid import lattice
+    from flwave.pdo import parse_symbol
+    from flwave.weights import Weight
+
+    g = TorusGrid(2, 4)
+    with pytest.raises(ValueError, match=r"lattice point \[ 2 -1\] out of "
+                                         r"range for n=4"):
+        lattice(g).index_of((2, -1))
+    with pytest.raises(ValueError, match="lattice point outside table range"):
+        Weight.from_table(g, np.ones(g.size)).evaluate_points([[0, -3]])
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"values": [0.0] * g.size**2}))
+    symbol = parse_symbol(f"table:{path}", g)
+    with pytest.raises(ValueError, match="out of range for n=4"):
+        symbol.evaluator(np.zeros((1, 2)), np.array([[0.0, 2.0]]))

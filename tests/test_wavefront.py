@@ -1,5 +1,8 @@
 """Wave-front estimator machinery: direction partitions, scans, splits."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -12,6 +15,11 @@ from flwave.grid import Signal, TorusGrid, forward_transform, impulse, \
     lattice, single_mode
 from flwave.norms import FLNormSpec, fl_norm, sequence_norm
 from flwave.wavefront import (
+    WavefrontQuery,
+    WavefrontRecord,
+    WavefrontReport,
+    _included,
+    _merge_singular,
     _segment_table,
     annulus_averages,
     classical_wavefront,
@@ -19,6 +27,7 @@ from flwave.wavefront import (
     directions_for,
     estimate_wavefront,
     fit_decay_slope,
+    oracle_recovery,
     regular_directions,
     report_included_in,
     split_regular,
@@ -394,3 +403,200 @@ def test_scan_verdicts_match_mask_reference(q, s):
     for entry in entries:
         got = [r.verdict for r in scan(entry.signal, query).records]
         assert got == _reference_verdicts(entry.signal, query, classical)
+
+
+# ---------------------------------------------------------------------------
+# Array-backed reports and the tolerance matcher
+# ---------------------------------------------------------------------------
+
+
+def _bin_gap(directions, t1, t2):
+    """Circular distance between the nearest direction bins of t1 and t2."""
+    dirs = [np.asarray(t) for t in directions]
+    i1 = int(np.argmax([float(np.dot(t1, t)) for t in dirs]))
+    i2 = int(np.argmax([float(np.dot(t2, t)) for t in dirs]))
+    return min((i1 - i2) % len(dirs), (i2 - i1) % len(dirs))
+
+
+def _reference_included(left, right, cell_tol, bin_tol, support=None):
+    """The pairwise loop the matcher replaces: every left singular record
+    against every right one (shifted by every support cell), through
+    TorusGrid.cell_distance and the nearest bins."""
+    grid = left.grid
+    shifts = ([(0,) * grid.d] if support is None
+              else np.argwhere(support.reshape(grid.shape)))
+    violations = []
+    for r in left.singular():
+        if not any(_bin_gap(left.query.directions, r.theta, s.theta)
+                   <= bin_tol
+                   and grid.cell_distance(r.x0, np.add(x, s.x0) % grid.n)
+                   <= cell_tol
+                   for s in right.singular() for x in shifts):
+            violations.append({"x0": list(r.x0), "theta": list(r.theta)})
+    return {"holds": not violations, "violations": violations}
+
+
+def _reference_recovery(report, components, cell_tol, bin_tol):
+    """Oracle recovery as the per-record, per-component loop."""
+    def covers(comp, rec):
+        return any(report.grid.cell_distance(rec.x0, cell) <= cell_tol
+                   for cell in comp.cells) and (
+            comp.directions == "all"
+            or any(_bin_gap(report.query.directions, rec.theta, t)
+                   <= bin_tol for t in comp.directions))
+
+    singular = report.singular()
+    missed = [comp for comp in components
+              if not any(covers(comp, rec) for rec in singular)]
+    extras = [rec for rec in singular
+              if not any(covers(comp, rec) for comp in components)]
+    return missed, extras
+
+
+def _random_report(query, grid, rng, share):
+    shape = (len(query.positions), len(query.directions))
+    return WavefrontReport(grid, query, rng.random(shape) < share,
+                           np.zeros(shape), np.zeros(shape))
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from([1, 2]), size=st.integers(0, 1),
+       bins=st.sampled_from([4, 8]), count=st.integers(1, 6),
+       cell_frac=st.floats(0.0, 1.0), bin_tol=st.sampled_from([0, 1, 2]),
+       support=st.integers(0, 4), seed=st.integers(0, 2**16))
+# exact tolerances: same cell, same bin
+@example(d=2, size=1, bins=8, count=6, cell_frac=0.0, bin_tol=0, support=0,
+         seed=3)
+# the whole torus within reach
+@example(d=2, size=0, bins=4, count=5, cell_frac=1.0, bin_tol=2, support=2,
+         seed=5)
+def test_matcher_matches_pairwise_reference(d, size, bins, count, cell_frac,
+                                            bin_tol, support, seed):
+    n = {1: (16, 64), 2: (8, 16)}[d][size]
+    grid = TorusGrid(d, n)
+    rng = np.random.default_rng(seed)
+    cells = np.unravel_index(rng.choice(grid.size, count, replace=False),
+                             grid.shape)
+    query = WavefrontQuery(positions=tuple(zip(*cells)),
+                           directions=directions_for(d, bins),
+                           window=WindowSpec("gauss", 4),
+                           aperture=np.pi / 8, spec=FLNormSpec(1.0))
+    left = _random_report(query, grid, rng, 0.3)
+    right = _random_report(query, grid, rng, 0.2)
+    cell_tol = cell_frac * n / 2
+    mask = None
+    if support:
+        mask = np.zeros(grid.size, dtype=bool)
+        mask[rng.choice(grid.size, support, replace=False)] = True
+    else:
+        assert report_included_in(left, right, cell_tol, bin_tol) == \
+            _reference_included(left, right, cell_tol, bin_tol)
+    assert _included(left, right, cell_tol, bin_tol, mask) == \
+        _reference_included(left, right, cell_tol, bin_tol, mask)
+
+
+@pytest.mark.parametrize("cell_tol, bin_tol", [(2.0, 1), (0.0, 0)])
+def test_oracle_recovery_matches_pairwise_reference(cell_tol, bin_tol):
+    # every d=1 report against every entry's oracle, d=2 against its own
+    pairs = []
+    for d, n in ((1, 256), (2, 64)):
+        entries = standard_corpus(d, n)
+        query = default_query(entries[0].signal.grid)
+        reports = [estimate_wavefront(e.signal, query) for e in entries]
+        pairs += [(rep, e) for i, rep in enumerate(reports)
+                  for j, e in enumerate(entries) if d == 1 or i == j]
+    found = 0
+    for rep, entry in pairs:
+        comps = entry.expected_singular(rep.query.spec.weight.s)
+        got = oracle_recovery(rep, comps, cell_tol, bin_tol)
+        assert got == _reference_recovery(rep, comps, cell_tol, bin_tol)
+        found += len(got[0]) + len(got[1])
+    assert found > 0
+
+
+def _reference_serialized(report, path):
+    """JSON text and CSV bytes of the record-by-record serializer, with the
+    records built entry by entry from the report's arrays."""
+    records = [
+        WavefrontRecord(
+            x0=tuple(int(c) for c in np.atleast_1d(x0)),
+            theta=tuple(direction),
+            verdict="singular" if report.singular_mask[i, j] else "regular",
+            slope=float(report.slopes[i, j]),
+            seminorm=float(report.seminorms[i, j]))
+        for i, x0 in enumerate(report.query.positions)
+        for j, direction in enumerate(report.query.directions)
+    ]
+    rows = [{"x0": list(r.x0), "theta": list(r.theta), "verdict": r.verdict,
+             "slope": r.slope, "seminorm": r.seminorm} for r in records]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x0", "theta", "verdict", "slope", "seminorm"])
+        for r in records:
+            writer.writerow([
+                " ".join(str(c) for c in r.x0),
+                " ".join(f"{t:.6f}" for t in r.theta),
+                r.verdict, f"{r.slope:.6f}", f"{r.seminorm:.8e}",
+            ])
+    return (tuple(records),
+            json.dumps({"mode": report.mode, "records": rows},
+                       sort_keys=True),
+            path.read_bytes())
+
+
+def test_report_serialization_matches_record_serializer(tmp_path):
+    for d, n in ((1, 256), (2, 128)):
+        entries = standard_corpus(d, n)
+        query = default_query(entries[0].signal.grid)
+        for entry in entries:
+            for scan in (estimate_wavefront, classical_wavefront):
+                rep = scan(entry.signal, query)
+                rep.write_csv(str(tmp_path / "got.csv"))
+                records, text, csv_bytes = _reference_serialized(
+                    rep, tmp_path / "want.csv")
+                assert rep.records == records
+                assert rep.to_json() == text
+                assert (tmp_path / "got.csv").read_bytes() == csv_bytes
+                assert rep.singular() == [r for r in records
+                                          if r.verdict == "singular"]
+
+
+def test_verdict_at_reads_the_scan_and_raises_off_it():
+    g = TorusGrid(1, 256)
+    rep = estimate_wavefront(make_power_cusp(g, 2.5, 64).signal,
+                             default_query(g))
+    assert any(r.verdict == "singular" for r in rep.records)
+    for r in rep.records:
+        assert rep.verdict_at(r.x0, r.theta) == r.verdict
+    for x0, theta in (((1,), (1.0,)), ((64,), (0.5,)), ((64, 0), (1.0,))):
+        with pytest.raises(KeyError):
+            rep.verdict_at(x0, theta)
+
+
+def test_inclusion_rejects_reports_of_different_scans():
+    f1 = make_power_cusp(TorusGrid(1, 256), 2.5, 64).signal
+    f2 = make_smooth(TorusGrid(2, 64), seed=2).signal
+    q1, q2 = default_query(f1.grid), default_query(f2.grid)
+    pairs = [
+        (q1, replace(q1, positions=q1.positions[:2])),
+        (q1, replace(q1, positions=q1.positions[::-1])),
+        (q2, default_query(f2.grid, bins=16)),
+    ]
+    for qa, qb in pairs:
+        f = f1 if qa is q1 else f2
+        with pytest.raises(ValueError, match="different positions"):
+            report_included_in(estimate_wavefront(f, qa),
+                               estimate_wavefront(f, qb))
+
+
+def test_merge_singular_is_an_array_union():
+    g = TorusGrid(1, 256)
+    q = default_query(g)
+    r1 = estimate_wavefront(make_power_cusp(g, 2.5, 64).signal, q)
+    r2 = estimate_wavefront(make_power_cusp(g, 0.5, 192).signal, q)
+    merged = _merge_singular(r1, r2)
+    np.testing.assert_array_equal(merged.singular_mask,
+                                  r1.singular_mask | r2.singular_mask)
+    np.testing.assert_array_equal(
+        merged.slopes, np.where(r2.singular_mask, r2.slopes, r1.slopes))
+    assert merged.query == r1.query and merged.mode == r1.mode
