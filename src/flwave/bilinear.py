@@ -16,8 +16,8 @@ import numpy as np
 
 from .cones import RegionMask
 from .grid import TorusGrid, lattice
-from .norms import KernelGrid, _axis_norm, mixed_norm, sequence_norm
-from .rng import random_coeffs, random_kernel, trial_rng
+from .norms import KernelGrid, _axis_norm, _mixed_rows, _ratio, _row_norm
+from .rng import trial_stacks
 from .weights import Weight
 
 __all__ = [
@@ -73,8 +73,14 @@ def apply_tf(F: KernelGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=complex).ravel()
     if f.size != grid.size or g.size != grid.size:
         raise ValueError("lattice size mismatch between kernel and arrays")
-    gmat = g[_wrap_index_table(grid)]  # g(k - l) over pairs
-    return (F.values * gmat) @ f
+    return _tf_rows(grid, F.values[None], f[None], g[None])[0]
+
+
+def _tf_rows(grid: TorusGrid, kernels: np.ndarray, f: np.ndarray,
+             g: np.ndarray) -> np.ndarray:
+    """apply_tf over stacks: kernels (T, N, N), f and g (T, N)."""
+    gmat = g[:, _wrap_index_table(grid)]  # g(k - l) over pairs
+    return np.matmul(kernels * gmat, f[..., None])[..., 0]
 
 
 def tf_dual_pair(F: KernelGrid, f, g, h) -> tuple:
@@ -84,21 +90,23 @@ def tf_dual_pair(F: KernelGrid, f, g, h) -> tuple:
     kernel and g~ the reflection of g.  Equal on the lattice (finite
     rearrangement), up to rounding.
     """
-    grid = F.grid
-    f = np.asarray(f, dtype=complex).ravel()
-    g = np.asarray(g, dtype=complex).ravel()
-    h = np.asarray(h, dtype=complex).ravel()
-    lhs = np.sum(apply_tf(F, f, g) * h)
-    G = KernelGrid(grid, F.values.T)
-    gcheck = _reflect(grid, g)
-    rhs = np.sum(apply_tf(G, h, gcheck) * f)
-    return complex(lhs), complex(rhs)
+    rows = [np.asarray(a, dtype=complex).ravel()[None] for a in (f, g, h)]
+    lhs, rhs = tf_dual_rows(F.grid, F.values[None], *rows)
+    return complex(lhs[0]), complex(rhs[0])
+
+
+def tf_dual_rows(grid: TorusGrid, kernels, f, g, h) -> tuple:
+    """tf_dual_pair over stacks: kernels (T, N, N), f, g, h (T, N)."""
+    lhs = np.sum(_tf_rows(grid, kernels, f, g) * h, axis=-1)
+    rhs = np.sum(_tf_rows(grid, kernels.transpose(0, 2, 1), h,
+                          _reflect(grid, g)) * f, axis=-1)
+    return lhs, rhs
 
 
 def _reflect(grid: TorusGrid, g: np.ndarray) -> np.ndarray:
-    """g(-k) with -n/2 wrapping to itself."""
+    """g(-k) along the last axis, with -n/2 wrapping to itself."""
     neg = grid.n // 2 - lattice(grid).points
-    return g[np.ravel_multi_index(tuple(neg.T), grid.shape, mode="wrap")]
+    return g[..., np.ravel_multi_index(tuple(neg.T), grid.shape, mode="wrap")]
 
 
 def verify_tf_bound(case: int, q: float, r: float = 0.0, trials: int = 200,
@@ -108,9 +116,12 @@ def verify_tf_bound(case: int, q: float, r: float = 0.0, trials: int = 200,
     Cases 1 and 3 are exact lattice inequalities (ratio <= 1); case 2
     carries a non-constructive constant and reports the empirical maximum
     instead.  Adversarial one-hot and heavy-tail instances are mixed in to
-    exercise the equality cases.
+    exercise the equality cases.  Trials whose denominator vanishes are
+    skipped; ``worst_seed`` is the first trial reaching the maximum.
     """
     grid = TorusGrid(d, n)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if case == 2:
         if q <= 2:
             raise ValueError("case 2 requires q > 2")
@@ -119,47 +130,33 @@ def verify_tf_bound(case: int, q: float, r: float = 0.0, trials: int = 200,
     if case == 3 and q > 2:
         raise ValueError("case 3 requires q <= 2")
     qp = conjugate_exponent(q)
-    weight_r = Weight.power(r).on_lattice(grid) if case == 2 else None
-    max_ratio = 0.0
-    worst = None
-    structured = _structured_instances(grid, case, q, r) if case == 2 else []
-    for t in range(trials):
-        if t < len(structured):
-            F, f, g = structured[t]
-        else:
-            rng = trial_rng(seed, t)
-            F = random_kernel(grid, rng)
-            f = random_coeffs(grid, rng)
-            g = random_coeffs(grid, rng)
-        out_norm = sequence_norm(apply_tf(F, f, g), q)
-        fn = sequence_norm(f, q)
-        if case == 1:
-            kn = mixed_norm(F, np.inf, qp, order=2)
-            gn = sequence_norm(g, q)
-        elif case == 2:
-            kn = mixed_norm(F, q, np.inf, order=1)
-            gn = sequence_norm(g * weight_r, q)
-        else:
-            kn = mixed_norm(F, qp, np.inf, order=1)
-            gn = sequence_norm(g, q)
-        denom = kn * fn * gn
-        if denom == 0:
-            continue
-        ratio = out_norm / denom
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = t
-    return {
-        "case": case,
-        "q": q,
-        "r": r,
-        "trials": trials,
-        "n": n,
-        "d": d,
-        "max_ratio": float(max_ratio),
-        "worst_seed": worst,
-        "exact": case in (1, 3),
-    }
+    # case 2 spends its first trials on the structured instances
+    pinned = _structured_instances(grid, q, r) if case == 2 else ()
+    stacks = [tuple(a[:trials] for a in pinned)] if pinned else []
+    first = len(stacks[0][0]) if stacks else 0
+    stacks += trial_stacks(grid, seed, range(first, trials), 2, kernel=True)
+    ratios = np.concatenate([_tf_ratios(grid, case, q, qp, r, *stack)
+                             for stack in stacks])
+    max_ratio = float(np.max(ratios))
+    return {"case": case, "q": q, "r": r, "trials": trials, "n": n, "d": d,
+            "max_ratio": max_ratio,
+            "worst_seed": int(np.argmax(ratios)) if max_ratio > 0 else None,
+            "exact": case in (1, 3)}
+
+
+def _tf_ratios(grid, case, q, qp, r, kernels, f, g) -> np.ndarray:
+    """Per-trial bound ratio of one case, 0 where the denominator is 0."""
+    out_norm = _row_norm(np.abs(_tf_rows(grid, kernels, f, g)), q)
+    fn = _row_norm(np.abs(f), q)
+    mags = np.abs(kernels)
+    if case == 1:
+        kn = _mixed_rows(mags, np.inf, qp, order=2)
+    elif case == 2:
+        kn = _mixed_rows(mags, q, np.inf, order=1)
+        g = g * Weight.power(r).on_lattice(grid)
+    else:
+        kn = _mixed_rows(mags, qp, np.inf, order=1)
+    return _ratio(out_norm, kn * fn * _row_norm(np.abs(g), q))
 
 
 def conjugate_exponent(q: float) -> float:
@@ -170,29 +167,26 @@ def conjugate_exponent(q: float) -> float:
     return q / (q - 1.0)
 
 
-def _structured_instances(grid: TorusGrid, case: int, q: float,
-                          r: float) -> list:
+def _structured_instances(grid: TorusGrid, q: float, r: float) -> tuple:
     """Near-extremal instances that pin the weighted bound's constant.
 
     A one-hot second argument with a concentrated kernel column turns the
     ratio into |g(0)| over the weighted norm of g; the Hoelder-extremal
     profile g = <k>^(-r(1 + q0/q)) with q0 = q/(q-2) then realizes the
     constant up to lattice truncation, making the reported maximum stable
-    as the lattice grows.
+    as the lattice grows.  Returned as stacks (kernels, f, g) of 3 rows.
     """
     lat = lattice(grid)
     N = grid.size
     origin = lat.index_of((0,) * grid.d)
     q0 = q / (q - 2.0)
-    out = []
-    for exponent in (r * (1.0 + q0 / q), r, 2.0 * r):
-        g = lat.brackets ** (-exponent) + 0j
-        f = np.zeros(N, dtype=complex)
-        f[origin] = 1.0
-        column = np.zeros((N, N), dtype=complex)
-        column[origin, origin] = 1.0
-        out.append((KernelGrid(grid, column), f, g))
-    return out
+    g = np.stack([lat.brackets ** (-e) + 0j
+                  for e in (r * (1.0 + q0 / q), r, 2.0 * r)])
+    f = np.zeros((3, N), dtype=complex)
+    f[:, origin] = 1.0
+    kernels = np.zeros((3, N, N), dtype=complex)
+    kernels[:, origin, origin] = 1.0
+    return kernels, f, g
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +249,7 @@ def kernel_slice_norms(spec: PowerKernelSpec, regions: RegionMask,
         else:
             slices = _axis_norm(vals, p, axis=0)
             bound, branch = _slice_bound_regions345(spec, p, brackets, j)
-        nz = slices > 0
-        if not np.any(nz):
-            out[j] = {"C": 0.0, "branch": branch, "max_residual": 0.0,
-                      "slices": 0}
-            continue
-        ratios = slices[nz] / bound[nz]
-        C = float(np.max(ratios))
-        residual = slices[nz] - C * bound[nz]
-        out[j] = {
-            "C": C,
-            "branch": branch,
-            "max_residual": float(np.max(residual)),
-            "slices": int(np.count_nonzero(nz)),
-        }
+        out[j] = _fitted_constant(slices, bound, branch)
     return out
 
 
@@ -307,14 +288,15 @@ def tail_slice_norms(grid: TorusGrid, spec: PowerKernelSpec, c: float,
     else:
         bound = brackets**spec.t0 * (1.0 + brackets**spec.t1)
         branch = "t2 < -d/p"
+    return _fitted_constant(slices, bound, branch)
+
+
+def _fitted_constant(slices, bound, branch: str) -> dict:
+    """Smallest C with every nonzero slice <= C * bound, and the residual."""
     nz = slices > 0
     if not np.any(nz):
         return {"C": 0.0, "branch": branch, "max_residual": 0.0, "slices": 0}
-    ratios = slices[nz] / bound[nz]
-    C = float(np.max(ratios))
-    return {
-        "C": C,
-        "branch": branch,
-        "max_residual": float(np.max(slices[nz] - C * bound[nz])),
-        "slices": int(np.count_nonzero(nz)),
-    }
+    C = float(np.max(slices[nz] / bound[nz]))
+    return {"C": C, "branch": branch,
+            "max_residual": float(np.max(slices[nz] - C * bound[nz])),
+            "slices": int(np.count_nonzero(nz))}

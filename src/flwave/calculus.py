@@ -3,6 +3,8 @@ and convolutions.
 
 The l^1-regime bounds are exact lattice theorems (discrete Young and
 Hoelder carry constant one), so those checks certify hard inequalities.
+Each norm check is written once, as ``*_rows`` over row stacks ((T, n^d)
+sample values, one instance per row); ``*_check`` runs it on one row.
 The critical-index product bounds have non-constructive constants; they
 are reported together with an n-doubling stability diagnostic.  The
 wave-front checks compare singular verdict sets at the stated scales,
@@ -14,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .bilinear import conjugate_exponent
-from .grid import Signal, TorusGrid, cyclic_convolve, forward_transform, lattice
-from .norms import FLNormSpec, fl_norm
+from .grid import Signal, TorusGrid, _check_same_grid, _convolve_rows, \
+    cyclic_convolve, forward_transform, lattice
+from .norms import FLNormSpec, _fl_rows, _ratio
 from .wavefront import (
     WavefrontQuery,
     _included,
@@ -60,8 +63,14 @@ def moderation_constant(grid: TorusGrid, w: Weight, w1: Weight, w2: Weight,
     return float(np.max(num / den))
 
 
-def _young_product_ok(q, q1, q2) -> bool:
-    return 1.0 / q1 + 1.0 / q2 >= 1.0 + 1.0 / q - 1e-12
+def _one_row(signals, rows, *args) -> dict:
+    """The report of a ``*_rows`` check on one instance, as plain floats."""
+    for f in signals[1:]:
+        _check_same_grid(signals[0].grid, f.grid)
+    rep = rows(signals[0].grid, *(f.values[None] for f in signals), *args)
+    return {k: tuple(float(a[0]) for a in v) if isinstance(v, tuple)
+            else float(v[0]) if isinstance(v, np.ndarray) else v
+            for k, v in rep.items()}
 
 
 def product_norm_check(f1: Signal, f2: Signal, q, q1, q2,
@@ -73,22 +82,22 @@ def product_norm_check(f1: Signal, f2: Signal, q, q1, q2,
     spectral convolution).  In the exact-exponent l^1 regime with C = 1
     the ratio is a lattice theorem: it cannot exceed (2 pi)^(-d/2).
     """
-    if not _young_product_ok(q, q1, q2):
+    return _one_row((f1, f2), product_norm_rows, q, q1, q2, w, w1, w2)
+
+
+def product_norm_rows(grid: TorusGrid, v1, v2, q, q1, q2,
+                      w: Weight, w1: Weight, w2: Weight) -> dict:
+    """product_norm_check of each row pair of two value stacks."""
+    if not 1.0 / q1 + 1.0 / q2 >= 1.0 + 1.0 / q - 1e-12:
         raise ValueError("exponents must satisfy 1/q1 + 1/q2 >= 1 + 1/q")
-    grid = f1.grid
     c_scan = moderation_constant(grid, w, w1, w2, wrapped=True)
-    lhs = fl_norm(f1 * f2, FLNormSpec(q, w))
-    n1 = fl_norm(f1, FLNormSpec(q1, w1))
-    n2 = fl_norm(f2, FLNormSpec(q2, w2))
-    denom = n1 * n2
-    ratio = lhs / denom if denom > 0 else 0.0
-    return {
-        "ratio": ratio,
-        "C_scan": c_scan,
-        "lhs": lhs,
-        "factor_norms": (n1, n2),
-        "exact_regime": q == 1 and q1 == 1 and q2 == 1 and c_scan <= 1 + 1e-12,
-    }
+    lhs = _fl_rows(grid, v1 * v2, FLNormSpec(q, w))
+    n1 = _fl_rows(grid, v1, FLNormSpec(q1, w1))
+    n2 = _fl_rows(grid, v2, FLNormSpec(q2, w2))
+    return {"ratio": _ratio(lhs, n1 * n2), "C_scan": c_scan, "lhs": lhs,
+            "factor_norms": (n1, n2),
+            "exact_regime": q == 1 and q1 == 1 and q2 == 1
+            and c_scan <= 1 + 1e-12}
 
 
 def convolve_norm_check(f1: Signal, f2: Signal, q, q1, q2,
@@ -98,26 +107,26 @@ def convolve_norm_check(f1: Signal, f2: Signal, q, q1, q2,
     Preconditions: 1/q1 + 1/q2 = 1/q and w <= C w1 w2 pointwise (same
     argument).  Discrete Hoelder then bounds the normalized ratio by one.
     """
+    return _one_row((f1, f2), convolve_norm_rows, q, q1, q2, w, w1, w2)
+
+
+def convolve_norm_rows(grid: TorusGrid, v1, v2, q, q1, q2,
+                       w: Weight, w1: Weight, w2: Weight) -> dict:
+    """convolve_norm_check of each row pair of two value stacks."""
     inv = (0.0 if np.isinf(q1) else 1.0 / q1) + \
           (0.0 if np.isinf(q2) else 1.0 / q2)
     target = 0.0 if np.isinf(q) else 1.0 / q
     if abs(inv - target) > 1e-12:
         raise ValueError("exponents must satisfy 1/q1 + 1/q2 = 1/q")
-    grid = f1.grid
-    lat = lattice(grid)
-    ratios = w.evaluate_points(lat.points) / (
-        w1.evaluate_points(lat.points) * w2.evaluate_points(lat.points))
-    c_scan = float(np.max(ratios))
-    lhs = fl_norm(cyclic_convolve(f1, f2), FLNormSpec(q, w))
-    n1 = fl_norm(f1, FLNormSpec(q1, w1))
-    n2 = fl_norm(f2, FLNormSpec(q2, w2))
+    pts = lattice(grid).points
+    c_scan = float(np.max(w.evaluate_points(pts) / (
+        w1.evaluate_points(pts) * w2.evaluate_points(pts))))
+    lhs = _fl_rows(grid, _convolve_rows(grid, v1, v2), FLNormSpec(q, w))
+    n1 = _fl_rows(grid, v1, FLNormSpec(q1, w1))
+    n2 = _fl_rows(grid, v2, FLNormSpec(q2, w2))
     denom = (TWO_PI ** (grid.d / 2.0)) * c_scan * n1 * n2
-    return {
-        "ratio": lhs / denom if denom > 0 else 0.0,
-        "C_scan": c_scan,
-        "lhs": lhs,
-        "factor_norms": (n1, n2),
-    }
+    return {"ratio": _ratio(lhs, denom), "C_scan": c_scan, "lhs": lhs,
+            "factor_norms": (n1, n2)}
 
 
 def product_critical_norm_check(f1: Signal, f2: Signal, q, s1, s2, r,
@@ -128,7 +137,13 @@ def product_critical_norm_check(f1: Signal, f2: Signal, q, s1, s2, r,
     constant is non-constructive, so only the ratio is reported (pair
     with an n-doubling run for the stability diagnostic).
     """
-    d = f1.grid.d
+    return _one_row((f1, f2), product_critical_rows, q, s1, s2, r, s)
+
+
+def product_critical_rows(grid: TorusGrid, v1, v2, q, s1, s2, r,
+                          s=None) -> dict:
+    """product_critical_norm_check of each row pair of two value stacks."""
+    d = grid.d
     qp = conjugate_exponent(q)
     dqp = 0.0 if np.isinf(qp) else d / qp
     if s is None:
@@ -143,15 +158,11 @@ def product_critical_norm_check(f1: Signal, f2: Signal, q, s1, s2, r,
         raise ValueError("needs s <= min(s1, s2)")
     if s > s1 + s2 - dqp + 1e-12:
         raise ValueError("needs s <= s1 + s2 - d/q'")
-    lhs = fl_norm(f1 * f2, FLNormSpec(q, Weight.power(s)))
-    n1 = fl_norm(f1, FLNormSpec(q, Weight.power(s1)))
-    n2 = fl_norm(f2, FLNormSpec(q, Weight.power(s2 + r)))
-    denom = n1 * n2
-    return {
-        "ratio": lhs / denom if denom > 0 else 0.0,
-        "s": s,
-        "hypotheses": {"q": q, "s1": s1, "s2": s2, "r": r},
-    }
+    lhs = _fl_rows(grid, v1 * v2, FLNormSpec(q, Weight.power(s)))
+    n1 = _fl_rows(grid, v1, FLNormSpec(q, Weight.power(s1)))
+    n2 = _fl_rows(grid, v2, FLNormSpec(q, Weight.power(s2 + r)))
+    return {"ratio": _ratio(lhs, n1 * n2), "s": s,
+            "hypotheses": {"q": q, "s1": s1, "s2": s2, "r": r}}
 
 
 def algebra_check(fs: list, g: Signal, q, q0, s) -> dict:
@@ -160,7 +171,13 @@ def algebra_check(fs: list, g: Signal, q, q0, s) -> dict:
     Needs q0 <= q and the order condition s >= d/q' (1 <= q < 2) or
     s > d(3/q' - 1) (q >= 2).  Reports ratio and C = ratio^(1/(N+1)).
     """
-    d = g.grid.d
+    return _one_row((g, *fs), lambda grid, vg, *vs: algebra_rows(
+        grid, vs, vg, q, q0, s))
+
+
+def algebra_rows(grid: TorusGrid, fs, g, q, q0, s) -> dict:
+    """algebra_check of each row: factor stacks ``fs``, module stack g."""
+    d = grid.d
     qp = conjugate_exponent(q)
     dqp = 0.0 if np.isinf(qp) else d / qp
     if q0 > q:
@@ -173,15 +190,15 @@ def algebra_check(fs: list, g: Signal, q, q0, s) -> dict:
     for f in fs:
         prod = prod * f
     w = Weight.power(s)
-    lhs = fl_norm(prod, FLNormSpec(q, w))
-    denom = fl_norm(g, FLNormSpec(q0, w))
+    lhs = _fl_rows(grid, prod, FLNormSpec(q, w))
+    denom = _fl_rows(grid, g, FLNormSpec(q0, w))
     for f in fs:
-        denom *= fl_norm(f, FLNormSpec(q, w))
+        denom = denom * _fl_rows(grid, f, FLNormSpec(q, w))
     N = len(fs)
-    ratio = lhs / denom if denom > 0 else 0.0
+    ratio = _ratio(lhs, denom)
     return {
         "ratio": ratio,
-        "per_factor_constant": ratio ** (1.0 / (N + 1)) if ratio > 0 else 0.0,
+        "per_factor_constant": np.float_power(ratio, 1.0 / (N + 1)),
         "N": N,
     }
 

@@ -16,13 +16,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .bilinear import verify_tf_bound, tf_dual_pair, kernel_slice_norms, \
+from .bilinear import verify_tf_bound, tf_dual_rows, kernel_slice_norms, \
     tail_slice_norms, PowerKernelSpec
 from .calculus import (
-    algebra_check,
-    convolve_norm_check,
-    product_critical_norm_check,
-    product_norm_check,
+    algebra_rows,
+    convolve_norm_rows,
+    product_critical_rows,
+    product_norm_rows,
     wf_convolution_check,
     wf_product_check,
 )
@@ -34,7 +34,7 @@ from .modulation import embedding_check, equivalence_check, modulation_norm, \
     SpaceFreqWeight
 from .norms import FLNormSpec, KernelGrid, fl_norm, mixed_norm
 from .pdo import parse_symbol, transport_check
-from .rng import random_signal_mixed, trial_rng
+from .rng import trial_rng, trial_stacks
 from .semilinear import bootstrap_indices
 from .wavefront import (
     classical_wavefront,
@@ -121,6 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "trials", 1) < 1:  # no trials certify nothing
+        parser.error(f"--trials must be >= 1, got {args.trials}")
     try:
         if args.command == "norm":
             report = _run_norm(args)
@@ -273,18 +275,23 @@ def _verify_tf_bounds(args) -> dict:
     return {"pass": bool(ok), "reports": reports}
 
 
-def _verify_duality(args) -> dict:
-    worst = 0.0
-    n = int(args.n)
-    grid = TorusGrid(args.d, n)
-    from .rng import random_coeffs, random_kernel
+def _worst(grid: TorusGrid, args, coeffs: int, values,
+           kernel: bool = False) -> float:
+    """Largest of ``values(*stacks)`` over the trial stacks, at least 0."""
+    return float(max(0.0, *(np.max(values(*stacks)) for stacks in trial_stacks(
+        grid, args.seed, range(args.trials), coeffs, kernel))))
 
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
-        F = random_kernel(grid, rng)
-        f, g, h = (random_coeffs(grid, rng) for _ in range(3))
-        lhs, rhs = tf_dual_pair(F, f, g, h)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
+
+def _verify_duality(args) -> dict:
+    grid = TorusGrid(args.d, int(args.n))
+
+    def rel_errors(kernels, f, g, h):
+        lhs, rhs = tf_dual_rows(grid, kernels, f, g, h)
+        diff = lhs - rhs  # np.hypot is abs() of a Python complex
+        return np.hypot(diff.real, diff.imag) / np.maximum(
+            np.hypot(lhs.real, lhs.imag), 1.0)
+
+    worst = _worst(grid, args, 3, rel_errors, kernel=True)
     return {"pass": bool(worst <= 1e-10), "max_rel_error": worst,
             "trials": args.trials}
 
@@ -292,17 +299,10 @@ def _verify_duality(args) -> dict:
 def _verify_young(args) -> dict:
     grid = TorusGrid(args.d, int(args.n))
     w0 = Weight.power(0.0)
-    worst = 0.0
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
-        f1 = random_signal_mixed(grid, rng)
-        f2 = random_signal_mixed(grid, rng)
-        q1 = q2 = 2.0 * args.q
-        rep = convolve_norm_check(f1, f2, args.q, q1, q2, w0, w0, w0)
-        worst = max(worst, rep["ratio"])
-        rep_inf = convolve_norm_check(f1, f2, np.inf, np.inf, np.inf,
-                                      w0, w0, w0)
-        worst = max(worst, rep_inf["ratio"])
+    q1 = 2.0 * args.q
+    worst = _worst(grid, args, 2, lambda f1, f2: [
+        convolve_norm_rows(grid, f1, f2, q, qi, qi, w0, w0, w0)["ratio"]
+        for q, qi in ((args.q, q1), (np.inf, np.inf))])
     return {"pass": bool(worst <= EXACT_TOL), "max_ratio": worst,
             "trials": args.trials}
 
@@ -310,13 +310,8 @@ def _verify_young(args) -> dict:
 def _verify_product(args) -> dict:
     grid = TorusGrid(args.d, int(args.n))
     w0 = Weight.power(0.0)
-    worst = 0.0
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
-        f1 = random_signal_mixed(grid, rng)
-        f2 = random_signal_mixed(grid, rng)
-        rep = product_norm_check(f1, f2, 1.0, 1.0, 1.0, w0, w0, w0)
-        worst = max(worst, rep["ratio"])
+    worst = _worst(grid, args, 2, lambda f1, f2: product_norm_rows(
+        grid, f1, f2, 1.0, 1.0, 1.0, w0, w0, w0)["ratio"])
     return {"pass": bool(worst <= EXACT_TOL), "max_ratio": worst,
             "trials": args.trials}
 
@@ -327,14 +322,15 @@ def _verify_product_critical(args) -> dict:
     ratios = {}
     for n in (16, 32):
         grid = TorusGrid(1, n)
-        worst = 0.0
-        for t in range(args.trials):
-            rng = trial_rng(args.seed, t)
-            f1 = random_signal_mixed(grid, rng)
-            f2 = random_signal_mixed(grid, rng)
-            rep = product_critical_norm_check(f1, f2, q, 1.0, 1.0, r, s=1.0)
-            worst = max(worst, rep["ratio"])
-        ratios[n] = worst
+
+        def ratio(f1, f2):
+            return product_critical_rows(grid, f1, f2, q, 1.0, 1.0, r,
+                                         s=1.0)["ratio"]
+
+        # f1 = f2 = 1 first: its concentrated spectra pin the constant
+        ones = np.ones((1, n), dtype=complex)
+        ratios[n] = max(float(ratio(ones, ones)[0]),
+                        _worst(grid, args, 2, ratio))
     growth = ratios[32] / ratios[16] if ratios[16] > 0 else np.inf
     return {"pass": bool(abs(growth - 1.0) < 0.5), "ratios": ratios,
             "growth": growth}
@@ -362,13 +358,8 @@ def _verify_wf_conv(args) -> dict:
 
 def _verify_algebra(args) -> dict:
     grid = TorusGrid(args.d, int(args.n))
-    worst = 0.0
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
-        fs = [random_signal_mixed(grid, rng) for _ in range(3)]
-        g = random_signal_mixed(grid, rng)
-        rep = algebra_check(fs, g, 1.0, 1.0, 0.0)
-        worst = max(worst, rep["per_factor_constant"])
+    worst = _worst(grid, args, 4, lambda f1, f2, f3, g: algebra_rows(
+        grid, (f1, f2, f3), g, 1.0, 1.0, 0.0)["per_factor_constant"])
     return {"pass": bool(worst <= EXACT_TOL), "max_constant": worst,
             "trials": args.trials}
 

@@ -208,10 +208,25 @@ def cyclic_convolve(f: Signal, g: Signal) -> Signal:
     Satisfies the spectral identity F(f*g) = (2*pi)^(d/2) F(f).F(g).
     """
     _check_same_grid(f.grid, g.grid)
-    fa = np.fft.fftn(f.reshaped())
-    ga = np.fft.fftn(g.reshaped())
-    vals = np.fft.ifftn(fa * ga) * f.grid.h**f.grid.d
-    return Signal(f.grid, vals.ravel())
+    return Signal(f.grid, _convolve_rows(f.grid, f.values[None],
+                                         g.values[None])[0])
+
+
+def _transform_rows(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """forward_transform of each row of a (T, n^d) value stack."""
+    axes = tuple(range(1, grid.d + 1))
+    spec = np.fft.fftn(values.reshape((-1,) + grid.shape), axes=axes)
+    return np.fft.fftshift(spec, axes=axes).reshape(len(values), -1) \
+        * _prefactor(grid)
+
+
+def _convolve_rows(grid: TorusGrid, v1: np.ndarray,
+                   v2: np.ndarray) -> np.ndarray:
+    """cyclic_convolve of each pair of rows of two (T, n^d) value stacks."""
+    axes, shape = tuple(range(1, grid.d + 1)), (-1,) + grid.shape
+    fa, ga = (np.fft.fftn(v.reshape(shape), axes=axes) for v in (v1, v2))
+    return (np.fft.ifftn(fa * ga, axes=axes) * grid.h**grid.d).reshape(
+        len(v1), -1)
 
 
 def lp_norm(f: Signal, p: float, spatial_weight=None) -> float:

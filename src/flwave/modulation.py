@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Signal, TorusGrid, _prefactor, forward_transform, lattice
-from .norms import FLNormSpec, _axis_norm, _vec_norm, fl_norm
+from .norms import FLNormSpec, _mixed_rows, fl_norm
 from .wavefront import _cone_fits, _fl_verdict, _nonzero_scale, _segment_table
 from .weights import Weight
 from .windows import WindowSpec, window_values
@@ -97,9 +97,8 @@ def modulation_norm(f: Signal, p: float, q: float,
         if window is None:
             window = WindowSpec("gauss", max(8, grid.n // 4))
         V = stft(f, window)
-    mags = np.abs(V) * w.on_phase_space(grid)
-    inner = _axis_norm(mags, p, axis=0)  # over positions, per frequency
-    return _vec_norm(inner, q)
+    # inner over positions (rows), one value per frequency
+    return float(_mixed_rows(np.abs(V) * w.on_phase_space(grid), p, q, 1))
 
 
 def equivalence_check(f: Signal, q: float, s: float,

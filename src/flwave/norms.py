@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import Cone, cone_mask
-from .grid import Signal, TorusGrid, forward_transform
+from .grid import Signal, TorusGrid, _transform_rows, forward_transform
 from .weights import Weight
 
 __all__ = [
@@ -68,18 +68,19 @@ def sequence_norm(values: np.ndarray, q: float) -> float:
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
     mags = np.abs(np.asarray(values)).ravel()
-    if mags.size == 0:
-        return 0.0
-    if np.isinf(q):
-        return float(np.max(mags))
-    return float(np.sum(mags**q) ** (1.0 / q))
+    return float(_row_norm(mags, q)) if mags.size else 0.0
 
 
 def fl_norm(f: Signal, spec: FLNormSpec) -> float:
     """(sum_k |F(k) w(k)|^q)^(1/q) with the forward-transform convention."""
     coeffs = forward_transform(f).coeffs
-    w = spec.weight.on_lattice(f.grid)
-    return sequence_norm(coeffs * w, spec.q)
+    return sequence_norm(coeffs * spec.weight.on_lattice(f.grid), spec.q)
+
+
+def _fl_rows(grid: TorusGrid, values: np.ndarray, spec: FLNormSpec):
+    """fl_norm of each row of a (T, n^d) value stack, in one transform."""
+    coeffs = _transform_rows(grid, values) * spec.weight.on_lattice(grid)
+    return _row_norm(np.abs(coeffs), spec.q)
 
 
 def local_fl_norm(f: Signal, cutoff: Signal, spec: FLNormSpec) -> float:
@@ -94,15 +95,9 @@ def cone_seminorm(f: Signal, cone: Cone, spec: FLNormSpec) -> float:
 
     The origin is excluded (cones live in R^d minus 0).
     """
-    coeffs = forward_transform(f).coeffs
-    return cone_seminorm_of_coeffs(f.grid, coeffs, cone, spec)
-
-
-def cone_seminorm_of_coeffs(grid: TorusGrid, coeffs: np.ndarray,
-                            cone: Cone, spec: FLNormSpec) -> float:
-    mask = cone_mask(grid, cone)
-    w = spec.weight.on_lattice(grid)
-    return sequence_norm(coeffs[mask] * w[mask], spec.q)
+    mask = cone_mask(f.grid, cone)
+    w = spec.weight.on_lattice(f.grid)
+    return sequence_norm(forward_transform(f).coeffs[mask] * w[mask], spec.q)
 
 
 def mixed_norm(F: KernelGrid, p: float, q: float, order: int) -> float:
@@ -111,15 +106,17 @@ def mixed_norm(F: KernelGrid, p: float, q: float, order: int) -> float:
     order 1: inner p-norm over the first variable k, outer q-norm over l;
     order 2: inner q-norm over the second variable l, outer p-norm over k.
     """
+    return float(_mixed_rows(np.abs(F.values), p, q, order))
+
+
+def _mixed_rows(mags: np.ndarray, p: float, q: float, order: int):
+    """mixed_norm of each kernel in a stack of magnitudes (..., N, N)."""
     if p < 1 or q < 1:
         raise ValueError("mixed norm exponents must be >= 1")
-    mags = np.abs(F.values)
-    if order == 1:
-        inner = _axis_norm(mags, p, axis=0)  # over k, one value per l
-        return _vec_norm(inner, q)
-    if order == 2:
-        inner = _axis_norm(mags, q, axis=1)  # over l, one value per k
-        return _vec_norm(inner, p)
+    if order == 1:  # inner over k, one value per l
+        return _row_norm(_axis_norm(mags, p, axis=-2), q)
+    if order == 2:  # inner over l, one value per k
+        return _row_norm(_axis_norm(mags, q, axis=-1), p)
     raise ValueError(f"order must be 1 or 2, got {order}")
 
 
@@ -129,7 +126,17 @@ def _axis_norm(mags: np.ndarray, p: float, axis: int) -> np.ndarray:
     return np.sum(mags**p, axis=axis) ** (1.0 / p)
 
 
-def _vec_norm(vec: np.ndarray, p: float) -> float:
+def _ratio(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """num / denom, and 0 where the denominator is not positive."""
+    return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
+
+
+def _row_norm(mags: np.ndarray, p: float) -> np.ndarray:
+    """l^p norm over the last axis, one value per row of a stack.
+
+    The root is ``np.float_power``, the libm ``pow`` of a scalar ``**``
+    (an array ``**`` may take a SIMD ``pow`` off in the last bit).
+    """
     if np.isinf(p):
-        return float(np.max(vec))
-    return float(np.sum(vec**p) ** (1.0 / p))
+        return np.max(mags, axis=-1)
+    return np.float_power(np.sum(mags**p, axis=-1), 1.0 / p)

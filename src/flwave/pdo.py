@@ -238,11 +238,15 @@ def parse_symbol(text: str, grid: TorusGrid) -> Symbol:
 
         def evaluator(xs, ks, _table=table, _grid=grid):
             # exact-grid x and lattice k only
+            ks, cells = np.atleast_2d(ks), np.atleast_2d(xs) / _grid.h
+            for vals, kind in ((ks, "lattice frequencies"),
+                               (cells, "grid points")):
+                if np.any(np.abs(np.rint(vals) - vals) > 1e-9):
+                    raise ValueError(f"table symbol defined on {kind} only")
             lat = lattice(_grid)
-            cols = [lat.index_of(k.astype(int)) for k in np.atleast_2d(ks)]
-            cells = np.rint(np.atleast_2d(xs) / _grid.h).astype(int)
-            rows = np.ravel_multi_index(tuple(cells.T), _grid.shape,
-                                        mode="wrap")
+            cols = [lat.index_of(k) for k in np.rint(ks).astype(int)]
+            rows = np.ravel_multi_index(tuple(np.rint(cells).astype(int).T),
+                                        _grid.shape, mode="wrap")
             return _table[np.ix_(rows, cols)]
 
         return Symbol(order=float(payload.get("order", 0.0)),

@@ -1,10 +1,10 @@
 """Seeded per-trial random streams and adversarial instance generators.
 
-Each trial derives its own generator from (master seed XOR trial index),
-so trials are order-independent and reproducible regardless of how a
-scan is parallelized.  Random instances are complex Gaussian with
-one-hot and heavy-tail adversaries mixed in at roughly ten percent each,
-to exercise the equality cases of the Hoelder-type bounds.
+Each trial derives its own generator from (master seed XOR trial index);
+checks draw their trials in order into stacks, one row per trial, and
+evaluate each stack as one array.  Random instances are complex Gaussian
+with one-hot and heavy-tail adversaries mixed in at roughly ten percent
+each, to exercise the equality cases of the Hoelder-type bounds.
 """
 
 from __future__ import annotations
@@ -14,7 +14,13 @@ import numpy as np
 from .grid import Signal, TorusGrid
 from .norms import KernelGrid
 
-__all__ = ["trial_rng", "random_coeffs", "random_kernel", "random_signal_mixed"]
+__all__ = ["trial_rng", "random_coeffs", "random_kernel",
+           "random_signal_mixed", "trial_stacks"]
+
+# Bytes of instances per stack.  Stacking only saves per-call overhead,
+# which small instances need, and a check's temporaries take a few times
+# this; a kernel above it (n^d above about 90) is stacked alone.
+STACK_BYTES = 1 << 17
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -53,3 +59,20 @@ def random_kernel(grid: TorusGrid, rng: np.random.Generator) -> KernelGrid:
 
 def random_signal_mixed(grid: TorusGrid, rng: np.random.Generator) -> Signal:
     return Signal(grid, random_coeffs(grid, rng))
+
+
+def trial_stacks(grid: TorusGrid, seed: int, trials: range, coeffs: int,
+                 kernel: bool = False):
+    """Instances of the given trials, drawn in order, as row stacks.
+
+    Trial t draws a kernel (with ``kernel``), then ``coeffs`` coefficient
+    arrays, from ``trial_rng(seed, t)``.  Yields the kernels (T, N, N) and
+    coefficient stacks (T, N) of each run of trials within STACK_BYTES.
+    """
+    N = grid.size
+    step = max(1, STACK_BYTES // (16 * N * (coeffs + N * kernel)))
+    for lo in range(0, len(trials), step):
+        draws = [([random_kernel(grid, rng).values] if kernel else [])
+                 + [random_coeffs(grid, rng) for _ in range(coeffs)]
+                 for rng in (trial_rng(seed, t) for t in trials[lo:lo + step])]
+        yield tuple(np.stack(stack) for stack in zip(*draws))

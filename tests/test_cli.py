@@ -132,3 +132,14 @@ def test_jobs_flag_is_a_usage_error(capsys):
         main(["verify", "corpus-oracles", "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, trials", [("young-conv", "0"),
+                                            ("product", "-3"),
+                                            ("tf-bounds", "0")])
+def test_trials_below_one_is_a_usage_error(capsys, target, trials):
+    # no trials would certify nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", target, "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials must be >= 1" in capsys.readouterr().err

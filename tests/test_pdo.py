@@ -1,5 +1,7 @@
 """Symbol quantization, characteristic sets, microlocal transport."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,22 @@ def test_parse_symbol():
     assert abs(vals[8 + 3] - (1 + 2 * 9)) < 1e-12
     with pytest.raises(ValueError):
         parse_symbol("wat", g)
+
+
+def test_table_symbol_is_strict(tmp_path):
+    g = TorusGrid(1, 8)
+    vals = np.arange(64, dtype=float).reshape(8, 8)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"order": 0.0, "values": vals.tolist()}))
+    sym = parse_symbol(f"table:{path}", g)
+    # exact grid points and lattice frequencies index the table
+    xs = g.sample_points()[[0, 3]]
+    assert np.array_equal(sym.evaluator(xs, np.array([[-4.0], [2.0]])),
+                          vals[np.ix_([0, 3], [0, 6])])
+    assert np.array_equal(sym.table(g), vals)
+    with pytest.raises(ValueError, match="lattice frequencies only"):
+        sym.evaluator(xs, np.array([[0.7]]))
+    with pytest.raises(ValueError, match="grid points only"):
+        sym.evaluator(np.array([[0.3 * g.h]]), np.array([[0.0]]))
+    with pytest.raises(ValueError, match="out of range"):
+        sym.evaluator(xs, np.array([[4.0]]))
