@@ -240,9 +240,10 @@ def kernel_slice_norms(spec: PowerKernelSpec, regions: RegionMask,
     grid = regions.grid
     F = power_kernel(grid, spec)
     brackets = lattice(grid).brackets
+    mags = np.abs(F.values)
     out = {}
     for j, mask in enumerate(regions.masks, start=1):
-        vals = np.abs(F.values) * mask
+        vals = mags * mask
         if j in (1, 2):
             slices = _axis_norm(vals, p, axis=1)
             bound, branch = _slice_bound_regions12(spec, p, brackets, j)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .grid import Signal, TorusGrid, _prefactor, forward_transform, lattice
 from .norms import FLNormSpec, _mixed_rows, fl_norm
-from .wavefront import _cone_fits, _fl_verdict, _nonzero_scale, _segment_table
+from .wavefront import (_cone_fits, _fl_bound, _nonzero_scale, _segment_table,
+                        _verdicts)
 from .weights import Weight
 from .windows import WindowSpec, window_values
 
@@ -199,7 +200,7 @@ def modulation_direction_verdict(f: Signal, x0, direction, q: float,
     wvals = Weight.power(s).on_lattice(grid)
     table = _segment_table(grid, (direction,), aperture, octaves)
     floor = rel_floor * _nonzero_scale(grid, forward_transform(f).coeffs)
-    [(slope, used)], _ = _cone_fits(table, sup_v, sup_v * wvals, q, floor)
-    regular, slope_out = _fl_verdict(slope, used, grid.d, q, margin)
+    slopes, used, _ = _cone_fits(table, sup_v, sup_v * wvals, q, floor)
+    [regular], [slope] = _verdicts(slopes, used, _fl_bound(grid.d, q, margin))
     return {"verdict": "regular" if regular else "singular",
-            "slope": slope_out}
+            "slope": float(slope)}

@@ -16,10 +16,13 @@ mass slope stays below -d/q.
 
 All annulus statistics come from one cached segment table per (grid,
 directions, aperture, octaves): an int32 gather index that lists each
-direction cone's lattice points, banded by octave.  Per scan position
-one gather of |F| and one of |F w|, each followed by a single
-``reduceat`` over the band starts, give the averages and the cone
-seminorms of every direction at once.
+direction cone's lattice points, banded by octave.  A scan evaluates its
+window once, at the origin; periodic cell distances are integer-valued,
+so the window at a scan position is that origin window rolled to it.
+Per scan position one transform, one gather of |F| and one of |F w|,
+each followed by a single ``reduceat`` over the band starts, give the
+averages and the cone seminorms of every direction at once, and one
+array fit and one array verdict decide every direction.
 
 Annuli whose content falls below a relative floor are dropped from the
 fit; if nothing in the fit range rises above the floor the direction is
@@ -41,10 +44,11 @@ from functools import cached_property
 import numpy as np
 
 from .cones import Cone, cone_mask
-from .grid import Signal, TorusGrid, forward_transform, lattice
+from .grid import (Signal, Spectrum, TorusGrid, forward_transform,
+                   inverse_transform, lattice)
 from .norms import FLNormSpec
 from .weights import Weight
-from .windows import WindowSpec, window_signal, window_values
+from .windows import WindowSpec, window_values
 
 __all__ = [
     "WavefrontQuery",
@@ -87,12 +91,14 @@ class WavefrontQuery:
             raise ValueError("octave range is empty")
 
     def validate(self, grid: TorusGrid):
+        cells = np.asarray(self.positions, dtype=float)
+        if not np.array_equal(cells, np.round(cells)):
+            raise ValueError("scan positions must be integer grid cells")
         if self.window.width >= grid.n:
             raise ValueError("window larger than torus")
         if self.octaves[1] > int(np.log2(grid.n // 2)):
-            raise ValueError(
-                f"octave {self.octaves[1]} exceeds log2(n/2) for n={grid.n}"
-            )
+            raise ValueError(f"octave {self.octaves[1]} exceeds log2(n/2) "
+                             f"for n={grid.n}")
 
 
 def directions_for(d: int, count: int = 32) -> tuple:
@@ -200,7 +206,7 @@ def _segment_table(grid: TorusGrid, directions, aperture,
 
 def _band_reduce(table: _SegmentTable, values: np.ndarray, q: float):
     """Per (direction, band): sum of |values|^q, or max at q=inf; 0 if empty."""
-    mags = np.abs(values)[table.index]
+    mags = np.take(np.abs(values), table.index)
     out = np.zeros(table.counts.size)
     if np.isinf(q):
         out[table.filled] = np.maximum.reduceat(mags, table.starts)
@@ -233,52 +239,55 @@ def annulus_averages(table: _SegmentTable, raw: np.ndarray,
 
 
 def fit_decay_slope(averages: np.ndarray, usable: np.ndarray, octaves):
-    """LSQ slope of log2(average) vs octave over the usable annuli.
+    """LSQ slopes of log2(average) vs octave, one per row.
 
-    Returns (slope, n_used); (None, 0 or 1) when fewer than two annuli
-    carry content.
+    ``averages`` and ``usable`` have shape (directions, octaves); an
+    annulus enters its row's fit when it is usable and its average is
+    positive.  Returns (slopes, used): the slopes, NaN where fewer than
+    two annuli carry content, and the number of annuli each row fitted.
+    The centred least-squares sums add exact zeros at unused annuli, and
+    numpy adds fewer than 8 values left to right, so up to 7 octaves a
+    slope is bit for bit the fit over its row's used annuli alone.
     """
-    m_lo, m_hi = octaves
-    ms, logs = [], []
-    for i, (a, ok) in enumerate(zip(averages, usable)):
-        if not ok or np.isnan(a) or a <= 0:
-            continue
-        ms.append(m_lo + i)
-        logs.append(np.log2(a))
-    if not ms:
-        return None, 0
-    if len(ms) == 1:
-        return None, 1
-    ms = np.asarray(ms, dtype=float)
-    logs = np.asarray(logs)
-    mbar = ms.mean()
-    slope = float(np.sum((ms - mbar) * (logs - logs.mean()))
-                  / np.sum((ms - mbar) ** 2))
-    return slope, len(ms)
+    ok = usable & (averages > 0)
+    used = ok.sum(axis=1)
+    slopes = np.full(len(ok), np.nan)
+    rows = used >= 2
+    if not rows.any():
+        return slopes, used
+    ok, k = ok[rows], used[rows, None]
+    ms = np.where(ok, np.arange(octaves[0], octaves[1] + 1, dtype=float), 0.0)
+    logs = np.log2(np.where(ok, averages[rows], 1.0))  # 0 where unused
+    dm = np.where(ok, ms - ms.sum(axis=1, keepdims=True) / k, 0.0)
+    dl = np.where(ok, logs - logs.sum(axis=1, keepdims=True) / k, 0.0)
+    slopes[rows] = (dm * dl).sum(axis=1) / (dm * dm).sum(axis=1)
+    return slopes, used
 
 
 def _cone_fits(table: _SegmentTable, raw, weighted, q, floor):
-    """([(slope, n_used) per direction], seminorms) for every table cone.
+    """(slopes, used, seminorms) of every table cone, one array fit.
 
     Annulus usability is decided on the unweighted coefficients against
     the floor, so the usable set does not move with the weight order; the
-    decay slope is then fitted to the weighted averages over that set.
+    decay slopes are then fitted to the weighted averages over that set.
     """
     raw_avgs, avgs, seminorms = annulus_averages(table, raw, weighted, q)
-    fits = [fit_decay_slope(a, ok, table.octaves)
-            for a, ok in zip(avgs, raw_avgs > floor)]
-    return fits, seminorms
+    return (*fit_decay_slope(avgs, raw_avgs > floor, table.octaves),
+            seminorms)
 
 
-def _fl_verdict(slope, used, d, q, margin):
-    """Regular/singular from a fitted slope under the summability rule."""
-    if used == 0:
-        return True, REGULAR_SENTINEL
-    if used == 1:
-        # isolated spectral blob: band-limited content, no growing tail
-        return True, REGULAR_SENTINEL
-    dq = 0.0 if np.isinf(q) else d / q
-    return slope <= -(dq + margin), slope
+def _fl_bound(d, q, margin) -> float:
+    """Largest regular slope under the summability rule."""
+    return -((0.0 if np.isinf(q) else d / q) + margin)
+
+
+def _verdicts(slopes, used, bound):
+    """(regular, recorded slopes): regular when slope <= bound, or outright
+    (recording REGULAR_SENTINEL) below two usable annuli: an empty cone or
+    an isolated spectral blob, band-limited with no growing tail."""
+    fitted = used >= 2
+    return (~fitted | (slopes <= bound),
+            np.where(fitted, slopes, REGULAR_SENTINEL))
 
 
 # ---------------------------------------------------------------------------
@@ -493,23 +502,34 @@ def regular_directions(f: Signal, spec: FLNormSpec, aperture: float,
         m_hi = int(np.log2(grid.n // 2))
         octaves = (max(1, m_hi - 3), m_hi)
     coeffs = forward_transform(f).coeffs
-    w = spec.weight.on_lattice(grid)
-    weighted = coeffs * w
     floor = rel_floor * _nonzero_scale(grid, coeffs)
     table = _segment_table(grid, dirs, aperture, octaves)
-    fits, _ = _cone_fits(table, coeffs, weighted, spec.q, floor)
-    theta, sigma, slopes = [], [], {}
-    for direction, (slope, used) in zip(dirs, fits):
-        regular, slope_out = _fl_verdict(slope, used, grid.d, spec.q, margin)
-        slopes[direction] = slope_out
-        (theta if regular else sigma).append(direction)
-    return {"theta": theta, "sigma": sigma, "slopes": slopes}
+    slopes, used, _ = _cone_fits(table, coeffs,
+                                 coeffs * spec.weight.on_lattice(grid),
+                                 spec.q, floor)
+    regular, slopes = _verdicts(slopes, used,
+                                _fl_bound(grid.d, spec.q, margin))
+    return {"theta": [t for t, ok in zip(dirs, regular) if ok],
+            "sigma": [t for t, ok in zip(dirs, regular) if not ok],
+            "slopes": dict(zip(dirs, slopes.tolist()))}
 
 
-def _nonzero_scale(grid: TorusGrid, weighted: np.ndarray) -> float:
-    nz = lattice(grid).norms > 0
-    mags = np.abs(weighted[nz])
-    return float(np.max(mags)) if mags.size else 0.0
+def _nonzero_scale(grid: TorusGrid, coeffs: np.ndarray) -> float:
+    """Largest |coefficient| off the origin."""
+    mags = np.abs(coeffs)
+    mags.reshape(grid.shape)[(grid.n // 2,) * grid.d] = 0.0  # k = 0
+    return float(mags.max())
+
+
+def _windowed_transform(f: Signal, w0: np.ndarray, x0) -> np.ndarray:
+    """Spectrum of f times the origin window ``w0`` rolled to the cell x0.
+
+    For an integer cell the rolled window equals ``window_values`` centred
+    there exactly; the roll is a temporary freed before the transform.
+    """
+    shift = tuple(int(c) for c in np.atleast_1d(x0))
+    return forward_transform(Signal(f.grid, f.reshaped() * np.roll(
+        w0.reshape(f.grid.shape), shift, tuple(range(f.grid.d))))).coeffs
 
 
 def _scan(f: Signal, query: WavefrontQuery, classical: bool) -> WavefrontReport:
@@ -517,41 +537,30 @@ def _scan(f: Signal, query: WavefrontQuery, classical: bool) -> WavefrontReport:
     query.validate(grid)
     if classical and query.octaves[1] - query.octaves[0] + 1 < 3:
         raise ValueError("classical scan needs at least 3 octaves")
-    spec = query.spec
-    # global reference scale: the floor must not depend on how much of the
-    # signal the window catches, or far-away windows see pure noise
-    full = forward_transform(f).coeffs
-    w = (np.ones(grid.size) if classical
-         else spec.weight.on_lattice(grid))
-    scale = _nonzero_scale(grid, full)
     if classical:
         rel = (query.classical_rel_floor
                if query.classical_rel_floor is not None
                else min(query.rel_floor, CLASSICAL_REL_FLOOR))
+        q, w, bound = np.inf, 1.0, -query.decay_threshold
     else:
-        rel = query.rel_floor
-    floor = rel * scale
-    q = np.inf if classical else spec.q
+        rel, q = query.rel_floor, query.spec.q
+        w = query.spec.weight.on_lattice(grid)
+        bound = _fl_bound(grid.d, q, query.margin)
+    # global reference scale: the floor must not depend on how much of the
+    # signal the window catches, or far-away windows see pure noise
+    floor = rel * _nonzero_scale(grid, forward_transform(f).coeffs)
     table = _segment_table(grid, query.directions, query.aperture,
                            query.octaves)
+    w0 = window_values(grid, query.window, (0,) * grid.d)
     shape = (len(query.positions), len(query.directions))
-    singular, slopes, seminorms = (np.zeros(shape, dtype=bool),
-                                   np.empty(shape), np.empty(shape))
+    regular, slopes, seminorms = (np.empty(shape, dtype=bool),
+                                  np.empty(shape), np.empty(shape))
     for i, x0 in enumerate(query.positions):
-        coeffs = forward_transform(window_signal(f, query.window, x0)).coeffs
-        fits, seminorms[i] = _cone_fits(table, coeffs, coeffs * w, q, floor)
-        for j, (slope, used) in enumerate(fits):
-            if classical:
-                if used <= 1:
-                    regular, slopes[i, j] = True, REGULAR_SENTINEL
-                else:
-                    regular = -slope >= query.decay_threshold
-                    slopes[i, j] = slope
-            else:
-                regular, slopes[i, j] = _fl_verdict(
-                    slope, used, grid.d, q, query.margin)
-            singular[i, j] = not regular
-    return WavefrontReport(grid, query, singular, slopes, seminorms,
+        coeffs = _windowed_transform(f, w0, x0)
+        fit_slopes, used, seminorms[i] = _cone_fits(table, coeffs,
+                                                    coeffs * w, q, floor)
+        regular[i], slopes[i] = _verdicts(fit_slopes, used, bound)
+    return WavefrontReport(grid, query, ~regular, slopes, seminorms,
                            mode="classical" if classical else "fl")
 
 
@@ -586,50 +595,44 @@ def superior_scan(f: Signal, query: WavefrontQuery, s_list) -> dict:
     grid = f.grid
     query.validate(grid)
     q = query.spec.q
-    out = {}
-    full = forward_transform(f).coeffs
-    floor = query.rel_floor * _nonzero_scale(grid, full)
+    bound = _fl_bound(grid.d, q, query.margin)
+    floor = query.rel_floor * _nonzero_scale(grid,
+                                             forward_transform(f).coeffs)
     ladders = [(1.0, 1.0), (0.5, 1.0), (0.25, 1.0)]
     if grid.d > 1:
         ladders += [(1.0, 0.5), (0.5, 0.5)]
+    # one origin window per width factor, one table per aperture factor
+    windows = {wf: window_values(grid, query.window.narrowed(wf),
+                                 (0,) * grid.d) for wf, _ in ladders}
+    tables = {af: _segment_table(grid, query.directions,
+                                 query.aperture * af, query.octaves)
+              for _, af in ladders}
     weights = [Weight.power(float(s)).on_lattice(grid) for s in s_list]
+    out = {}
     for x0 in query.positions:
+        coeffs = {wf: _windowed_transform(f, w0, x0)
+                  for wf, w0 in windows.items()}
         # passes[ladder, order, direction]; ladder 0 is the fixed variant
-        passes = []
-        for wfactor, afactor in ladders:
-            window = (query.window.narrowed(wfactor) if wfactor != 1.0
-                      else query.window)
-            coeffs = forward_transform(window_signal(f, window, x0)).coeffs
-            table = _segment_table(grid, query.directions,
-                                   query.aperture * afactor, query.octaves)
-            passes.append([
-                [_fl_verdict(slope, used, grid.d, q, query.margin)[0]
-                 for slope, used in _cone_fits(table, coeffs, coeffs * w,
-                                               q, floor)[0]]
-                for w in weights
-            ])
-        passes = np.array(passes, dtype=bool)
+        passes = np.array([
+            [_verdicts(*_cone_fits(tables[af], coeffs[wf], coeffs[wf] * w,
+                                   q, floor)[:2], bound)[0]
+             for w in weights]
+            for wf, af in ladders
+        ])
+        cell = tuple(int(c) for c in np.atleast_1d(x0))
         for i, direction in enumerate(query.directions):
             fixed = passes[0, :, i].tolist()
             adaptive = passes[:, :, i].any(axis=0).tolist()
-            out[(tuple(int(c) for c in np.atleast_1d(x0)),
-                 tuple(direction))] = {
-                "s_list": s_list,
-                "fixed_pass": fixed,
+            out[(cell, tuple(direction))] = {
+                "s_list": s_list, "fixed_pass": fixed,
                 "adaptive_pass": adaptive,
                 "fixed_max_index": _last_true_prefix(fixed),
-                "adaptive_max_index": _last_true_prefix(adaptive),
-            }
+                "adaptive_max_index": _last_true_prefix(adaptive)}
     return out
 
 
 def _last_true_prefix(flags) -> int:
-    idx = -1
-    for i, flag in enumerate(flags):
-        if not flag:
-            break
-        idx = i
-    return idx
+    return (list(flags) + [False]).index(False) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +649,6 @@ def split_regular(f: Signal, x0, cone: Cone, spec: FLNormSpec,
     identically zero on the cone.  The inner window must live where the
     outer one is flat at 1, so that inner*(outer*f) == inner*f.
     """
-    from .grid import inverse_transform
-
     grid = f.grid
     outer_vals = window_values(grid, outer_window, x0)
     inner_vals = window_values(grid, inner_window, x0)
@@ -656,9 +657,6 @@ def split_regular(f: Signal, x0, cone: Cone, spec: FLNormSpec,
         raise ValueError("inner window must sit where the outer window is 1")
     localized = Signal(grid, f.values * outer_vals)
     coeffs = forward_transform(localized).coeffs
-    mask = cone_mask(grid, cone)
-    from .grid import Spectrum
-
-    g = inverse_transform(Spectrum(grid, np.where(mask, coeffs, 0.0)))
-    h = localized - g
-    return g, h
+    g = inverse_transform(Spectrum(grid, np.where(cone_mask(grid, cone),
+                                                  coeffs, 0.0)))
+    return g, localized - g

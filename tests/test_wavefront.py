@@ -20,6 +20,7 @@ from flwave.wavefront import (
     WavefrontReport,
     _included,
     _merge_singular,
+    _nonzero_scale,
     _segment_table,
     annulus_averages,
     classical_wavefront,
@@ -365,44 +366,249 @@ def test_engine_empty_cone_and_annuli():
     assert seminorms[1] == 3.0
 
 
-def _reference_verdicts(f, query, classical):
+def _reference_fit(averages, usable, octaves):
+    """One direction's decay fit, the per-direction loop the array fit
+    replaces: (slope, n_used), slope None below two usable annuli."""
+    m_lo, _ = octaves
+    ms, logs = [], []
+    for i, (a, ok) in enumerate(zip(averages, usable)):
+        if not ok or np.isnan(a) or a <= 0:
+            continue
+        ms.append(m_lo + i)
+        logs.append(np.log2(a))
+    if len(ms) < 2:
+        return None, len(ms)
+    ms = np.asarray(ms, dtype=float)
+    logs = np.asarray(logs)
+    mbar = ms.mean()
+    slope = float(np.sum((ms - mbar) * (logs - logs.mean()))
+                  / np.sum((ms - mbar) ** 2))
+    return slope, len(ms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 32), m_lo=st.integers(0, 4),
+       span=st.integers(0, 6), usable_share=st.floats(0.0, 1.0),
+       spread=st.sampled_from([1e-3, 1.0, 40.0]),
+       seed=st.integers(0, 2**32 - 1))
+# no row reaches two usable annuli: the early return
+@example(rows=5, m_lo=1, span=3, usable_share=0.0, spread=1.0, seed=0)
+# every annulus usable over the widest range
+@example(rows=32, m_lo=0, span=6, usable_share=1.0, spread=40.0, seed=1)
+def test_array_fit_matches_reference_loop(rows, m_lo, span, usable_share,
+                                          spread, seed):
+    rng = np.random.default_rng(seed)
+    shape = (rows, span + 1)
+    # decaying laws with noise, flat rows, NaN (empty), zero and negative
+    # entries, and unusable annuli
+    laws = rng.uniform(-6.0, 2.0, (rows, 1)) * np.arange(span + 1)
+    logs = laws + spread * rng.standard_normal(shape)
+    logs[rng.random(rows) < 0.1] = rng.uniform(-5, 5)
+    avgs = np.exp2(logs)
+    kind = rng.integers(0, 8, shape)
+    avgs[kind == 5] = np.nan
+    avgs[kind == 6] = 0.0
+    avgs[kind == 7] = -avgs[kind == 7]
+    usable = rng.random(shape) < usable_share
+    octaves = (m_lo, m_lo + span)
+    slopes, used = fit_decay_slope(avgs, usable, octaves)
+    assert slopes.shape == used.shape == (rows,)
+    for i in range(rows):
+        want, n_used = _reference_fit(avgs[i], usable[i], octaves)
+        assert used[i] == n_used
+        if want is None:
+            assert np.isnan(slopes[i])
+        else:
+            assert slopes[i] == want
+            assert np.signbit(slopes[i]) == np.signbit(want)
+
+
+def _reference_scan(f, query, classical, table_stats=False):
+    """(singular mask, slopes, seminorms) position by position and
+    direction by direction: the window evaluated at every position, the
+    per-direction fit loop and the verdict rules.  The cone statistics
+    come from one boolean mask per octave and cone, or with
+    ``table_stats`` from the segment-table engine, which the masks match
+    to rtol 1e-12 but not bit for bit."""
     grid = f.grid
     full = forward_transform(f).coeffs
     floor = np.max(np.abs(full[lattice(grid).norms > 0])) * (
         query.classical_rel_floor if classical else query.rel_floor)
     q = np.inf if classical else query.spec.q
     w = 1.0 if classical else query.spec.weight.on_lattice(grid)
-    out = []
-    for x0 in query.positions:
+    table = _segment_table(grid, query.directions, query.aperture,
+                           query.octaves)
+    shape = (len(query.positions), len(query.directions))
+    singular = np.zeros(shape, dtype=bool)
+    slopes, seminorms = np.empty(shape), np.empty(shape)
+    for i, x0 in enumerate(query.positions):
         coeffs = forward_transform(window_signal(f, query.window, x0)).coeffs
-        for direction in query.directions:
-            raw, avgs, _ = _reference_stats(grid, coeffs, coeffs * w,
-                                            direction, query.aperture,
-                                            query.octaves, q)
-            slope, used = fit_decay_slope(avgs, raw > floor, query.octaves)
+        stats = (zip(*annulus_averages(table, coeffs, coeffs * w, q))
+                 if table_stats else
+                 (_reference_stats(grid, coeffs, coeffs * w, direction,
+                                   query.aperture, query.octaves, q)
+                  for direction in query.directions))
+        for j, (raw, avgs, seminorms[i, j]) in enumerate(stats):
+            slope, used = _reference_fit(avgs, raw > floor, query.octaves)
             if used <= 1:
-                regular = True
+                regular, slopes[i, j] = True, -99.0
             elif classical:
-                regular = -slope >= query.decay_threshold
+                regular, slopes[i, j] = -slope >= query.decay_threshold, slope
             else:
                 dq = 0.0 if np.isinf(q) else grid.d / q
                 regular = slope <= -(dq + query.margin)
-            out.append("regular" if regular else "singular")
-    return out
+                slopes[i, j] = slope
+            singular[i, j] = not regular
+    return singular, slopes, seminorms
 
 
-@pytest.mark.parametrize("q, s", [(1.0, 1.0), (1.0, 1.5), (2.0, 1.25),
-                                  (np.inf, 1.0), (None, None)])
+SCAN_KINDS = [(1.0, 1.0), (1.0, 1.5), (2.0, 1.25), (np.inf, 1.0),
+              (None, None)]
+
+
+def _scan_kind(grid, q, s):
+    query = default_query(grid)
+    if q is None:
+        return classical_wavefront, query
+    return estimate_wavefront, replace(query,
+                                       spec=FLNormSpec(q, Weight.power(s)))
+
+
+@pytest.mark.parametrize("q, s", SCAN_KINDS)
 def test_scan_verdicts_match_mask_reference(q, s):
     entries = standard_corpus(2, 64)
-    query = default_query(entries[0].signal.grid)
-    classical = q is None
-    if not classical:
-        query = replace(query, spec=FLNormSpec(q, Weight.power(s)))
-    scan = classical_wavefront if classical else estimate_wavefront
+    scan, query = _scan_kind(entries[0].signal.grid, q, s)
     for entry in entries:
-        got = [r.verdict for r in scan(entry.signal, query).records]
-        assert got == _reference_verdicts(entry.signal, query, classical)
+        singular, _, _ = _reference_scan(entry.signal, query, q is None)
+        assert [r.verdict for r in scan(entry.signal, query).records] == [
+            "singular" if flag else "regular" for flag in singular.flat]
+
+
+@pytest.mark.parametrize("q, s", SCAN_KINDS)
+def test_scan_arrays_equal_per_direction_reference(q, s):
+    # the rolled origin window, the array fit and the array verdicts
+    # change no bit of the report
+    entries = standard_corpus(2, 64)
+    scan, query = _scan_kind(entries[0].signal.grid, q, s)
+    for entry in entries:
+        rep = scan(entry.signal, query)
+        singular, slopes, seminorms = _reference_scan(
+            entry.signal, query, q is None, table_stats=True)
+        np.testing.assert_array_equal(rep.singular_mask, singular)
+        np.testing.assert_array_equal(rep.slopes, slopes)
+        np.testing.assert_array_equal(rep.seminorms, seminorms)
+
+
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("shape", ["gauss", "hann", "flattop"])
+def test_rolled_origin_window_is_the_window_at_every_cell(d, n, shape):
+    grid = TorusGrid(d, n)
+    axes = tuple(range(d))
+    cells = list(np.ndindex(grid.shape)) + [(-1,) * d, (n + 2,) * d]
+    for width in (4.0, n / 2 + 0.5, n - 1.0):
+        spec = WindowSpec(shape, width)
+        w0 = window_values(grid, spec, (0,) * d).reshape(grid.shape)
+        for cell in cells:
+            np.testing.assert_array_equal(np.roll(w0, cell, axes).ravel(),
+                                          window_values(grid, spec, cell))
+
+
+@pytest.mark.parametrize("d, n", [(1, 16), (2, 8), (3, 4)])
+def test_floor_scale_is_the_largest_coefficient_off_the_origin(d, n):
+    grid = TorusGrid(d, n)
+    rng = np.random.default_rng(d)
+    coeffs = rng.standard_normal(grid.size) + 1j * rng.standard_normal(
+        grid.size)
+    off = lattice(grid).norms > 0
+    coeffs[~off] = 1e6
+    assert _nonzero_scale(grid, coeffs) == np.max(np.abs(coeffs[off]))
+    assert np.all(coeffs[~off] == 1e6)
+
+
+def test_scan_positions_must_be_grid_cells():
+    g = TorusGrid(2, 64)
+    f = make_smooth(g, seed=0).signal
+    query = replace(default_query(g), positions=((0, 0), (16.5, 0)))
+    for scan in (estimate_wavefront, classical_wavefront):
+        with pytest.raises(ValueError, match="integer grid cells"):
+            scan(f, query)
+    with pytest.raises(ValueError, match="integer grid cells"):
+        superior_scan(f, query, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic estimator tests: symmetries of the wave-front set
+# ---------------------------------------------------------------------------
+
+
+def _corpus_scans(mode):
+    """The d=2 n=64 corpus with its default query, and a scan of a
+    transformed copy of an entry's values."""
+    entries = standard_corpus(2, 64)
+    grid = entries[0].signal.grid
+    query = default_query(grid)
+    scan = classical_wavefront if mode == "classical" else estimate_wavefront
+
+    def run(values):
+        return scan(Signal(grid, values.ravel()), query).singular_mask
+
+    return entries, query, run
+
+
+def _remapped(mask, query, cell_of, bin_of):
+    """Entry (p, j) of the result is ``mask`` at (cell_of(p), bin_of(j))."""
+    index = {tuple(np.atleast_1d(c)): i for i, c in enumerate(query.positions)}
+    rows = [index[cell_of(tuple(np.atleast_1d(c)))] for c in query.positions]
+    bins = [bin_of(j) for j in range(len(query.directions))]
+    return mask[np.ix_(rows, bins)]
+
+
+def _quarter_turn(values):
+    """new[i, j] = old[j, -i]: |new^(k1, k2)| = |old^(k2, -k1)|."""
+    i, j = np.indices(values.shape)
+    return values[j, -i % values.shape[0]]
+
+
+# (values map, cell of the original verdict, bin of the original verdict)
+# for 32 bins at angles 2 pi j / 32 on the n = 64 grid
+SYMMETRIES = {
+    "scale 1e-3": (lambda v: 1e-3 * v, lambda c: c, lambda j: j),
+    "scale 7": (lambda v: 7.0 * v, lambda c: c, lambda j: j),
+    # conj(f)^(k) = conj(f^(-k)): theta -> -theta, half a turn of bins
+    "conjugate": (np.conj, lambda c: c, lambda j: (j + 16) % 32),
+    "quarter turn": (_quarter_turn, lambda c: (c[1], -c[0] % 64),
+                     lambda j: (j - 8) % 32),
+}
+
+
+@pytest.mark.parametrize("mode", ["fl", "classical"])
+@pytest.mark.parametrize("name", sorted(SYMMETRIES))
+def test_verdicts_respect_the_symmetry(mode, name):
+    values_map, cell_of, bin_of = SYMMETRIES[name]
+    entries, query, run = _corpus_scans(mode)
+    for entry in entries:
+        values = entry.signal.reshaped()
+        np.testing.assert_array_equal(
+            run(values_map(values)),
+            _remapped(run(values), query, cell_of, bin_of))
+
+
+@settings(max_examples=12, deadline=None)
+@given(mode=st.sampled_from(["fl", "classical"]),
+       steps=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       entry=st.integers(0, 3))
+# one stride along each axis
+@example(mode="fl", steps=(1, 0), entry=2)
+@example(mode="classical", steps=(0, 1), entry=3)
+def test_verdicts_follow_a_translation_by_the_scan_stride(mode, steps, entry):
+    entries, query, run = _corpus_scans(mode)
+    shift = tuple(16 * k for k in steps)  # the default stride n/4
+    values = entries[entry].signal.reshaped()
+    np.testing.assert_array_equal(
+        run(np.roll(values, shift, (0, 1))),
+        _remapped(run(values), query,
+                  lambda c: tuple((a - b) % 64 for a, b in zip(c, shift)),
+                  lambda j: j))
 
 
 # ---------------------------------------------------------------------------
