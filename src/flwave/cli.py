@@ -3,7 +3,8 @@
 All randomness flows from a single --seed through per-trial streams, so
 identical invocations produce byte-identical JSON reports.  Exit codes:
 0 when every assertion of the selected target passes, 1 on verification
-failure (with a JSON failure report), 2 on usage errors.
+failure (with a JSON failure report), 2 on usage errors: bad arguments,
+and bad input or unreadable files, reported as {"error", "status": "error"}.
 """
 
 from __future__ import annotations
@@ -132,9 +133,10 @@ def main(argv=None) -> int:
             report = _run_corpus(args)
         else:
             report = _run_verify(args)
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return 1
+    except (ValueError, OSError) as exc:  # could not run: a usage error
+        print(json.dumps({"error": str(exc), "status": "error"},
+                         sort_keys=True))
+        return 2
     report["build"] = f"flwave-{__version__}"
     passed = report.get("pass", True)
     print(json.dumps(report, sort_keys=True, default=_jsonable))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -125,20 +126,38 @@ def lattice(grid: TorusGrid) -> FrequencyLattice:
 
 @dataclass(frozen=True)
 class Signal:
-    """Complex samples on a torus grid, row-major over grid indices."""
+    """Complex samples on a torus grid, row-major over grid indices.
+
+    Read-only, so derived values are cached: a complex array that owns
+    its data is taken over (a later write by the caller raises), a view
+    the caller could write through is copied.
+    """
 
     grid: TorusGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex).ravel()
-        if vals.size != self.grid.size:
+        root = vals = np.asarray(self.values, dtype=complex)
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        if vals.base is not None and root.flags.writeable:
+            vals = vals.copy()
+        flat = vals.ravel()
+        if flat.size != self.grid.size:
             raise ValueError(
-                f"expected {self.grid.size} samples, got {vals.size}"
+                f"expected {self.grid.size} samples, got {flat.size}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(flat)):
             raise ValueError("signal values must be finite")
-        object.__setattr__(self, "values", vals)
+        vals.flags.writeable = flat.flags.writeable = False
+        object.__setattr__(self, "values", flat)
+
+    @cached_property
+    def peak_off_origin(self) -> float:
+        """Largest |F(k)| off k = 0: the global scale of wave-front floors."""
+        mags = np.abs(forward_transform(self).coeffs)
+        mags.reshape(self.grid.shape)[(self.grid.n // 2,) * self.grid.d] = 0
+        return float(mags.max())
 
     def reshaped(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)

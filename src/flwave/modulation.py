@@ -11,6 +11,11 @@ The window is evaluated once, at the origin: periodic cell distances are
 integer-valued, so the window at cell c is the origin window rolled by c,
 a strided view of the origin window tiled twice per axis.  ``stft`` runs
 one batched FFT per index of the first position axis.
+
+``modulation_wavefront``, the third wave-front scan mode, fits the cones
+of the sup profile of |V| near each position over every direction at
+once; ``modulation_direction_verdict`` fits one direction.  Both floor
+against the signal's cached scale (``Signal.peak_off_origin``).
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ import numpy as np
 
 from .grid import Signal, TorusGrid, _prefactor, forward_transform, lattice
 from .norms import FLNormSpec, _mixed_rows, fl_norm
-from .wavefront import (_cone_fits, _fl_bound, _nonzero_scale, _segment_table,
-                        _verdicts)
+from .wavefront import (WavefrontQuery, WavefrontReport, _cone_fits,
+                        _fl_bound, _scan, _segment_table, _verdicts)
 from .weights import Weight
 from .windows import WindowSpec, window_values
 
@@ -34,6 +39,7 @@ __all__ = [
     "embedding_check",
     "modulation_sup_profile",
     "modulation_direction_verdict",
+    "modulation_wavefront",
 ]
 
 
@@ -167,12 +173,15 @@ def modulation_sup_profile(f: Signal, x0, window: WindowSpec,
         position_radius = max(2, int(window.width) // 8)
     x0 = np.atleast_1d(np.asarray(x0, dtype=int))
     sup_v = np.zeros(grid.size)
-    cells = np.stack(np.unravel_index(np.arange(grid.size), grid.shape), -1)
-    delta = (cells - x0 + grid.n / 2) % grid.n - grid.n / 2
-    near = (np.sqrt(np.sum(delta**2, axis=-1)) <= position_radius) & \
-        np.all(cells % position_step == 0, axis=-1)
+    # the shortest periodic offset to a near cell lies in this box, which
+    # holds one offset per residue mod n on each axis
+    h = int(np.clip(position_radius, 0, grid.n // 2))
+    offsets = np.indices((min(2 * h + 1, grid.n),) * grid.d).reshape(
+        grid.d, -1).T - h
+    offsets = offsets[np.sqrt(np.sum(offsets**2, axis=-1)) <= position_radius]
+    cells = (x0 + offsets) % grid.n
     rolled = _rolled_windows(grid, window)
-    for cell in cells[near]:
+    for cell in cells[np.all(cells % position_step == 0, axis=-1)]:
         windowed = f.reshaped() * rolled[tuple(cell)]
         coeffs = forward_transform(Signal(grid, windowed)).coeffs
         np.maximum(sup_v, np.abs(coeffs), out=sup_v)
@@ -199,8 +208,18 @@ def modulation_direction_verdict(f: Signal, x0, direction, q: float,
                                        position_step)
     wvals = Weight.power(s).on_lattice(grid)
     table = _segment_table(grid, (direction,), aperture, octaves)
-    floor = rel_floor * _nonzero_scale(grid, forward_transform(f).coeffs)
+    floor = rel_floor * f.peak_off_origin
     slopes, used, _ = _cone_fits(table, sup_v, sup_v * wvals, q, floor)
     [regular], [slope] = _verdicts(slopes, used, _fl_bound(grid.d, q, margin))
     return {"verdict": "regular" if regular else "singular",
             "slope": float(slope)}
+
+
+def modulation_wavefront(f: Signal, query: WavefrontQuery,
+                         position_radius: int | None = None,
+                         position_step: int = 4) -> WavefrontReport:
+    """``modulation_direction_verdict`` at every position and direction of
+    the query (weight ``query.spec.weight``, floor ``query.rel_floor``):
+    one sup profile per position, one cone fit over all directions."""
+    return _scan(f, query, "modulation", lambda x0: modulation_sup_profile(
+        f, x0, query.window, position_radius, position_step))

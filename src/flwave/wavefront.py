@@ -39,7 +39,7 @@ import csv
 import itertools
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -502,7 +502,7 @@ def regular_directions(f: Signal, spec: FLNormSpec, aperture: float,
         m_hi = int(np.log2(grid.n // 2))
         octaves = (max(1, m_hi - 3), m_hi)
     coeffs = forward_transform(f).coeffs
-    floor = rel_floor * _nonzero_scale(grid, coeffs)
+    floor = rel_floor * f.peak_off_origin
     table = _segment_table(grid, dirs, aperture, octaves)
     slopes, used, _ = _cone_fits(table, coeffs,
                                  coeffs * spec.weight.on_lattice(grid),
@@ -512,13 +512,6 @@ def regular_directions(f: Signal, spec: FLNormSpec, aperture: float,
     return {"theta": [t for t, ok in zip(dirs, regular) if ok],
             "sigma": [t for t, ok in zip(dirs, regular) if not ok],
             "slopes": dict(zip(dirs, slopes.tolist()))}
-
-
-def _nonzero_scale(grid: TorusGrid, coeffs: np.ndarray) -> float:
-    """Largest |coefficient| off the origin."""
-    mags = np.abs(coeffs)
-    mags.reshape(grid.shape)[(grid.n // 2,) * grid.d] = 0.0  # k = 0
-    return float(mags.max())
 
 
 def _windowed_transform(f: Signal, w0: np.ndarray, x0) -> np.ndarray:
@@ -532,9 +525,13 @@ def _windowed_transform(f: Signal, w0: np.ndarray, x0) -> np.ndarray:
         w0.reshape(f.grid.shape), shift, tuple(range(f.grid.d))))).coeffs
 
 
-def _scan(f: Signal, query: WavefrontQuery, classical: bool) -> WavefrontReport:
+def _scan(f: Signal, query: WavefrontQuery, mode: str,
+          spectrum=None) -> WavefrontReport:
+    """Scan in ``mode`` "fl", "classical" or "modulation"; the cones of
+    ``spectrum(x0)`` (default: f windowed at x0, transformed) are fitted."""
     grid = f.grid
     query.validate(grid)
+    classical = mode == "classical"
     if classical and query.octaves[1] - query.octaves[0] + 1 < 3:
         raise ValueError("classical scan needs at least 3 octaves")
     if classical:
@@ -548,30 +545,31 @@ def _scan(f: Signal, query: WavefrontQuery, classical: bool) -> WavefrontReport:
         bound = _fl_bound(grid.d, q, query.margin)
     # global reference scale: the floor must not depend on how much of the
     # signal the window catches, or far-away windows see pure noise
-    floor = rel * _nonzero_scale(grid, forward_transform(f).coeffs)
+    floor = rel * f.peak_off_origin
     table = _segment_table(grid, query.directions, query.aperture,
                            query.octaves)
-    w0 = window_values(grid, query.window, (0,) * grid.d)
+    if spectrum is None:
+        w0 = window_values(grid, query.window, (0,) * grid.d)
+        spectrum = partial(_windowed_transform, f, w0)
     shape = (len(query.positions), len(query.directions))
     regular, slopes, seminorms = (np.empty(shape, dtype=bool),
                                   np.empty(shape), np.empty(shape))
     for i, x0 in enumerate(query.positions):
-        coeffs = _windowed_transform(f, w0, x0)
+        coeffs = spectrum(x0)
         fit_slopes, used, seminorms[i] = _cone_fits(table, coeffs,
                                                     coeffs * w, q, floor)
         regular[i], slopes[i] = _verdicts(fit_slopes, used, bound)
-    return WavefrontReport(grid, query, ~regular, slopes, seminorms,
-                           mode="classical" if classical else "fl")
+    return WavefrontReport(grid, query, ~regular, slopes, seminorms, mode)
 
 
 def estimate_wavefront(f: Signal, query: WavefrontQuery) -> WavefrontReport:
     """Fourier-Lebesgue wave-front scan over (position, direction) pairs."""
-    return _scan(f, query, classical=False)
+    return _scan(f, query, "fl")
 
 
 def classical_wavefront(f: Signal, query: WavefrontQuery) -> WavefrontReport:
     """Rapid-decay (C^infinity) scan: regular iff decay order >= threshold."""
-    return _scan(f, query, classical=True)
+    return _scan(f, query, "classical")
 
 
 def superior_scan(f: Signal, query: WavefrontQuery, s_list) -> dict:
@@ -596,8 +594,7 @@ def superior_scan(f: Signal, query: WavefrontQuery, s_list) -> dict:
     query.validate(grid)
     q = query.spec.q
     bound = _fl_bound(grid.d, q, query.margin)
-    floor = query.rel_floor * _nonzero_scale(grid,
-                                             forward_transform(f).coeffs)
+    floor = query.rel_floor * f.peak_off_origin
     ladders = [(1.0, 1.0), (0.5, 1.0), (0.25, 1.0)]
     if grid.d > 1:
         ladders += [(1.0, 0.5), (0.5, 0.5)]

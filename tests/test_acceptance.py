@@ -41,8 +41,7 @@ from flwave.grid import (
 from flwave.modulation import (
     embedding_check,
     equivalence_check,
-    modulation_direction_verdict,
-    modulation_sup_profile,
+    modulation_wavefront,
 )
 from flwave.norms import FLNormSpec
 from flwave.pdo import multiplier_symbol, transport_check
@@ -576,26 +575,14 @@ def test_criterion_9c_wavefront_agreement():
         corpus = standard_corpus(d, n)
         grid = corpus[0].signal.grid
         query = default_query(grid)
-        s = query.spec.weight.s
         for entry in corpus:
             est = estimate_wavefront(entry.signal, query)
-            mod_singular = np.zeros_like(est.singular_mask)
-            for i, x0 in enumerate(query.positions):
-                # the sup radius must stay inside the scan stride's
-                # isolation budget or neighbors bleed into the verdict
-                sup_v = modulation_sup_profile(
-                    entry.signal, x0, query.window,
-                    position_radius=max(2, n // 32),
-                    position_step=max(2, n // 64))
-                for j, theta in enumerate(query.directions):
-                    out = modulation_direction_verdict(
-                        entry.signal, x0, theta, query.spec.q, s,
-                        query.window, query.aperture, query.octaves,
-                        rel_floor=query.rel_floor, sup_v=sup_v)
-                    mod_singular[i, j] = out["verdict"] == "singular"
-            # the modulation verdicts as a report over the same scan,
+            # the sup radius must stay inside the scan stride's isolation
+            # budget or neighbors bleed into the verdict
+            mod = modulation_wavefront(entry.signal, query,
+                                       position_radius=max(2, n // 32),
+                                       position_step=max(2, n // 64))
             # matched at the same position within BIN_TOL bins, both ways
-            mod = replace(est, singular_mask=mod_singular)
             for left, right, side in ((mod, est, "mod-only"),
                                       (est, mod, "est-only")):
                 found = report_included_in(left, right, 0, BIN_TOL)

@@ -123,8 +123,18 @@ def test_wavefront_scan_outputs(tmp_path, capsys):
 
 def test_norm_on_missing_file_fails(capsys):
     code, out = _run(["norm", "--input", "/nonexistent.json"], capsys)
-    assert code == 1
-    assert "error" in json.loads(out.strip().splitlines()[-1])
+    assert code == 2
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert "error" in payload and payload["status"] == "error"
+
+
+def test_verify_that_cannot_run_is_a_usage_error(capsys):
+    # an odd lattice size is bad input, not a failed verification
+    code, out = _run(["verify", "tf-bounds", "--n", "3"], capsys)
+    assert code == 2
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert payload == {"error": "n must be even and >= 4, got 3",
+                       "status": "error"}
 
 
 def test_jobs_flag_is_a_usage_error(capsys):

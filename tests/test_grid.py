@@ -1,12 +1,15 @@
 """Transform normalization, Parseval, convolution theorem, signal IO."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flwave.grid import (
     Signal,
+    Spectrum,
     TorusGrid,
     cyclic_convolve,
     forward_transform,
@@ -83,7 +86,8 @@ def test_single_coefficient_inverse():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([(1, 8), (1, 16), (2, 8)]))
+@given(st.integers(0, 10_000),
+       st.sampled_from([(1, 8), (1, 16), (2, 8), (3, 4), (3, 8)]))
 def test_parseval(seed, shape):
     d, n = shape
     g = TorusGrid(d, n)
@@ -184,6 +188,126 @@ def test_signal_validation():
         Signal(g, np.ones(7))
     with pytest.raises(ValueError):
         Signal(g, np.full(8, np.nan))
+
+
+# ---------------------------------------------------------------------------
+# Exact identities at random sizes
+# ---------------------------------------------------------------------------
+
+EXACT = 1e-10
+_SIZES = st.tuples(st.integers(1, 3), st.sampled_from([4, 6, 8]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SIZES, st.integers(0, 2**32 - 1))
+def test_transpose_identity_at_random_sizes(size, seed):
+    # sum_k F(f)(k) conj(G(k)) = h^d sum_j f(x_j) conj(F^-1(G)(x_j))
+    g = TorusGrid(*size)
+    rng = np.random.default_rng(seed)
+    f = random_signal(g, rng)
+    G = Spectrum(g, random_signal(g, rng).values)
+    F = forward_transform(f).coeffs
+    lhs = np.vdot(G.coeffs, F)
+    rhs = g.h**g.d * np.vdot(inverse_transform(G).values, f.values)
+    # the error against the Cauchy-Schwarz bound of either side
+    ratio = 1 + abs(lhs - rhs) / (np.linalg.norm(F)
+                                  * np.linalg.norm(G.coeffs))
+    assert ratio <= 1 + EXACT
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SIZES, st.integers(0, 2**32 - 1), st.integers(0, 8),
+       st.integers(0, 8), st.sampled_from(["complex", "positive",
+                                           "impulse"]))
+@example((3, 4), 0, 4, 4, "impulse")  # equality: r = p = 2, q = 1
+@example((2, 6), 1, 0, 0, "positive")  # r = p = inf, q = 1
+def test_young_convolution_at_random_sizes(size, seed, i, extra, kind):
+    # ||f * g||_r <= ||f||_p ||g||_q with 1/p + 1/q = 1 + 1/r, exponents
+    # exact in eighths: 1/p = i/8, 1/q = (8 - i + e)/8, 1/r = e/8, e <= i
+    g = TorusGrid(*size)
+    rng = np.random.default_rng(seed)
+    e = extra % (i + 1)
+    p, q, r = (8 / k if k else np.inf for k in (i, 8 - i + e, e))
+    f = random_signal(g, rng)
+    if kind == "impulse":  # unit L^1 mass at a random cell
+        h = impulse(g, rng.integers(0, g.n, g.d), 1 / g.h**g.d)
+    else:
+        h = random_signal(g, rng)
+        if kind == "positive":
+            f, h = Signal(g, np.abs(f.values)), Signal(g, np.abs(h.values))
+    ratio = lp_norm(cyclic_convolve(f, h), r) / (lp_norm(f, p)
+                                                 * lp_norm(h, q))
+    assert ratio <= 1 + EXACT
+
+
+# ---------------------------------------------------------------------------
+# Read-only samples and the cached floor scale
+# ---------------------------------------------------------------------------
+
+
+def test_signal_values_are_read_only():
+    f = random_signal(TorusGrid(2, 8), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        f.reshaped()[1, 2] = 1.0
+
+
+def test_signal_takes_over_an_owned_complex_array():
+    g = TorusGrid(1, 8)
+    vals = np.arange(8, dtype=complex)
+    f = Signal(g, vals)
+    assert np.shares_memory(f.values, vals)  # no copy
+    with pytest.raises(ValueError, match="read-only"):
+        vals[0] = 5.0
+    # a rejected array is left writeable
+    short = np.zeros(7, dtype=complex)
+    with pytest.raises(ValueError):
+        Signal(g, short)
+    short[0] = 1.0
+
+
+@pytest.mark.parametrize("view", ["slice", "reshape", "read-only"])
+def test_caller_writes_through_a_view_do_not_reach_the_signal(view):
+    g = TorusGrid(2, 8)
+    base = random_signal(TorusGrid(1, 2 * g.size),
+                         np.random.default_rng(1)).values.copy()
+    passed = {"slice": base[::2], "reshape": base[:g.size].reshape(8, 8),
+              "read-only": base[g.size:].view()}[view]
+    passed.flags.writeable = view != "read-only"
+    f = Signal(g, passed)
+    before, scale = f.values.copy(), f.peak_off_origin
+    base[:] = 7.0
+    assert np.array_equal(f.values, before)
+    assert f.peak_off_origin == scale
+    assert scale == Signal(g, before).peak_off_origin
+
+
+@pytest.mark.parametrize("d, n", [(1, 8), (2, 6), (3, 4)])
+def test_peak_off_origin_is_the_brute_force_maximum(d, n):
+    g = TorusGrid(d, n)
+    f = random_signal(g, np.random.default_rng(d))
+    pts = g.sample_points()
+    prefactor = (2 * np.pi) ** (-d / 2) * g.h**d
+    # direct sums F(k) = (2 pi)^(-d/2) h^d sum_j f(x_j) e^(-i k.x_j)
+    peak = max(abs(prefactor * np.sum(f.values * np.exp(-1j * pts @ k)))
+               for k in itertools.product(range(-n // 2, n // 2), repeat=d)
+               if any(k))
+    assert abs(f.peak_off_origin - peak) <= 1e-12 * peak
+
+
+def test_signal_accepts_real_arrays_lists_and_signal_values():
+    g = TorusGrid(1, 4)
+    real = np.array([1.0, -2.0, 0.5, 3.0])
+    from_real, from_list = Signal(g, real), Signal(g, real.tolist())
+    assert from_real.values.dtype == complex
+    assert np.array_equal(from_real.values, real)
+    assert np.array_equal(from_list.values, real)
+    real[0] = 9.0  # the caller's real array was converted, not taken over
+    assert from_real.values[0] == 1.0
+    shared = Signal(g, from_real.values)
+    assert np.shares_memory(shared.values, from_real.values)
+    assert shared.peak_off_origin == from_real.peak_off_origin
 
 
 def test_lp_norm_spatial_weight():

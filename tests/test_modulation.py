@@ -1,20 +1,26 @@
 """STFT, modulation norms, and the local norm equivalences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flwave.corpus import standard_corpus
 from flwave.grid import Signal, TorusGrid, forward_transform, random_signal, \
     single_mode, zero_signal
 from flwave.modulation import (
     embedding_check,
     equivalence_check,
+    modulation_direction_verdict,
     modulation_norm,
     modulation_sup_profile,
+    modulation_wavefront,
     stft,
 )
 from flwave.rng import trial_rng
+from flwave.wavefront import default_query
 from flwave.windows import WindowSpec, window_values
 
 TWO_PI = 2.0 * np.pi
@@ -99,6 +105,64 @@ def test_sup_profile_without_near_cell_is_zero():
     sup_v = modulation_sup_profile(f, (1, 1), WindowSpec("gauss", 8),
                                    position_radius=0, position_step=4)
     assert sup_v.shape == (g.size,) and np.all(sup_v == 0)
+
+
+def _ninec_radius_step(n):
+    """Sup-profile radius and position step of the criterion-9c scans."""
+    return max(2, n // 32), max(2, n // 64)
+
+
+def _per_direction_verdicts(f, query):
+    """(singular mask, slopes) from one modulation_direction_verdict call
+    per position and direction, sharing one sup profile per position."""
+    radius, step = _ninec_radius_step(f.grid.n)
+    shape = (len(query.positions), len(query.directions))
+    singular, slopes = np.zeros(shape, dtype=bool), np.zeros(shape)
+    for i, x0 in enumerate(query.positions):
+        sup_v = modulation_sup_profile(f, x0, query.window, radius, step)
+        for j, theta in enumerate(query.directions):
+            out = modulation_direction_verdict(
+                f, x0, theta, query.spec.q, query.spec.weight.s,
+                query.window, query.aperture, query.octaves,
+                rel_floor=query.rel_floor, margin=query.margin, sup_v=sup_v)
+            singular[i, j] = out["verdict"] == "singular"
+            slopes[i, j] = out["slope"]
+    return singular, slopes
+
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 64)])
+def test_modulation_wavefront_equals_per_direction_verdicts(d, n):
+    corpus = standard_corpus(d, n)
+    query = default_query(corpus[0].signal.grid)
+    radius, step = _ninec_radius_step(n)
+    for entry in corpus:
+        report = modulation_wavefront(entry.signal, query, radius, step)
+        singular, slopes = _per_direction_verdicts(entry.signal, query)
+        assert report.mode == "modulation"
+        assert np.array_equal(report.singular_mask, singular), entry.id
+        assert np.array_equal(report.slopes, slopes), entry.id
+
+
+def test_one_9c_point_transforms_the_signal_at_most_once(count_transforms):
+    entry = standard_corpus(2, 64)[2]
+    # a fresh signal over the same samples: nothing cached yet
+    f = Signal(entry.signal.grid, entry.signal.values)
+    query = default_query(f.grid)
+    radius, step = _ninec_radius_step(f.grid.n)
+    tally = count_transforms(f)
+    for x0 in query.positions[:2]:
+        sup_v = modulation_sup_profile(f, x0, query.window, radius, step)
+        for theta in query.directions:
+            modulation_direction_verdict(
+                f, x0, theta, query.spec.q, query.spec.weight.s,
+                query.window, query.aperture, query.octaves,
+                rel_floor=query.rel_floor, sup_v=sup_v)
+        assert tally["whole"] == 1  # the first verdict's floor, then cached
+    near_cells = tally["all"] - tally["whole"]
+    tally["all"] = tally["whole"] = 0
+    modulation_wavefront(f, replace(query, positions=query.positions[:2]),
+                         radius, step)
+    assert tally == {"all": near_cells, "whole": 0}
 
 
 def test_stft_overflow_raises():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from flwave.cones import Cone, cone_mask
 from flwave.corpus import make_power_cusp, make_smooth, standard_corpus
-from flwave.grid import Signal, TorusGrid, forward_transform, impulse, \
-    lattice, single_mode
+from flwave.grid import Signal, Spectrum, TorusGrid, forward_transform, \
+    impulse, inverse_transform, lattice, single_mode
 from flwave.norms import FLNormSpec, fl_norm, sequence_norm
 from flwave.wavefront import (
     WavefrontQuery,
@@ -20,7 +20,6 @@ from flwave.wavefront import (
     WavefrontReport,
     _included,
     _merge_singular,
-    _nonzero_scale,
     _segment_table,
     annulus_averages,
     classical_wavefront,
@@ -521,8 +520,24 @@ def test_floor_scale_is_the_largest_coefficient_off_the_origin(d, n):
         grid.size)
     off = lattice(grid).norms > 0
     coeffs[~off] = 1e6
-    assert _nonzero_scale(grid, coeffs) == np.max(np.abs(coeffs[off]))
-    assert np.all(coeffs[~off] == 1e6)
+    f = inverse_transform(Spectrum(grid, coeffs))
+    spectrum = forward_transform(f).coeffs
+    assert f.peak_off_origin == np.max(np.abs(spectrum[off]))
+    assert np.all(forward_transform(f).coeffs == spectrum)
+
+
+def test_second_scan_transforms_only_the_windows(count_transforms):
+    entry = standard_corpus(2, 64)[1]
+    f = Signal(entry.signal.grid, entry.signal.values)  # nothing cached
+    query = default_query(f.grid)
+    tally = count_transforms(f)
+    first = estimate_wavefront(f, query)
+    assert tally == {"all": len(query.positions) + 1, "whole": 1}
+    tally["all"] = tally["whole"] = 0
+    second = estimate_wavefront(f, query)
+    assert tally == {"all": len(query.positions), "whole": 0}
+    assert np.array_equal(first.singular_mask, second.singular_mask)
+    assert np.array_equal(first.slopes, second.slopes)
 
 
 def test_scan_positions_must_be_grid_cells():
