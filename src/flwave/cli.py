@@ -32,7 +32,7 @@ from .corpus import make_delta, make_edge, make_example_sum, make_power_cusp, \
     make_smooth, standard_corpus
 from .grid import TorusGrid, read_signal, write_signal
 from .modulation import embedding_check, equivalence_check, modulation_norm, \
-    SpaceFreqWeight
+    modulation_wavefront, SpaceFreqWeight
 from .norms import FLNormSpec, KernelGrid, fl_norm, mixed_norm
 from .pdo import parse_symbol, transport_check
 from .rng import trial_rng, trial_stacks
@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_wf = sub.add_parser("wavefront", help="scan and report",
                           parents=[shared])
     p_wf.add_argument("--input", required=True)
-    p_wf.add_argument("--mode", choices=("fl", "classical"), default="fl")
+    p_wf.add_argument("--mode", choices=("fl", "classical", "modulation"),
+                      default="fl")
     p_wf.add_argument("--q", type=float, default=1.0)
     p_wf.add_argument("--s", type=float, default=None)
     p_wf.add_argument("--bins", type=int, default=32)
@@ -189,8 +190,8 @@ def _run_wavefront(args) -> dict:
     if args.s is not None:
         query = replace(query,
                         spec=FLNormSpec(args.q, Weight.power(args.s)))
-    scan = classical_wavefront if args.mode == "classical" \
-        else estimate_wavefront
+    scan = {"fl": estimate_wavefront, "classical": classical_wavefront,
+            "modulation": modulation_wavefront}[args.mode]
     report = scan(sig, query)
     text = report.to_json()
     if args.out:

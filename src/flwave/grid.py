@@ -264,10 +264,12 @@ def lp_norm(f: Signal, p: float, spatial_weight=None) -> float:
         else:
             w = np.asarray(spatial_weight(pts), dtype=float)
         mags = mags * w
-    if np.isinf(p):
-        return float(np.max(mags)) if mags.size else 0.0
+    peak = float(np.max(mags)) if mags.size else 0.0
+    if np.isinf(p) or peak == 0.0:
+        return peak
+    # scaled by the peak, so that mags**p cannot overflow
     hd = f.grid.h**f.grid.d
-    return float((hd * np.sum(mags**p)) ** (1.0 / p))
+    return float(peak * (hd * np.sum((mags / peak) ** p)) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

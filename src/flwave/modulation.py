@@ -9,8 +9,11 @@ the signal and window energies by per-column Parseval.
 
 The window is evaluated once, at the origin: periodic cell distances are
 integer-valued, so the window at cell c is the origin window rolled by c,
-a strided view of the origin window tiled twice per axis.  ``stft`` runs
-one batched FFT per index of the first position axis.
+a strided view of the origin window tiled twice per axis.  One generator
+runs one batched FFT per index of the first position axis into reused
+buffers; ``stft`` shifts each block into its output, and
+``modulation_norm`` reduces each block over positions as it comes, never
+holding V.
 
 ``modulation_wavefront``, the third wave-front scan mode, fits the cones
 of the sup profile of |V| near each position over every direction at
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Signal, TorusGrid, _prefactor, forward_transform, lattice
-from .norms import FLNormSpec, _mixed_rows, fl_norm
+from .norms import FLNormSpec, _row_norm, fl_norm
 from .wavefront import (WavefrontQuery, WavefrontReport, _cone_fits,
                         _fl_bound, _scan, _segment_table, _verdicts)
 from .weights import Weight
@@ -50,12 +53,11 @@ class SpaceFreqWeight:
     s: float = 0.0
     t: float = 0.0
 
-    def on_phase_space(self, grid: TorusGrid) -> np.ndarray:
-        """Weight values over (position, frequency), shape (n^d, n^d)."""
-        freq = lattice(grid).brackets**self.s
+    def factors(self, grid: TorusGrid) -> tuple:
+        """(<x_j>^t over positions, <k>^s over the centered lattice)."""
         pts = grid.sample_points()
         pos = (1.0 + np.sum(pts**2, axis=-1)) ** (self.t / 2.0)
-        return pos[:, None] * freq[None, :]
+        return pos, lattice(grid).brackets**self.s
 
 
 def _rolled_windows(grid: TorusGrid, window: WindowSpec) -> np.ndarray:
@@ -66,23 +68,29 @@ def _rolled_windows(grid: TorusGrid, window: WindowSpec) -> np.ndarray:
     return views[(slice(grid.n, 0, -1),) * grid.d]
 
 
-def stft(f: Signal, window: WindowSpec) -> np.ndarray:
-    """V(x_j, k): rows are window positions, columns lattice frequencies.
+def _stft_blocks(f: Signal, window: WindowSpec):
+    """Yield the unshifted STFT rows, shape (n,)*(d-1) + (n,)*d, of each
+    first position index: one ``fftn`` per block, all into one buffer."""
+    axes = tuple(range(-f.grid.d, 0))
+    rolled = _rolled_windows(f.grid, window)
+    prod = np.empty(rolled.shape[1:], dtype=complex)
+    spec = np.empty_like(prod)
+    for c0 in range(f.grid.n):
+        np.multiply(f.reshaped(), rolled[c0], out=prod)
+        np.fft.fftn(prod, axes=axes, out=spec)
+        spec *= _prefactor(f.grid)
+        if not np.all(np.isfinite(spec)):
+            raise ValueError("spectrum coefficients must be finite")
+        yield spec
 
-    Positions sharing a first grid index go through one ``fftn`` and one
-    ``fftshift`` over the last d axes, written straight into the output.
-    """
-    grid = f.grid
-    axes = tuple(range(-grid.d, 0))
-    rolled = _rolled_windows(grid, window)
-    out = np.empty(grid.shape * 2, dtype=complex)
-    for c0 in range(grid.n):
-        block = np.fft.fftn(f.reshaped() * rolled[c0], axes=axes)
-        np.multiply(np.fft.fftshift(block, axes=axes), _prefactor(grid),
-                    out=out[c0])
-    if not np.all(np.isfinite(out)):
-        raise ValueError("spectrum coefficients must be finite")
-    return out.reshape(grid.size, grid.size)
+
+def stft(f: Signal, window: WindowSpec) -> np.ndarray:
+    """V(x_j, k): rows are window positions, columns lattice frequencies,
+    each ``_stft_blocks`` block ``fftshift``-ed into the output."""
+    out = np.empty(f.grid.shape * 2, dtype=complex)
+    for c0, block in enumerate(_stft_blocks(f, window)):
+        out[c0] = np.fft.fftshift(block, axes=tuple(range(-f.grid.d, 0)))
+    return out.reshape(f.grid.size, f.grid.size)
 
 
 def modulation_norm(f: Signal, p: float, q: float,
@@ -92,20 +100,38 @@ def modulation_norm(f: Signal, p: float, q: float,
     """Outer l^q over frequency of inner l^p over position of |V w|.
 
     Counting measure in both variables keeps the (p, q) monotonicity
-    exact; pass a precomputed STFT matrix ``V`` to amortize repeated
-    norms of the same signal.
+    exact.  The inner sums are taken block by block as the STFT is
+    produced, in unshifted frequency order, in buffers reused across
+    blocks: peak memory O(N n^(d-1)), not O(N^2).  A precomputed STFT
+    matrix ``V`` (to amortize repeated norms) goes through the same
+    reduction in its own column order.
     """
     if p < 1 or q < 1:
         raise ValueError("modulation norm exponents must be >= 1")
     grid = f.grid
-    if w is None:
-        w = SpaceFreqWeight()
+    pos, freq = (w or SpaceFreqWeight()).factors(grid)
     if V is None:
-        if window is None:
-            window = WindowSpec("gauss", max(8, grid.n // 4))
-        V = stft(f, window)
-    # inner over positions (rows), one value per frequency
-    return float(_mixed_rows(np.abs(V) * w.on_phase_space(grid), p, q, 1))
+        window = window or WindowSpec("gauss", max(8, grid.n // 4))
+        blocks = _stft_blocks(f, window)
+        freq = np.fft.ifftshift(freq.reshape(grid.shape)).ravel()
+    else:
+        blocks = np.reshape(V, (grid.n, -1, grid.size))
+    pos = pos.reshape(grid.n, -1)
+    rows = pos.shape[1]
+    # row 0 carries the running sum above one block's terms, so numpy's
+    # row-by-row axis-0 sum adds in the order of one sum over all of V
+    buf, wts = np.zeros((rows + 1, grid.size)), np.empty((rows, grid.size))
+    reduce = np.maximum.reduce if np.isinf(p) else np.add.reduce
+    sums = None
+    for c0, block in enumerate(blocks):
+        np.abs(block.reshape(wts.shape), out=buf[1:])
+        buf[1:] *= np.multiply(pos[c0, :, None], freq, out=wts)
+        if not np.isinf(p):
+            buf[1:] **= p
+        buf[0] = sums = reduce(buf, axis=0, out=sums)
+    if V is None:
+        sums = np.fft.fftshift(sums.reshape(grid.shape)).ravel()
+    return float(_row_norm(sums if np.isinf(p) else sums ** (1.0 / p), q))
 
 
 def equivalence_check(f: Signal, q: float, s: float,

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from flwave.cli import main
+from flwave.corpus import standard_corpus
 from flwave.grid import TorusGrid, read_signal, write_signal, zero_signal
+from flwave.modulation import modulation_wavefront
+from flwave.wavefront import default_query
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -119,6 +122,20 @@ def test_wavefront_scan_outputs(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert any(r["verdict"] == "singular" for r in payload["records"])
     assert csv_path.read_text().startswith("x0,")
+
+
+def test_wavefront_modulation_mode_matches_library(tmp_path, capsys):
+    entry = standard_corpus(2, 64)[2]
+    sig_path = tmp_path / "sig.bin"
+    write_signal(entry.signal, str(sig_path))
+    code, out = _run(["wavefront", "--input", str(sig_path),
+                      "--mode", "modulation"], capsys)
+    assert code == 0
+    payload = json.loads(out.strip().splitlines()[-1])
+    report = modulation_wavefront(read_signal(str(sig_path)),
+                                  default_query(entry.signal.grid))
+    assert payload["mode"] == "modulation"
+    assert payload["records"] == json.loads(report.to_json())["records"]
 
 
 def test_norm_on_missing_file_fails(capsys):

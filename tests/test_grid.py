@@ -171,6 +171,24 @@ def test_lp_norm_examples():
     assert abs(lp_norm(f, np.inf) - np.max(np.abs(f.values))) < 1e-14
 
 
+def test_lp_norm_large_exponent_stays_finite():
+    # unscaled, max|f * h|^512 overflows; the norm lies between the max
+    # and the max times (N h^d)^(1/p), with h > 1 at n = 4
+    g = TorusGrid(1, 4)
+    rng = np.random.default_rng(0)  # max |f * h| = 6.08 > 4 = 1e308^(1/512)
+    conv = cyclic_convolve(random_signal(g, rng), random_signal(g, rng))
+    peak = np.max(np.abs(conv.values))
+    got = lp_norm(conv, 512)
+    assert np.isfinite(got)
+    assert peak <= got <= peak * (g.size * g.h) ** (1 / 512)
+
+
+def test_lp_norm_of_huge_constant():
+    g = TorusGrid(1, 8)
+    got = lp_norm(Signal(g, np.full(g.size, 1e200)), 2.0)
+    assert np.isclose(got, 1e200 * np.sqrt(TWO_PI), rtol=1e-14, atol=0)
+
+
 def test_signal_io_roundtrip(tmp_path):
     g = TorusGrid(2, 8)
     f = random_signal(g, np.random.default_rng(4))

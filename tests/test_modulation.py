@@ -1,5 +1,6 @@
 """STFT, modulation norms, and the local norm equivalences."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flwave.corpus import standard_corpus
-from flwave.grid import Signal, TorusGrid, forward_transform, random_signal, \
-    single_mode, zero_signal
+from flwave.grid import Signal, TorusGrid, forward_transform, lattice, \
+    random_signal, single_mode, zero_signal
 from flwave.modulation import (
+    SpaceFreqWeight,
     embedding_check,
     equivalence_check,
     modulation_direction_verdict,
@@ -19,6 +21,7 @@ from flwave.modulation import (
     modulation_wavefront,
     stft,
 )
+from flwave.norms import _mixed_rows
 from flwave.rng import trial_rng
 from flwave.wavefront import default_query
 from flwave.windows import WindowSpec, window_values
@@ -211,6 +214,61 @@ def test_stft_single_mode_shifted_profile():
     shifted = np.abs(np.roll(phi_hat, 1))
     ratio = mags[2:30] / shifted[2:30]
     assert np.max(np.abs(ratio - ratio[0])) < 1e-9
+
+
+def _modulation_norm_reference(f, p, q, w, window):
+    """Full-matrix modulation norm: |V| times the (position, frequency)
+    weight <x_j>^t <k>^s over the whole STFT matrix, then one mixed norm."""
+    grid = f.grid
+    pos = (1.0 + np.sum(grid.sample_points()**2, axis=-1)) ** (w.t / 2.0)
+    freq = lattice(grid).brackets**w.s
+    weight = pos[:, None] * freq[None, :]
+    return float(_mixed_rows(np.abs(stft(f, window)) * weight, p, q, 1))
+
+
+_EXPONENTS = st.sampled_from([1.0, 1.3, 2.0, 4.0, np.inf])
+_SMOOTHNESS = st.sampled_from([0.0, 0.7, 1.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_index=st.integers(0, len(_GRIDS) - 1),
+       shape=st.sampled_from(["gauss", "hann", "flattop"]),
+       width_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**16),
+       s=_SMOOTHNESS, t=_SMOOTHNESS, p=_EXPONENTS, q=_EXPONENTS,
+       precomputed=st.booleans())
+@example(grid_index=6, shape="flattop", width_frac=1.0, seed=0, s=1.5,
+         t=1.5, p=1.3, q=np.inf, precomputed=False)
+@example(grid_index=3, shape="gauss", width_frac=0.5, seed=2, s=0.7,
+         t=0.0, p=np.inf, q=1.3, precomputed=True)
+def test_streamed_modulation_norm_equals_full_matrix(
+        grid_index, shape, width_frac, seed, s, t, p, q, precomputed):
+    g, window, f = _random_case(grid_index, shape, width_frac, seed)
+    w = SpaceFreqWeight(s, t)
+    V = stft(f, window) if precomputed else None
+    got = modulation_norm(f, p, q, w, window, V=V)
+    assert got == _modulation_norm_reference(f, p, q, w, window)
+
+
+def test_modulation_norm_overflow_raises():
+    g = TorusGrid(2, 8)
+    f = Signal(g, np.full(g.size, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="finite"):
+        modulation_norm(f, 2, 1, window=WindowSpec("flattop", 7))
+
+
+def test_modulation_norm_never_holds_a_phase_space_matrix():
+    # the streamed reduction's peak stays below one N x N float64 matrix
+    g = TorusGrid(2, 32)
+    f = random_signal(g, np.random.default_rng(8))
+    modulation_norm(f, 2, 1)  # builds the cached lattice outside the trace
+    tracemalloc.start()
+    try:
+        modulation_norm(f, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.size * g.size * 8
 
 
 def test_modulation_norm_zero():

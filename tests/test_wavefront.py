@@ -556,10 +556,10 @@ def test_scan_positions_must_be_grid_cells():
 # ---------------------------------------------------------------------------
 
 
-def _corpus_scans(mode):
-    """The d=2 n=64 corpus with its default query, and a scan of a
+def _corpus_scans(mode, d=2, n=64):
+    """The d-dimensional corpus with its default query, and a scan of a
     transformed copy of an entry's values."""
-    entries = standard_corpus(2, 64)
+    entries = standard_corpus(d, n)
     grid = entries[0].signal.grid
     query = default_query(grid)
     scan = classical_wavefront if mode == "classical" else estimate_wavefront
@@ -624,6 +624,38 @@ def test_verdicts_follow_a_translation_by_the_scan_stride(mode, steps, entry):
         _remapped(run(values), query,
                   lambda c: tuple((a - b) % 64 for a, b in zip(c, shift)),
                   lambda j: j))
+
+
+# d = 1, n = 256: two bins, theta = +1 and -1, so conjugation swaps them
+SYMMETRIES_D1 = {
+    "scale 1e-3": SYMMETRIES["scale 1e-3"],
+    "scale 7": SYMMETRIES["scale 7"],
+    "conjugate": (np.conj, lambda c: c, lambda j: 1 - j),
+}
+
+
+@pytest.mark.parametrize("mode", ["fl", "classical"])
+@pytest.mark.parametrize("name", sorted(SYMMETRIES_D1))
+def test_d1_verdicts_respect_the_symmetry(mode, name):
+    values_map, cell_of, bin_of = SYMMETRIES_D1[name]
+    entries, query, run = _corpus_scans(mode, 1, 256)
+    for entry in entries:
+        values = entry.signal.reshaped()
+        np.testing.assert_array_equal(
+            run(values_map(values)),
+            _remapped(run(values), query, cell_of, bin_of))
+
+
+@pytest.mark.parametrize("mode", ["fl", "classical"])
+def test_d1_verdicts_follow_a_translation_by_the_scan_stride(mode):
+    entries, query, run = _corpus_scans(mode, 1, 256)
+    for entry in entries:
+        values = entry.signal.reshaped()
+        for shift in (64, 128, 192):  # multiples of the default stride n/4
+            np.testing.assert_array_equal(
+                run(np.roll(values, shift)),
+                _remapped(run(values), query,
+                          lambda c: ((c[0] - shift) % 256,), lambda j: j))
 
 
 # ---------------------------------------------------------------------------
