@@ -13,11 +13,14 @@ with the blur tolerance of the windowed estimator.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .bilinear import conjugate_exponent
-from .grid import Signal, TorusGrid, _check_same_grid, _convolve_rows, \
-    cyclic_convolve, forward_transform, lattice
+from .grid import Signal, Spectrum, TorusGrid, _check_same_grid, \
+    _convolve_rows, cyclic_convolve, forward_transform, inverse_transform, \
+    lattice
 from .norms import FLNormSpec, _fl_rows, _ratio
 from .wavefront import (
     WavefrontQuery,
@@ -228,8 +231,6 @@ def wf_convolution_check(f1: Signal, f2: Signal,
 
 
 def _scan_at_order(f: Signal, query: WavefrontQuery, q, s) -> object:
-    from dataclasses import replace
-
     spec = FLNormSpec(q, Weight.power(float(s)))
     return estimate_wavefront(f, replace(query, spec=spec))
 
@@ -314,8 +315,6 @@ def wf_derivative_check(f: Signal, axis: int, q, s,
         query = default_query(grid)
     coeffs = forward_transform(f).coeffs
     k_axis = lattice(grid).points[:, axis].astype(float)
-    from .grid import Spectrum, inverse_transform
-
     df = inverse_transform(Spectrum(grid, coeffs * 1j * k_axis))
     left = _scan_at_order(df, query, q, s)
     right = _scan_at_order(f, query, q, s + 1.0)

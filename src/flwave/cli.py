@@ -1,6 +1,20 @@
 """Command-line front end: norms, wave-front scans, verification targets.
 
-All randomness flows from a single --seed through per-trial streams, so
+Commands and their flags:
+
+- ``norm --input F``: ``--space {fl,mixed,mod,cone}``, ``--q``, ``--p``,
+  ``--weight``, ``--order``, ``--window``, ``--direction``, ``--aperture``.
+- ``wavefront --input F``: ``--mode {fl,classical,modulation}``, ``--q``,
+  ``--s``, ``--bins``, ``--out``, ``--csv``.  The scan runs the default
+  query at exponent ``--q``; ``--s`` replaces its weight by <k>^s.
+- ``corpus list`` and ``corpus emit --id ID --out F``: ``--d``, ``--n``.
+  ID names an entry of ``standard_corpus(d, n)`` by its id or by the id
+  prefix before a dash (``smooth`` is ``smooth-1`` at d = 1).
+- ``verify TARGET``: ``--seed``, ``--trials``, ``--q``, ``--r``, ``--n``,
+  ``--d``, ``--s``, ``--k``, ``--m``, ``--variant``, ``--symbol``.  The
+  targets are the keys of ``VERIFY``.
+
+All randomness flows from verify's --seed through per-trial streams, so
 identical invocations produce byte-identical JSON reports.  Exit codes:
 0 when every assertion of the selected target passes, 1 on verification
 failure (with a JSON failure report), 2 on usage errors: bad arguments,
@@ -13,6 +27,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -27,13 +42,12 @@ from .calculus import (
     wf_convolution_check,
     wf_product_check,
 )
-from .cones import omega_masks
-from .corpus import make_delta, make_edge, make_example_sum, make_power_cusp, \
-    make_smooth, standard_corpus
-from .grid import TorusGrid, read_signal, write_signal
+from .cones import Cone, omega_masks, parse_direction
+from .corpus import make_smooth, standard_corpus
+from .grid import Signal, TorusGrid, read_signal, write_signal
 from .modulation import embedding_check, equivalence_check, modulation_norm, \
     modulation_wavefront, SpaceFreqWeight
-from .norms import FLNormSpec, KernelGrid, fl_norm, mixed_norm
+from .norms import FLNormSpec, KernelGrid, cone_seminorm, fl_norm, mixed_norm
 from .pdo import parse_symbol, transport_check
 from .rng import trial_rng, trial_stacks
 from .semilinear import bootstrap_indices
@@ -46,16 +60,8 @@ from .wavefront import (
 from .weights import Weight, parse_weight
 from .windows import WindowSpec
 
-VERIFY_TARGETS = (
-    "tf-bounds", "duality", "young-conv", "product", "product-critical",
-    "wf-product", "wf-conv", "algebra", "slice-norms", "transport",
-    "bootstrap", "modulation-equiv", "corpus-oracles",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0)
     parser = argparse.ArgumentParser(
         prog="flwave",
         description="Weighted Fourier-Lebesgue norms and wave-front scans "
@@ -63,8 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_norm = sub.add_parser("norm", help="norms of an input signal",
-                            parents=[shared])
+    p_norm = sub.add_parser("norm", help="norms of an input signal")
     p_norm.add_argument("--input", required=True)
     p_norm.add_argument("--space", choices=("fl", "mixed", "mod", "cone"),
                         default="fl")
@@ -79,8 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help='cone axis: "dir:<radians>" or "axis:x1,...,xd"')
     p_norm.add_argument("--aperture", type=float, default=np.pi / 8)
 
-    p_wf = sub.add_parser("wavefront", help="scan and report",
-                          parents=[shared])
+    p_wf = sub.add_parser("wavefront", help="scan and report")
     p_wf.add_argument("--input", required=True)
     p_wf.add_argument("--mode", choices=("fl", "classical", "modulation"),
                       default="fl")
@@ -90,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wf.add_argument("--out", type=str, default=None)
     p_wf.add_argument("--csv", type=str, default=None)
 
-    p_corpus = sub.add_parser("corpus", help="list or emit corpus entries",
-                              parents=[shared])
+    p_corpus = sub.add_parser("corpus", help="list or emit corpus entries")
     corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
     corpus_sub.add_parser("list")
     p_emit = corpus_sub.add_parser("emit")
@@ -100,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit.add_argument("--d", type=int, default=1)
     p_emit.add_argument("--out", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a verification target",
-                              parents=[shared])
-    p_verify.add_argument("target", choices=VERIFY_TARGETS)
+    p_verify = sub.add_parser("verify", help="run a verification target")
+    p_verify.add_argument("target", choices=VERIFY)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--q", type=float, default=1.0)
     p_verify.add_argument("--r", type=float, default=0.0)
@@ -110,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="lattice size per axis (norm targets) or "
                                "operator order (bootstrap)")
     p_verify.add_argument("--d", type=int, default=1)
-    p_verify.add_argument("--case", type=int, default=1)
     p_verify.add_argument("--s", type=float, default=1.0)
     p_verify.add_argument("--k", type=int, default=0)
     p_verify.add_argument("--m", type=int, default=2)
@@ -164,9 +166,6 @@ def _run_norm(args) -> dict:
     if args.space == "fl":
         value = fl_norm(sig, FLNormSpec(args.q, weight))
     elif args.space == "cone":
-        from .cones import Cone, parse_direction
-        from .norms import cone_seminorm
-
         axis = parse_direction(args.direction)
         value = cone_seminorm(sig, Cone(axis, args.aperture),
                               FLNormSpec(args.q, weight))
@@ -187,9 +186,8 @@ def _run_norm(args) -> dict:
 def _run_wavefront(args) -> dict:
     sig = read_signal(args.input)
     query = default_query(sig.grid, bins=args.bins)
-    if args.s is not None:
-        query = replace(query,
-                        spec=FLNormSpec(args.q, Weight.power(args.s)))
+    weight = query.spec.weight if args.s is None else Weight.power(args.s)
+    query = replace(query, spec=FLNormSpec(args.q, weight))
     scan = {"fl": estimate_wavefront, "classical": classical_wavefront,
             "modulation": modulation_wavefront}[args.mode]
     report = scan(sig, query)
@@ -211,24 +209,11 @@ _CORPUS_IDS = ("smooth", "delta", "edge", "cusp-0.5", "cusp-2.5",
 def _run_corpus(args) -> dict:
     if args.corpus_command == "list":
         return {"entries": list(_CORPUS_IDS)}
-    grid = TorusGrid(args.d, args.n)
-    stride = max(4, args.n // 4)
-    if args.id == "smooth":
-        entry = make_smooth(grid, seed=1)
-    elif args.id == "delta":
-        entry = make_delta(grid, (2 * stride,) * args.d)
-    elif args.id == "edge":
-        entry = make_edge(grid, axis=0, offset=0)
-    elif args.id == "cusp-0.5":
-        entry = make_power_cusp(grid, 0.5, 3 * stride)
-    elif args.id == "cusp-2.5":
-        entry = make_power_cusp(grid, 2.5, stride)
-    elif args.id == "graded-sum":
-        entry = make_example_sum(grid, count=3)
-    else:
-        raise ValueError(f"unknown corpus id {args.id!r}")
-    write_signal(entry.signal, args.out)
-    return {"id": entry.id, "out": args.out, "n": args.n, "d": args.d}
+    for entry in standard_corpus(args.d, args.n):
+        if entry.id == args.id or entry.id.startswith(args.id + "-"):
+            write_signal(entry.signal, args.out)
+            return {"id": entry.id, "out": args.out, "n": args.n, "d": args.d}
+    raise ValueError(f"unknown corpus id {args.id!r} at d={args.d}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,42 +222,32 @@ def _run_corpus(args) -> dict:
 
 
 def _run_verify(args) -> dict:
-    if args.n is None:
-        if args.target == "bootstrap":
+    if args.target == "bootstrap":  # --n is the real operator order
+        if args.n is None:
             raise ValueError("bootstrap requires the operator order --n")
-        args.n = 16
-    handler = {
-        "tf-bounds": _verify_tf_bounds,
-        "duality": _verify_duality,
-        "young-conv": _verify_young,
-        "product": _verify_product,
-        "product-critical": _verify_product_critical,
-        "wf-product": _verify_wf_product,
-        "wf-conv": _verify_wf_conv,
-        "algebra": _verify_algebra,
-        "slice-norms": _verify_slice_norms,
-        "transport": _verify_transport,
-        "bootstrap": _verify_bootstrap,
-        "modulation-equiv": _verify_modulation,
-        "corpus-oracles": _verify_corpus,
-    }[args.target]
-    report = handler(args)
+    else:
+        n = 16.0 if args.n is None else args.n
+        if not n.is_integer():
+            raise ValueError(f"--n is a lattice size, got {n}")
+        args.n = int(n)
+    report = VERIFY[args.target](args)
     report["target"] = args.target
     report["seed"] = args.seed
     return report
 
 
 EXACT_TOL = 1.0 + 1e-10
+W0 = Weight.power(0.0)
 
 
 def _verify_tf_bounds(args) -> dict:
-    n = int(args.n)
     reports = [
-        verify_tf_bound(1, q=args.q, trials=args.trials, seed=args.seed, n=n),
+        verify_tf_bound(1, q=args.q, trials=args.trials, seed=args.seed,
+                        n=args.n),
         verify_tf_bound(3, q=min(args.q, 2.0), trials=args.trials,
-                        seed=args.seed, n=n),
+                        seed=args.seed, n=args.n),
         verify_tf_bound(2, q=max(args.q, 4.0), r=args.r or 0.6,
-                        trials=args.trials, seed=args.seed, n=n),
+                        trials=args.trials, seed=args.seed, n=args.n),
     ]
     ok = all(r["max_ratio"] <= EXACT_TOL for r in reports if r["exact"])
     return {"pass": bool(ok), "reports": reports}
@@ -285,38 +260,43 @@ def _worst(grid: TorusGrid, args, coeffs: int, values,
         grid, args.seed, range(args.trials), coeffs, kernel))))
 
 
-def _verify_duality(args) -> dict:
-    grid = TorusGrid(args.d, int(args.n))
+def _trial_max(key: str, bound: float, coeffs: int, values,
+               kernel: bool = False):
+    """A target whose worst trial value must stay within ``bound``.
 
-    def rel_errors(kernels, f, g, h):
-        lhs, rhs = tf_dual_rows(grid, kernels, f, g, h)
-        diff = lhs - rhs  # np.hypot is abs() of a Python complex
-        return np.hypot(diff.real, diff.imag) / np.maximum(
-            np.hypot(lhs.real, lhs.imag), 1.0)
+    Each trial draws a kernel (with ``kernel``) and ``coeffs`` coefficient
+    rows on the ``--d``/``--n`` grid; ``values(grid, q, *stacks)`` gives
+    the values of one trial stack, and the report names the worst ``key``.
+    """
+    def run(args) -> dict:
+        grid = TorusGrid(args.d, args.n)
+        worst = _worst(grid, args, coeffs, partial(values, grid, args.q),
+                       kernel)
+        return {"pass": bool(worst <= bound), key: worst,
+                "trials": args.trials}
 
-    worst = _worst(grid, args, 3, rel_errors, kernel=True)
-    return {"pass": bool(worst <= 1e-10), "max_rel_error": worst,
-            "trials": args.trials}
-
-
-def _verify_young(args) -> dict:
-    grid = TorusGrid(args.d, int(args.n))
-    w0 = Weight.power(0.0)
-    q1 = 2.0 * args.q
-    worst = _worst(grid, args, 2, lambda f1, f2: [
-        convolve_norm_rows(grid, f1, f2, q, qi, qi, w0, w0, w0)["ratio"]
-        for q, qi in ((args.q, q1), (np.inf, np.inf))])
-    return {"pass": bool(worst <= EXACT_TOL), "max_ratio": worst,
-            "trials": args.trials}
+    return run
 
 
-def _verify_product(args) -> dict:
-    grid = TorusGrid(args.d, int(args.n))
-    w0 = Weight.power(0.0)
-    worst = _worst(grid, args, 2, lambda f1, f2: product_norm_rows(
-        grid, f1, f2, 1.0, 1.0, 1.0, w0, w0, w0)["ratio"])
-    return {"pass": bool(worst <= EXACT_TOL), "max_ratio": worst,
-            "trials": args.trials}
+def _duality_errors(grid, q, kernels, f, g, h):
+    lhs, rhs = tf_dual_rows(grid, kernels, f, g, h)
+    diff = lhs - rhs  # np.hypot is abs() of a Python complex
+    return np.hypot(diff.real, diff.imag) / np.maximum(
+        np.hypot(lhs.real, lhs.imag), 1.0)
+
+
+def _young_ratios(grid, q, f1, f2):
+    return [convolve_norm_rows(grid, f1, f2, qo, qi, qi, W0, W0, W0)["ratio"]
+            for qo, qi in ((q, 2.0 * q), (np.inf, np.inf))]
+
+
+def _product_ratios(grid, q, f1, f2):
+    return product_norm_rows(grid, f1, f2, 1.0, 1.0, 1.0, W0, W0, W0)["ratio"]
+
+
+def _algebra_constants(grid, q, f1, f2, f3, g):
+    return algebra_rows(grid, (f1, f2, f3), g, 1.0, 1.0,
+                        0.0)["per_factor_constant"]
 
 
 def _verify_product_critical(args) -> dict:
@@ -340,7 +320,7 @@ def _verify_product_critical(args) -> dict:
 
 
 def _verify_wf_product(args) -> dict:
-    n = max(int(args.n), 256)
+    n = max(args.n, 256)
     corpus = standard_corpus(1, n)
     smooth = corpus[0]
     cusp = corpus[3]
@@ -350,21 +330,13 @@ def _verify_wf_product(args) -> dict:
 
 
 def _verify_wf_conv(args) -> dict:
-    n = max(int(args.n), 256)
+    n = max(args.n, 256)
     grid = TorusGrid(1, n)
     corpus = standard_corpus(1, n)
     delta = corpus[1]
     bump = make_smooth(grid, seed=3, degree=2)
     rep = wf_convolution_check(bump.signal, delta.signal)
     return {"pass": bool(rep["holds"]), "violations": rep["violations"]}
-
-
-def _verify_algebra(args) -> dict:
-    grid = TorusGrid(args.d, int(args.n))
-    worst = _worst(grid, args, 4, lambda f1, f2, f3, g: algebra_rows(
-        grid, (f1, f2, f3), g, 1.0, 1.0, 0.0)["per_factor_constant"])
-    return {"pass": bool(worst <= EXACT_TOL), "max_constant": worst,
-            "trials": args.trials}
 
 
 def _verify_slice_norms(args) -> dict:
@@ -375,29 +347,23 @@ def _verify_slice_norms(args) -> dict:
         (0, -0.5, 0), (0.5, -0.3, -0.4), (-0.5, 0, 0), (-1, 0, 0),
         (-2, 0, 0), (0.3, -1.2, -0.7), (-1.5, -1, -1),
     ]
-    results = []
     ok = True
-    for t0, t1, t2 in triples:
-        rep = kernel_slice_norms(PowerKernelSpec(t0, t1, t2), regions, p=1.0)
-        for j, r in rep.items():
+    for triple in triples:
+        rep = kernel_slice_norms(PowerKernelSpec(*triple), regions, p=1.0)
+        for r in rep.values():
             ok = ok and r["max_residual"] <= 1e-9
-        results.append({"triple": [t0, t1, t2], "regions": rep})
-    tails = [
-        {"p": 1.0, "spec": (0, 0, -2), "c": 0.5, "R": 4.0},
-        {"p": 1.0, "spec": (0, -2, 0), "c": 0.5, "R": 4.0},
-        {"p": 2.0, "spec": (0.5, -1, -1), "c": 0.5, "R": 4.0},
-        {"p": np.inf, "spec": (1, -1, 0), "c": 0.5, "R": 4.0},
+    tails = [  # (p, kernel spec); each at c = 0.5, R = 4
+        (1.0, (0, 0, -2)), (1.0, (0, -2, 0)), (2.0, (0.5, -1, -1)),
+        (np.inf, (1, -1, 0)),
     ]
-    for cfg in tails:
-        rep = tail_slice_norms(grid, PowerKernelSpec(*cfg["spec"]),
-                               cfg["c"], cfg["R"], cfg["p"])
+    for p, spec in tails:
+        rep = tail_slice_norms(grid, PowerKernelSpec(*spec), 0.5, 4.0, p)
         ok = ok and rep["max_residual"] <= 1e-9
-        results.append({"tail": cfg, "report": rep})
-    return {"pass": bool(ok), "cases": len(results)}
+    return {"pass": bool(ok), "cases": len(triples) + len(tails)}
 
 
 def _verify_transport(args) -> dict:
-    n = max(int(args.n), 256)
+    n = max(args.n, 256)
     corpus = standard_corpus(1, n)
     cusp = corpus[3]
     symbol = parse_symbol(args.symbol, cusp.signal.grid)
@@ -428,16 +394,13 @@ def _verify_bootstrap(args) -> dict:
 def _verify_modulation(args) -> dict:
     grid = TorusGrid(1, 64)
     window = WindowSpec("gauss", 16)
+    profile = np.exp(-((np.arange(64) - 32) ** 2) / 8.0)
     worst_mono = 0.0
     ratios = []
     for t in range(min(args.trials, 100)):
         rng = trial_rng(args.seed, t)
-        center = 32
-        profile = np.exp(-((np.arange(64) - center) ** 2) / 8.0)
         vals = profile * (rng.standard_normal(64)
                           + 1j * rng.standard_normal(64))
-        from .grid import Signal
-
         sig = Signal(grid, vals)
         rep = embedding_check(sig, q=2.0, p1=1.0, p2=np.inf, window=window)
         worst_mono = max(worst_mono, rep["p_monotonicity_ratio"])
@@ -464,6 +427,25 @@ def _verify_corpus(args) -> dict:
                           f"extra singular verdict at {extras[0].x0}")
                 failures.append({"entry": entry.id, "d": d, "detail": detail})
     return {"pass": not failures, "failures": failures}
+
+
+# The verify targets: the parser's choices and the dispatch both read it.
+VERIFY = {
+    "tf-bounds": _verify_tf_bounds,
+    "duality": _trial_max("max_rel_error", 1e-10, 3, _duality_errors,
+                          kernel=True),
+    "young-conv": _trial_max("max_ratio", EXACT_TOL, 2, _young_ratios),
+    "product": _trial_max("max_ratio", EXACT_TOL, 2, _product_ratios),
+    "product-critical": _verify_product_critical,
+    "wf-product": _verify_wf_product,
+    "wf-conv": _verify_wf_conv,
+    "algebra": _trial_max("max_constant", EXACT_TOL, 4, _algebra_constants),
+    "slice-norms": _verify_slice_norms,
+    "transport": _verify_transport,
+    "bootstrap": _verify_bootstrap,
+    "modulation-equiv": _verify_modulation,
+    "corpus-oracles": _verify_corpus,
+}
 
 
 if __name__ == "__main__":

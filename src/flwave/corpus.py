@@ -238,7 +238,7 @@ def make_example_sum(grid: TorusGrid, count: int = 3, q: float = 1.0,
         bump = _texture_bump(grid, center, sigma, gammas[j], k_min, rng)
         m_j = np.max(np.abs(bump))
         if m_j == 0:
-            raise RuntimeError("degenerate bump construction")
+            raise ValueError("degenerate bump construction")
         vals += bump / (j * j * m_j)
         spans.append((lo, hi))
         comps.append(OracleComponent(
@@ -249,7 +249,7 @@ def make_example_sum(grid: TorusGrid, count: int = 3, q: float = 1.0,
     # effective supports (4-sigma footprints) must be disjoint
     for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
         if not hi2 < lo1:
-            raise RuntimeError("component footprints must be disjoint")
+            raise ValueError("component footprints must be disjoint")
     classical = tuple((c % n,) for lo, hi in spans for c in range(lo, hi + 1))
     return CorpusEntry(
         id=f"graded-sum-{count}",

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bilinear import conjugate_exponent
 from .grid import Signal, TorusGrid, _prefactor, forward_transform, lattice
 from .norms import FLNormSpec, _row_norm, fl_norm
 from .wavefront import (WavefrontQuery, WavefrontReport, _cone_fits,
@@ -168,7 +169,7 @@ def embedding_check(f: Signal, q: float, p1: float, p2: float,
     Needs p1 <= min(q, q') and max(q, q') <= p2; returns the two bracket
     constants (empirical) plus the exact monotonicity ratio in p.
     """
-    qp = 1.0 if np.isinf(q) else (np.inf if q == 1 else q / (q - 1))
+    qp = conjugate_exponent(q)
     if p1 > min(q, qp) + 1e-12 or p2 < max(q, qp) - 1e-12:
         raise ValueError("needs p1 <= min(q, q') <= max(q, q') <= p2")
     V = stft(f, window)

@@ -13,12 +13,15 @@ derivatives).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cones import Cone, cone_mask
-from .grid import Signal, TorusGrid, forward_transform, lattice
+from .grid import Signal, Spectrum, TorusGrid, forward_transform, \
+    inverse_transform, lattice
+from .norms import FLNormSpec
 from .wavefront import (
     WavefrontQuery,
     default_query,
@@ -111,8 +114,6 @@ def quantize_apply(a: Symbol, f: Signal) -> Signal:
     coeffs = forward_transform(f).coeffs
     pref = TWO_PI ** (-grid.d / 2.0)
     if a.x_independent:
-        from .grid import Spectrum, inverse_transform
-
         # multiplier path: modify coefficients, invert exactly
         return inverse_transform(Spectrum(grid, coeffs * a.on_lattice(grid)))
     table = a.table(grid)
@@ -173,10 +174,6 @@ def transport_check(a: Symbol, f: Signal, q: float, s: float,
     scan points, regularity of Af at s-m forces regularity of f at s; and
     the union form WF_s(f) within WF_s(Af) plus the characteristic set.
     """
-    from dataclasses import replace
-
-    from .norms import FLNormSpec
-
     grid = f.grid
     if query is None:
         query = default_query(grid)
@@ -228,8 +225,6 @@ def parse_symbol(text: str, grid: TorusGrid) -> Symbol:
 
         return multiplier_symbol(float(len(coeffs) - 1), func, text)
     if text.startswith("table:"):
-        import json
-
         with open(text[6:]) as fh:
             payload = json.load(fh)
         vals = np.asarray(payload["values"], dtype=complex)

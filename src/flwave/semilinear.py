@@ -12,11 +12,12 @@ demo is a separate, weaker corroboration on an invertible multiplier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grid import Signal, Spectrum, forward_transform, inverse_transform, lattice
+from .norms import FLNormSpec
 from .pdo import Symbol, quantize_apply
 from .wavefront import (WavefrontQuery, _merge_singular, default_query,
                         estimate_wavefront, report_included_in)
@@ -146,10 +147,6 @@ def wf_nonlinearity_check(G: PolynomialNonlinearity, fs: list, q, s, sigma,
     2s - d/q', r >= d/q'.  The target scan runs at order sigma and the
     factor scans at sigma + (m-1) r.
     """
-    from dataclasses import replace
-
-    from .norms import FLNormSpec
-
     grid = fs[0].grid
     d = grid.d
     dqp = _d_over_conjugate(q, d)

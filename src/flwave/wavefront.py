@@ -81,7 +81,7 @@ class WavefrontQuery:
     decay_threshold: float = 6.0  # classical T
     octaves: tuple = (3, 6)  # inclusive fit range [m_lo, m_hi]
     rel_floor: float = REL_FLOOR
-    classical_rel_floor: float | None = None  # defaults to a deep floor
+    classical_rel_floor: float = CLASSICAL_REL_FLOOR
     margin: float = SLOPE_MARGIN
 
     def __post_init__(self):
@@ -535,9 +535,7 @@ def _scan(f: Signal, query: WavefrontQuery, mode: str,
     if classical and query.octaves[1] - query.octaves[0] + 1 < 3:
         raise ValueError("classical scan needs at least 3 octaves")
     if classical:
-        rel = (query.classical_rel_floor
-               if query.classical_rel_floor is not None
-               else min(query.rel_floor, CLASSICAL_REL_FLOOR))
+        rel = query.classical_rel_floor
         q, w, bound = np.inf, 1.0, -query.decay_threshold
     else:
         rel, q = query.rel_floor, query.spec.q

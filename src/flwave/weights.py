@@ -14,6 +14,7 @@ w(x+y) <= C w(x) v(y) actually holds is checked numerically by
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,8 +161,6 @@ def parse_weight(text: str) -> Weight:
     if text.startswith("s:"):
         return Weight.power(float(text[2:]))
     if text.startswith("table:"):
-        import json
-
         with open(text[6:]) as fh:
             payload = json.load(fh)
         grid = TorusGrid(int(payload["d"]), int(payload["n"]))

@@ -1,19 +1,23 @@
 """CLI exit codes, determinism, and report formats."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flwave.cli import main
+from flwave.cli import VERIFY, build_parser, main
 from flwave.corpus import standard_corpus
 from flwave.grid import TorusGrid, read_signal, write_signal, zero_signal
 from flwave.modulation import modulation_wavefront
-from flwave.wavefront import default_query
+from flwave.norms import FLNormSpec
+from flwave.wavefront import default_query, estimate_wavefront
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -170,3 +174,80 @@ def test_trials_below_one_is_a_usage_error(capsys, target, trials):
         main(["verify", target, "--trials", trials])
     assert exc.value.code == 2
     assert "--trials must be >= 1" in capsys.readouterr().err
+
+
+def test_wavefront_q_sets_the_scan_exponent(tmp_path, capsys):
+    entry = standard_corpus(1, 256)[2]
+    sig_path = tmp_path / "cusp.json"
+    write_signal(entry.signal, str(sig_path))
+    code, out = _run(["wavefront", "--input", str(sig_path), "--q", "2"],
+                     capsys)
+    assert code == 0
+    payload = json.loads(out.strip().splitlines()[-1])
+    query = default_query(entry.signal.grid)
+    query = replace(query, spec=FLNormSpec(2.0, query.spec.weight))
+    report = estimate_wavefront(read_signal(str(sig_path)), query)
+    assert payload["params"]["q"] == 2.0
+    assert payload["records"] == json.loads(report.to_json())["records"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "product", "--n", "16.5"],
+    ["verify", "tf-bounds", "--n", "8.9"],
+    ["verify", "duality", "--n", "inf"],
+    ["verify", "young-conv", "--n", "nan"],
+])
+def test_non_integer_lattice_size_is_a_usage_error(capsys, argv):
+    code, out = _run(argv, capsys)
+    assert code == 2
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert payload["status"] == "error" and "--n" in payload["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "product", "--case", "1"],
+    ["norm", "--input", "f.json", "--seed", "3"],
+    ["wavefront", "--input", "f.json", "--seed", "3"],
+    ["corpus", "--seed", "3", "emit", "--id", "delta", "--out", "f.json"],
+])
+def test_flags_that_would_do_nothing_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "flwave" in capsys.readouterr().err  # argparse's usage error
+
+
+def test_corpus_emit_reads_the_library_corpus(tmp_path, capsys):
+    out_path = tmp_path / "smooth.bin"
+    code, out = _run(["corpus", "emit", "--id", "smooth", "--d", "2",
+                      "--n", "64", "--out", str(out_path)], capsys)
+    assert code == 0
+    entry = standard_corpus(2, 64)[0]
+    assert json.loads(out)["id"] == entry.id
+    assert np.array_equal(read_signal(str(out_path)).values,
+                          entry.signal.values)
+
+
+def test_verify_targets_are_the_table(capsys):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    target = next(a for a in sub.choices["verify"]._actions
+                  if a.dest == "target")
+    assert list(target.choices) == list(VERIFY)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Verify targets: `([^`]*)`", readme).group(1)
+    assert listed.split() == list(VERIFY)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--id", "edge", "--d", "1"],  # not in the 1-D corpus
+    ["--id", "delta", "--d", "3", "--n", "16"],  # no 3-D corpus
+    ["--id", "delta", "--n", "36"],  # the graded sum does not fit n = 36
+])
+def test_corpus_emit_outside_the_corpus_is_a_usage_error(tmp_path, capsys,
+                                                         argv):
+    code, out = _run(["corpus", "emit", *argv, "--out",
+                      str(tmp_path / "x.json")], capsys)
+    assert code == 2
+    assert json.loads(out)["status"] == "error"
+    assert not (tmp_path / "x.json").exists()
