@@ -167,6 +167,15 @@ def conjugate_exponent(q: float) -> float:
     return q / (q - 1.0)
 
 
+def d_over_conjugate(q, d) -> float:
+    """d/q' for the conjugate exponent q' of q: 0 at q = 1, d at q = inf."""
+    if q == 1:
+        return 0.0
+    if np.isinf(q):
+        return float(d)
+    return d * (1.0 - 1.0 / q)
+
+
 def _structured_instances(grid: TorusGrid, q: float, r: float) -> tuple:
     """Near-extremal instances that pin the weighted bound's constant.
 

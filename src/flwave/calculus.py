@@ -7,25 +7,24 @@ Each norm check is written once, as ``*_rows`` over row stacks ((T, n^d)
 sample values, one instance per row); ``*_check`` runs it on one row.
 The critical-index product bounds have non-constructive constants; they
 are reported together with an n-doubling stability diagnostic.  The
-wave-front checks compare singular verdict sets at the stated scales,
-with the blur tolerance of the windowed estimator.
+wave-front checks scan each side at its stated order with the grid's
+default query (``wavefront._scan_at_order``) and match the singular
+sets under ``report_included_in``'s default tolerance of two cells and
+one direction bin, the blur of the windowed estimator.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .bilinear import conjugate_exponent
+from .bilinear import conjugate_exponent, d_over_conjugate
 from .grid import Signal, Spectrum, TorusGrid, _check_same_grid, \
     _convolve_rows, cyclic_convolve, forward_transform, inverse_transform, \
     lattice
 from .norms import FLNormSpec, _fl_rows, _ratio
 from .wavefront import (
-    WavefrontQuery,
-    _included,
     _merge_singular,
+    _scan_at_order,
     default_query,
     estimate_wavefront,
     report_included_in,
@@ -147,8 +146,7 @@ def product_critical_rows(grid: TorusGrid, v1, v2, q, s1, s2, r,
                           s=None) -> dict:
     """product_critical_norm_check of each row pair of two value stacks."""
     d = grid.d
-    qp = conjugate_exponent(q)
-    dqp = 0.0 if np.isinf(qp) else d / qp
+    dqp = d_over_conjugate(q, d)
     if s is None:
         s = min(s1, s2, s1 + s2 - dqp)
     if q > 2 and r <= d * (1 - 2.0 / q):
@@ -182,7 +180,7 @@ def algebra_rows(grid: TorusGrid, fs, g, q, q0, s) -> dict:
     """algebra_check of each row: factor stacks ``fs``, module stack g."""
     d = grid.d
     qp = conjugate_exponent(q)
-    dqp = 0.0 if np.isinf(qp) else d / qp
+    dqp = d_over_conjugate(q, d)
     if q0 > q:
         raise ValueError("needs q0 <= q")
     if q < 2 and s < dqp - 1e-12:
@@ -217,53 +215,38 @@ def numerical_support(f: Signal, rel: float = 1e-8) -> np.ndarray:
     return mags > rel * np.max(mags)
 
 
-def wf_convolution_check(f1: Signal, f2: Signal,
-                         query: WavefrontQuery | None = None,
-                         cell_tol: float = 2.0, bin_tol: int = 1) -> dict:
+def wf_convolution_check(f1: Signal, f2: Signal) -> dict:
     """Estimated WF(f1*f2) against supp(f1) + WF(f2), within tolerance."""
-    if query is None:
-        query = default_query(f1.grid)
+    query = default_query(f1.grid)
     left = estimate_wavefront(cyclic_convolve(f1, f2), query)
     right = estimate_wavefront(f2, query)
-    result = _included(left, right, cell_tol, bin_tol, numerical_support(f1))
-    return {**result, "left_singular": int(left.singular_mask.sum()),
+    return {**report_included_in(left, right,
+                                 support=numerical_support(f1)),
+            "left_singular": int(left.singular_mask.sum()),
             "right_singular": int(right.singular_mask.sum())}
 
 
-def _scan_at_order(f: Signal, query: WavefrontQuery, q, s) -> object:
-    spec = FLNormSpec(q, Weight.power(float(s)))
-    return estimate_wavefront(f, replace(query, spec=spec))
-
-
 def wf_product_check(f1: Signal, f2: Signal, mode: str, q, s1, s2,
-                     r: float = 0.0, s: float | None = None,
-                     N1: float | None = None, N2: float | None = None,
-                     query: WavefrontQuery | None = None,
-                     cell_tol: float = 2.0, bin_tol: int = 1) -> dict:
+                     r: float = 0.0, s: float | None = None) -> dict:
     """Verdict-level product wave-front inclusions at the stated scales.
 
     Modes "dominant" and "dominant_low" bound the product (at scale s2,
     or at a lower scale s) by the first factor at scale |s2| under the
     two exponent-condition variants; mode "union_critical" bounds the
-    product at the critical scale by the union of both factors at scales
-    N1, N2 (defaulting to the minimal admissible values).
+    product at the critical scale by the union of both factors at the
+    minimal admissible scales N1, N2 (echoed in ``hypotheses``).
     """
-    grid = f1.grid
-    d = grid.d
-    qp = conjugate_exponent(q)
-    dqp = 0.0 if np.isinf(qp) else d / qp
+    d = f1.grid.d
+    dqp = d_over_conjugate(q, d)
     dq = 0.0 if np.isinf(q) else d / q
-    if query is None:
-        query = default_query(grid)
     hypotheses = {"mode": mode, "q": q, "s1": s1, "s2": s2, "r": r}
     product = f1 * f2
     if mode == "dominant":
         need = 0.0 if q == 1 else dqp
         if s1 - abs(s2) < need - 1e-12:
             raise ValueError("needs s1 - |s2| >= d/q' (or >= 0 at q = 1)")
-        left = _scan_at_order(product, query, q, s2)
-        right = _scan_at_order(f1, query, q, abs(s2))
-        result = report_included_in(left, right, cell_tol, bin_tol)
+        left = _scan_at_order(product, q, s2)
+        right = _scan_at_order(f1, q, abs(s2))
     elif mode == "dominant_low":
         if s is None:
             raise ValueError("case 2 needs the target order s")
@@ -276,9 +259,8 @@ def wf_product_check(f1: Signal, f2: Signal, mode: str, q, s1, s2,
         if s2 - s < dqp - 1e-12:
             raise ValueError("needs s2 - s >= d/q'")
         hypotheses["s"] = s
-        left = _scan_at_order(product, query, q, s)
-        right = _scan_at_order(f1, query, q, abs(s2))
-        result = report_included_in(left, right, cell_tol, bin_tol)
+        left = _scan_at_order(product, q, s)
+        right = _scan_at_order(f1, q, abs(s2))
     elif mode == "union_critical":
         if s1 + s2 <= 0:
             raise ValueError("needs s1 + s2 > 0")
@@ -286,37 +268,26 @@ def wf_product_check(f1: Signal, f2: Signal, mode: str, q, s1, s2,
             raise ValueError("needs r > d(1 - 2/q) when q > 2")
         crit = s1 + s2 - min(dq, dqp)
         margin = d * max(0.0, 1 - 2.0 / q)
-        if N1 is None:
-            N1 = s1 + abs(s2) + margin + (0.0 if np.isinf(q) else 1e-9)
-        if N2 is None:
-            N2 = s2 + abs(s1) + margin + (0.0 if np.isinf(q) else 1e-9)
+        slack = 0.0 if np.isinf(q) else 1e-9
+        N1 = s1 + abs(s2) + margin + slack
+        N2 = s2 + abs(s1) + margin + slack
         hypotheses.update({"s": crit, "N1": N1, "N2": N2})
-        left = _scan_at_order(product, query, q, crit)
-        r1 = _scan_at_order(f1, query, q, N1)
-        r2 = _scan_at_order(f2, query, q, N2)
-        merged = _merge_singular(r1, r2)
-        result = report_included_in(left, merged, cell_tol, bin_tol)
+        left = _scan_at_order(product, q, crit)
+        right = _merge_singular(_scan_at_order(f1, q, N1),
+                                _scan_at_order(f2, q, N2))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return {"holds": result["holds"], "violations": result["violations"],
-            "hypotheses": hypotheses}
+    return {**report_included_in(left, right), "hypotheses": hypotheses}
 
 
-def wf_derivative_check(f: Signal, axis: int, q, s,
-                        query: WavefrontQuery | None = None,
-                        cell_tol: float = 2.0, bin_tol: int = 1) -> dict:
+def wf_derivative_check(f: Signal, axis: int, q, s) -> dict:
     """Differentiation moves the wave front down one weight order.
 
     Checks WF at order s of the spectral derivative against WF at order
     s + 1 of the signal (one derivative costs exactly one bracket power).
     """
-    grid = f.grid
-    if query is None:
-        query = default_query(grid)
     coeffs = forward_transform(f).coeffs
-    k_axis = lattice(grid).points[:, axis].astype(float)
-    df = inverse_transform(Spectrum(grid, coeffs * 1j * k_axis))
-    left = _scan_at_order(df, query, q, s)
-    right = _scan_at_order(f, query, q, s + 1.0)
-    result = report_included_in(left, right, cell_tol, bin_tol)
-    return {"holds": result["holds"], "violations": result["violations"]}
+    k_axis = lattice(f.grid).points[:, axis].astype(float)
+    df = inverse_transform(Spectrum(f.grid, coeffs * 1j * k_axis))
+    return report_included_in(_scan_at_order(df, q, s),
+                              _scan_at_order(f, q, s + 1.0))

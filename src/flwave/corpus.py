@@ -260,7 +260,10 @@ def make_example_sum(grid: TorusGrid, count: int = 3, q: float = 1.0,
 
 
 def standard_corpus(d: int, n: int) -> list:
-    """The acceptance corpus for one dimension."""
+    """The acceptance corpus for one dimension (n >= 16)."""
+    if n < 16:
+        raise ValueError(f"the standard corpus needs n >= 16 (its smooth "
+                         f"entry has degree 4 <= n/4); got n = {n}")
     grid = TorusGrid(d, n)
     if d == 1:
         stride = n // 4

@@ -96,27 +96,20 @@ def stft(f: Signal, window: WindowSpec) -> np.ndarray:
 
 def modulation_norm(f: Signal, p: float, q: float,
                     w: SpaceFreqWeight | None = None,
-                    window: WindowSpec | None = None,
-                    V: np.ndarray | None = None) -> float:
+                    window: WindowSpec | None = None) -> float:
     """Outer l^q over frequency of inner l^p over position of |V w|.
 
     Counting measure in both variables keeps the (p, q) monotonicity
     exact.  The inner sums are taken block by block as the STFT is
     produced, in unshifted frequency order, in buffers reused across
-    blocks: peak memory O(N n^(d-1)), not O(N^2).  A precomputed STFT
-    matrix ``V`` (to amortize repeated norms) goes through the same
-    reduction in its own column order.
+    blocks: peak memory O(N n^(d-1)), not O(N^2).
     """
     if p < 1 or q < 1:
         raise ValueError("modulation norm exponents must be >= 1")
     grid = f.grid
+    window = window or WindowSpec("gauss", max(8, grid.n // 4))
     pos, freq = (w or SpaceFreqWeight()).factors(grid)
-    if V is None:
-        window = window or WindowSpec("gauss", max(8, grid.n // 4))
-        blocks = _stft_blocks(f, window)
-        freq = np.fft.ifftshift(freq.reshape(grid.shape)).ravel()
-    else:
-        blocks = np.reshape(V, (grid.n, -1, grid.size))
+    freq = np.fft.ifftshift(freq.reshape(grid.shape)).ravel()
     pos = pos.reshape(grid.n, -1)
     rows = pos.shape[1]
     # row 0 carries the running sum above one block's terms, so numpy's
@@ -124,14 +117,13 @@ def modulation_norm(f: Signal, p: float, q: float,
     buf, wts = np.zeros((rows + 1, grid.size)), np.empty((rows, grid.size))
     reduce = np.maximum.reduce if np.isinf(p) else np.add.reduce
     sums = None
-    for c0, block in enumerate(blocks):
+    for c0, block in enumerate(_stft_blocks(f, window)):
         np.abs(block.reshape(wts.shape), out=buf[1:])
         buf[1:] *= np.multiply(pos[c0, :, None], freq, out=wts)
         if not np.isinf(p):
             buf[1:] **= p
         buf[0] = sums = reduce(buf, axis=0, out=sums)
-    if V is None:
-        sums = np.fft.fftshift(sums.reshape(grid.shape)).ravel()
+    sums = np.fft.fftshift(sums.reshape(grid.shape)).ravel()
     return float(_row_norm(sums if np.isinf(p) else sums ** (1.0 / p), q))
 
 
@@ -172,9 +164,8 @@ def embedding_check(f: Signal, q: float, p1: float, p2: float,
     qp = conjugate_exponent(q)
     if p1 > min(q, qp) + 1e-12 or p2 < max(q, qp) - 1e-12:
         raise ValueError("needs p1 <= min(q, q') <= max(q, q') <= p2")
-    V = stft(f, window)
-    upper = modulation_norm(f, p2, q, V=V)
-    lower = modulation_norm(f, p1, q, V=V)
+    upper = modulation_norm(f, p2, q, window=window)
+    lower = modulation_norm(f, p1, q, window=window)
     fl = fl_norm(f, FLNormSpec(q, Weight.power(0.0)))
     mono = upper / lower if lower > 0 else 0.0
     return {

@@ -9,6 +9,12 @@ to pointwise multiplication when a is frequency-independent.  Symbol
 class membership is certified by sampled quotients |a| / <k>^m and first
 differences against <k>^(m-1) (table symbols have no closed-form
 derivatives).
+
+``transport_check`` scans f and Af at their orders with the grid's
+default query (``wavefront._scan_at_order``), matches singular sets
+under ``report_included_in``'s default tolerance, and finds the
+characteristic scan points with the fixed lower bound |a| > 0.1 |k|^m
+beyond |k| = 4.
 """
 
 from __future__ import annotations
@@ -21,14 +27,7 @@ import numpy as np
 from .cones import Cone, cone_mask
 from .grid import Signal, Spectrum, TorusGrid, forward_transform, \
     inverse_transform, lattice
-from .norms import FLNormSpec
-from .wavefront import (
-    WavefrontQuery,
-    default_query,
-    estimate_wavefront,
-    report_included_in,
-)
-from .weights import Weight
+from .wavefront import _scan_at_order, report_included_in
 
 __all__ = [
     "Symbol",
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+CHAR_C, CHAR_R = 0.1, 4.0  # transport's lower bound |a| > c |k|^m, |k| > R
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,9 @@ def quantize_apply(a: Symbol, f: Signal) -> Signal:
 
 
 def noncharacteristic_at(a: Symbol, x0, direction, c: float, R: float,
-                         aperture: float, spatial_radius: float | None = None,
-                         grid: TorusGrid | None = None) -> bool:
-    """|a(x, k)| > c |k|^m on the cone beyond radius R, near x0."""
-    if grid is None:
-        raise ValueError("grid required to sample the lattice")
+                         aperture: float, grid: TorusGrid) -> bool:
+    """|a(x, k)| > c |k|^m on the cone beyond radius R, within n/16 cells
+    of x0."""
     if R >= grid.n // 2:
         raise ValueError(f"R = {R} leaves no testable frequencies (n = {grid.n})")
     lat = lattice(grid)
@@ -138,12 +136,10 @@ def noncharacteristic_at(a: Symbol, x0, direction, c: float, R: float,
     if not np.any(mask):
         raise ValueError("no lattice frequencies in the test cone")
     ks = lat.points[mask].astype(float)
-    if spatial_radius is None:
-        spatial_radius = grid.n / 16.0
     pts = grid.sample_points()
     x0v = np.atleast_1d(np.asarray(x0, dtype=float)) * grid.h
     delta = (pts - x0v + np.pi) % TWO_PI - np.pi
-    near = np.sqrt(np.sum(delta**2, axis=-1)) <= spatial_radius * grid.h
+    near = np.sqrt(np.sum(delta**2, axis=-1)) <= grid.n / 16.0 * grid.h
     xs = pts[near]
     vals = np.abs(np.asarray(a.evaluator(xs, ks)))
     bound = c * lat.norms[mask] ** a.order
@@ -163,10 +159,7 @@ def char_set_scan(a: Symbol, positions, directions, c: float, R: float,
     return flagged
 
 
-def transport_check(a: Symbol, f: Signal, q: float, s: float,
-                    query: WavefrontQuery | None = None,
-                    c: float = 0.1, R: float = 4.0,
-                    cell_tol: float = 2.0, bin_tol: int = 1) -> dict:
+def transport_check(a: Symbol, f: Signal, q: float, s: float) -> dict:
     """Microlocal transport of wave fronts under the operator.
 
     Three verdict-level reports: the operator cannot create singularities
@@ -174,26 +167,21 @@ def transport_check(a: Symbol, f: Signal, q: float, s: float,
     scan points, regularity of Af at s-m forces regularity of f at s; and
     the union form WF_s(f) within WF_s(Af) plus the characteristic set.
     """
-    grid = f.grid
-    if query is None:
-        query = default_query(grid)
     Af = quantize_apply(a, f)
-    spec_s = FLNormSpec(q, Weight.power(s))
-    spec_sm = FLNormSpec(q, Weight.power(s - a.order))
-    rep_f = estimate_wavefront(f, replace(query, spec=spec_s))
-    rep_Af = estimate_wavefront(Af, replace(query, spec=spec_sm))
-    forward = report_included_in(rep_Af, rep_f, cell_tol, bin_tol)
+    rep_f = _scan_at_order(f, q, s)
+    rep_Af = _scan_at_order(Af, q, s - a.order)
+    forward = report_included_in(rep_Af, rep_f)
 
-    char = set(char_set_scan(a, query.positions, query.directions, c, R,
-                             query.aperture, grid))
+    query = rep_f.query
+    char = set(char_set_scan(a, query.positions, query.directions, CHAR_C,
+                             CHAR_R, query.aperture, f.grid))
     # Af regular at a point and no singular Af nearby is exactly "no
     # singular Af within tolerance": the neighbourhood holds the point
     char_mask = np.array([(r.x0, r.theta) in char for r in rep_f.records],
                          dtype=bool).reshape(rep_f.singular_mask.shape)
     off_char = replace(rep_f, singular_mask=rep_f.singular_mask & ~char_mask)
-    lift = report_included_in(off_char, rep_Af, cell_tol, bin_tol)
-    rep_Af_s = estimate_wavefront(Af, replace(query, spec=spec_s))
-    union = report_included_in(off_char, rep_Af_s, cell_tol, bin_tol)
+    lift = report_included_in(off_char, rep_Af)
+    union = report_included_in(off_char, _scan_at_order(Af, q, s))
     return {
         "forward_holds": forward["holds"],
         "forward_violations": forward["violations"],

@@ -7,21 +7,24 @@ inversion, while sigma stays within [s, 2s - d/q'].  The final index is
 the closed form 2s + n - d/q' whenever the preconditions pass; every
 violated precondition is rejected by name.  The numerical fixed-point
 demo is a separate, weaker corroboration on an invertible multiplier.
+
+``wf_nonlinearity_check`` scans the nonlinearity and each factor at its
+order with the grid's default query (``wavefront._scan_at_order``) and
+matches singular sets under ``report_included_in``'s default tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
+from .bilinear import d_over_conjugate
 from .grid import Signal, Spectrum, forward_transform, inverse_transform, lattice
-from .norms import FLNormSpec
 from .pdo import Symbol, quantize_apply
-from .wavefront import (WavefrontQuery, _merge_singular, default_query,
-                        estimate_wavefront, report_included_in)
-from .weights import Weight
+from .wavefront import _merge_singular, _scan_at_order, report_included_in
 
 __all__ = [
     "PolynomialNonlinearity",
@@ -139,17 +142,14 @@ def jet(f: Signal, k: int) -> Jet:
 
 
 def wf_nonlinearity_check(G: PolynomialNonlinearity, fs: list, q, s, sigma,
-                          r, query: WavefrontQuery | None = None,
-                          cell_tol: float = 2.0, bin_tol: int = 1) -> dict:
+                          r) -> dict:
     """Wave front of G(x, f_1..f_N) inside the union of lifted factors.
 
     Preconditions: s >= d/q' (strict at q = infinity), s <= sigma <=
     2s - d/q', r >= d/q'.  The target scan runs at order sigma and the
     factor scans at sigma + (m-1) r.
     """
-    grid = fs[0].grid
-    d = grid.d
-    dqp = _d_over_conjugate(q, d)
+    dqp = d_over_conjugate(q, fs[0].grid.d)
     if np.isinf(q):
         if s <= dqp:
             raise ValueError("needs s > d/q' when q = infinity")
@@ -159,30 +159,13 @@ def wf_nonlinearity_check(G: PolynomialNonlinearity, fs: list, q, s, sigma,
         raise ValueError("needs s <= sigma <= 2s - d/q'")
     if r < dqp - 1e-12:
         raise ValueError("needs r >= d/q'")
-    if query is None:
-        query = default_query(grid)
     lifted = sigma + (G.degree - 1) * r
-    out = eval_nonlinearity(G, fs)
-    left = estimate_wavefront(
-        out, replace(query, spec=FLNormSpec(q, Weight.power(sigma))))
-    spec_hi = FLNormSpec(q, Weight.power(lifted))
-    reports = [estimate_wavefront(f, replace(query, spec=spec_hi))
-               for f in fs]
-    merged = reports[0]
-    for rep in reports[1:]:
-        merged = _merge_singular(merged, rep)
-    result = report_included_in(left, merged, cell_tol, bin_tol)
-    return {"holds": result["holds"], "violations": result["violations"],
+    left = _scan_at_order(eval_nonlinearity(G, fs), q, sigma)
+    merged = reduce(_merge_singular,
+                    [_scan_at_order(f, q, lifted) for f in fs])
+    return {**report_included_in(left, merged),
             "hypotheses": {"q": q, "s": s, "sigma": sigma, "r": r,
                            "lifted_order": lifted}}
-
-
-def _d_over_conjugate(q, d) -> float:
-    if q == 1:
-        return 0.0
-    if np.isinf(q):
-        return float(d)
-    return d * (1.0 - 1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -216,7 +199,7 @@ def bootstrap_indices(q, d, s, k, m, r, n, variant: int) -> BootstrapLedger:
         return reject("variant in {1, 2}")
     if variant == 2 and q != 1:
         return reject("variant 2 requires q = 1")
-    dqp = _d_over_conjugate(q, d)
+    dqp = d_over_conjugate(q, d)
     if s < dqp - 1e-12:
         return reject("s >= d/q'")
     if variant == 1 and r < dqp - 1e-12:

@@ -420,8 +420,23 @@ def _reach(report: WavefrontReport, cells, targets, cell_tol, bin_tol,
             @ near_bin.astype(int)) > 0
 
 
-def _included(left: WavefrontReport, right: WavefrontReport, cell_tol,
-              bin_tol, support) -> dict:
+def report_included_in(left: WavefrontReport, right: WavefrontReport,
+                       cell_tol: float = 2.0, bin_tol: int = 1,
+                       support: np.ndarray | None = None) -> dict:
+    """Check singular(left) within (cell_tol, bin_tol) of singular(right).
+
+    The tolerance rule of every verdict match in flwave: an entry at
+    (x, theta) is matched by one at (y, eta) when the periodic Euclidean
+    distance between the grid cells x and y (``TorusGrid.cell_distance``)
+    is at most cell_tol, and the nearest direction bins of theta and eta
+    lie at most bin_tol bins apart around the circle of bins.  Every
+    singular verdict on the left must be matched by a right-side singular
+    verdict.  A ``support`` mask over the grid cells shifts each right
+    cell by every support cell first (the set supp + WF of a
+    convolution).  Both reports must come from one grid, positions and
+    directions (ValueError otherwise).  Returns {"holds", "violations"},
+    the violations in record order.
+    """
     if left.grid != right.grid or \
             not np.array_equal(left.cells, right.cells) or \
             not np.array_equal(left.query.directions, right.query.directions):
@@ -433,23 +448,6 @@ def _included(left: WavefrontReport, right: WavefrontReport, cell_tol,
                   for r, bad in zip(left.records,
                                     (left.singular_mask & ~near).flat) if bad]
     return {"holds": not violations, "violations": violations}
-
-
-def report_included_in(left: WavefrontReport, right: WavefrontReport,
-                       cell_tol: float = 2.0, bin_tol: int = 1) -> dict:
-    """Check singular(left) within (cell_tol, bin_tol) of singular(right).
-
-    The tolerance rule of every verdict match in flwave: an entry at
-    (x, theta) is matched by one at (y, eta) when the periodic Euclidean
-    distance between the grid cells x and y (``TorusGrid.cell_distance``)
-    is at most cell_tol, and the nearest direction bins of theta and eta
-    lie at most bin_tol bins apart around the circle of bins.  Every
-    singular verdict on the left must be matched by a right-side singular
-    verdict.  Both reports must come from one grid, positions and
-    directions (ValueError otherwise).  Returns {"holds", "violations"},
-    the violations in record order.
-    """
-    return _included(left, right, cell_tol, bin_tol, None)
 
 
 def oracle_recovery(report: WavefrontReport, components, cell_tol,
@@ -563,6 +561,12 @@ def _scan(f: Signal, query: WavefrontQuery, mode: str,
 def estimate_wavefront(f: Signal, query: WavefrontQuery) -> WavefrontReport:
     """Fourier-Lebesgue wave-front scan over (position, direction) pairs."""
     return _scan(f, query, "fl")
+
+
+def _scan_at_order(f: Signal, q, s) -> WavefrontReport:
+    """FL scan of f with its grid's default query at the weight <k>^s."""
+    spec = FLNormSpec(q, Weight.power(float(s)))
+    return estimate_wavefront(f, default_query(f.grid, spec))
 
 
 def classical_wavefront(f: Signal, query: WavefrontQuery) -> WavefrontReport:

@@ -390,9 +390,9 @@ def test_criterion_6e_products(corpus1, corpus2):
     edge_x, edge_y = corpus2[2], corpus2[3]
     rep4 = wf_product_check(edge_x.signal, edge_y.signal, "union_critical",
                             q=2.0, s1=0.4, s2=0.4)
-    from flwave.calculus import _scan_at_order
+    from flwave.wavefront import _scan_at_order
 
-    left = _scan_at_order(cusp_a.signal * f2, default_query(g), 1.0, 5.0)
+    left = _scan_at_order(cusp_a.signal * f2, 1.0, 5.0)
     ok = rep1["holds"] and rep2["holds"] and rep3["holds"] and rep4["holds"]
     _verdict("criterion 6e: product wave-front inclusions",
              ok and len(left.singular()) > 0,

@@ -13,11 +13,11 @@ from flwave.calculus import (
     wf_derivative_check,
     wf_product_check,
 )
-from flwave.corpus import make_delta, make_power_cusp, make_smooth
+from flwave.corpus import make_delta, make_power_cusp, make_smooth, \
+    standard_corpus
 from flwave.grid import Signal, TorusGrid, impulse, random_signal, single_mode
 from flwave.norms import FLNormSpec, fl_norm
 from flwave.rng import random_signal_mixed, trial_rng
-from flwave.wavefront import default_query
 from flwave.weights import Weight
 
 TWO_PI = 2.0 * np.pi
@@ -274,6 +274,17 @@ def test_wf_product_dominant_low(grid256):
     assert rep["holds"], rep["violations"]
 
 
+def test_wf_product_flags_a_factor_outside_its_class():
+    # cusp-2.5 lies outside FL_{s2} at s2 = 3: the product's singularity
+    # at cell 64 has no match in the wave front of the smooth factor
+    smooth, cusp = standard_corpus(1, 256)[0], standard_corpus(1, 256)[3]
+    rep = wf_product_check(smooth.signal, cusp.signal, "dominant",
+                           q=1, s1=6, s2=3)
+    assert not rep["holds"]
+    assert rep["violations"] == [{"x0": [64], "theta": [1.0]},
+                                 {"x0": [64], "theta": [-1.0]}]
+
+
 def test_wf_product_mode_validation(grid256):
     smooth = make_smooth(grid256, seed=1)
     with pytest.raises(ValueError):
@@ -292,13 +303,13 @@ def test_wf_derivative_cusp(grid256):
         rep = wf_derivative_check(cusp.signal, axis=0, q=1.0, s=s)
         assert rep["holds"], rep["violations"]
     # nontrivial at the higher order: the derivative is genuinely flagged
-    from flwave.calculus import _scan_at_order
     from flwave.grid import Spectrum, forward_transform, inverse_transform, lattice
+    from flwave.wavefront import _scan_at_order
 
     coeffs = forward_transform(cusp.signal).coeffs
     kx = lattice(grid256).points[:, 0].astype(float)
     df = inverse_transform(Spectrum(grid256, coeffs * 1j * kx))
-    left = _scan_at_order(df, default_query(grid256), 1.0, 3.3)
+    left = _scan_at_order(df, 1.0, 3.3)
     assert len(left.singular()) > 0
 
 

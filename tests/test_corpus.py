@@ -164,6 +164,15 @@ def test_standard_corpus_shapes():
         standard_corpus(3, 16)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_standard_corpus_states_its_size_rule(d):
+    # below n = 16 the corpus fails by its own rule, not by the message
+    # of whichever entry's constructor happens to object first
+    with pytest.raises(ValueError, match=r"standard corpus needs n >= 16"):
+        standard_corpus(d, 8)
+    assert standard_corpus(d, 16)
+
+
 def test_example_sum_single_component_origin_smooth():
     # with one component the origin neighborhood is empty: every scan
     # order passes there, and the far bump is the only singular region

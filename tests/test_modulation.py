@@ -234,18 +234,16 @@ _SMOOTHNESS = st.sampled_from([0.0, 0.7, 1.5])
 @given(grid_index=st.integers(0, len(_GRIDS) - 1),
        shape=st.sampled_from(["gauss", "hann", "flattop"]),
        width_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**16),
-       s=_SMOOTHNESS, t=_SMOOTHNESS, p=_EXPONENTS, q=_EXPONENTS,
-       precomputed=st.booleans())
+       s=_SMOOTHNESS, t=_SMOOTHNESS, p=_EXPONENTS, q=_EXPONENTS)
 @example(grid_index=6, shape="flattop", width_frac=1.0, seed=0, s=1.5,
-         t=1.5, p=1.3, q=np.inf, precomputed=False)
+         t=1.5, p=1.3, q=np.inf)
 @example(grid_index=3, shape="gauss", width_frac=0.5, seed=2, s=0.7,
-         t=0.0, p=np.inf, q=1.3, precomputed=True)
+         t=0.0, p=np.inf, q=1.3)
 def test_streamed_modulation_norm_equals_full_matrix(
-        grid_index, shape, width_frac, seed, s, t, p, q, precomputed):
+        grid_index, shape, width_frac, seed, s, t, p, q):
     g, window, f = _random_case(grid_index, shape, width_frac, seed)
     w = SpaceFreqWeight(s, t)
-    V = stft(f, window) if precomputed else None
-    got = modulation_norm(f, p, q, w, window, V=V)
+    got = modulation_norm(f, p, q, w, window)
     assert got == _modulation_norm_reference(f, p, q, w, window)
 
 
@@ -364,9 +362,8 @@ def test_q_monotonicity_exact():
     g = TorusGrid(1, 32)
     spec = WindowSpec("gauss", 8)
     f = random_signal(g, np.random.default_rng(4))
-    V = stft(f, spec)
-    n1 = modulation_norm(f, 2.0, 1.0, V=V)
-    n2 = modulation_norm(f, 2.0, 2.0, V=V)
+    n1 = modulation_norm(f, 2.0, 1.0, window=spec)
+    n2 = modulation_norm(f, 2.0, 2.0, window=spec)
     assert n2 <= n1 * (1 + 1e-12)
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from flwave.corpus import make_edge, make_power_cusp
+from flwave.corpus import make_edge, make_power_cusp, standard_corpus
 from flwave.grid import TorusGrid, random_signal, single_mode
 from flwave.pdo import (
     Symbol,
@@ -172,6 +172,17 @@ def test_transport_elliptic_on_cusp():
     assert rep["forward_holds"], rep["forward_violations"]
     assert rep["lift_holds"], rep["lift_violations"]
     assert rep["union_holds"], rep["union_violations"]
+
+
+def test_transport_flags_an_understated_order():
+    # laplace+1 declared as order 0: Af is scanned at s, where its cusp is
+    # two orders rougher than f's, so the forward inclusion must fail
+    cusp = standard_corpus(1, 256)[3]
+    lap = multiplier_symbol(0.0, lambda ks: 1.0 + np.sum(ks**2, axis=-1))
+    rep = transport_check(lap, cusp.signal, q=1.0, s=2.0)
+    assert not rep["forward_holds"]
+    assert rep["forward_violations"] == [{"x0": [64], "theta": [1.0]},
+                                         {"x0": [64], "theta": [-1.0]}]
 
 
 def test_transport_characteristic_direction_edge():

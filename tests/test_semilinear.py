@@ -167,17 +167,15 @@ def test_demo_solve_regularity_lift():
     P = multiplier_symbol(2.0, lambda ks: 1.0 + np.sum(ks**2, axis=-1))
     cusp = make_power_cusp(g, 0.5, 64)
     out = demo_solve(P, None, cusp.signal)
-    from flwave.calculus import _scan_at_order
-    from flwave.wavefront import default_query
+    from flwave.wavefront import _scan_at_order
 
-    query = default_query(g)
     # source singular at order 0.75; solution regular there
-    src_rep = _scan_at_order(cusp.signal, query, 1.0, 0.75)
-    sol_rep = _scan_at_order(out["solution"], query, 1.0, 0.75)
+    src_rep = _scan_at_order(cusp.signal, 1.0, 0.75)
+    sol_rep = _scan_at_order(out["solution"], 1.0, 0.75)
     assert len(src_rep.singular()) > 0
     assert len(sol_rep.singular()) == 0
     # and singular again once the scan order is raised by the gain
-    lifted = _scan_at_order(out["solution"], query, 1.0, 2.75)
+    lifted = _scan_at_order(out["solution"], 1.0, 2.75)
     assert len(lifted.singular()) > 0
 
 

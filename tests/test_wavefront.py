@@ -18,7 +18,6 @@ from flwave.wavefront import (
     WavefrontQuery,
     WavefrontRecord,
     WavefrontReport,
-    _included,
     _merge_singular,
     _segment_table,
     annulus_averages,
@@ -741,10 +740,7 @@ def test_matcher_matches_pairwise_reference(d, size, bins, count, cell_frac,
     if support:
         mask = np.zeros(grid.size, dtype=bool)
         mask[rng.choice(grid.size, support, replace=False)] = True
-    else:
-        assert report_included_in(left, right, cell_tol, bin_tol) == \
-            _reference_included(left, right, cell_tol, bin_tol)
-    assert _included(left, right, cell_tol, bin_tol, mask) == \
+    assert report_included_in(left, right, cell_tol, bin_tol, mask) == \
         _reference_included(left, right, cell_tol, bin_tol, mask)
 
 
