@@ -264,6 +264,10 @@ def standard_corpus(d: int, n: int) -> list:
     if n < 16:
         raise ValueError(f"the standard corpus needs n >= 16 (its smooth "
                          f"entry has degree 4 <= n/4); got n = {n}")
+    if d == 1 and n in (36, 38, 44, 46):
+        raise ValueError(f"the 1-D standard corpus excludes n = 36, 38, 44 "
+                         f"and 46, where the 4-sigma footprints of its "
+                         f"graded-sum bumps overlap; got n = {n}")
     grid = TorusGrid(d, n)
     if d == 1:
         stride = n // 4

@@ -7,18 +7,21 @@ measure in both variables, so the mixed-norm monotonicity in (p, q) is
 exact on the lattice.  The p = q = 2 case collapses to the product of
 the signal and window energies by per-column Parseval.
 
-The window is evaluated once, at the origin: periodic cell distances are
-integer-valued, so the window at cell c is the origin window rolled by c,
-a strided view of the origin window tiled twice per axis.  One generator
-runs one batched FFT per index of the first position axis into reused
-buffers; ``stft`` shifts each block into its output, and
-``modulation_norm`` reduces each block over positions as it comes, never
-holding V.
+The window is evaluated once, at the origin (``windows.origin_window``):
+periodic cell distances are integer-valued, so the window at cell c is
+the origin window rolled by c, a strided view of the origin window tiled
+twice per axis.  One generator runs one batched FFT per index of the
+first position axis into reused buffers; ``stft`` shifts each block into
+its output, and ``modulation_norm`` reduces each block over positions as
+it comes, never holding V.
 
+``modulation_sup_profile`` reads the near cells' spectra from
+``windows.windowed_spectra`` (one reused buffer) and takes the running
+max of their magnitudes in ``fftn`` order, shifting once at the end.
 ``modulation_wavefront``, the third wave-front scan mode, fits the cones
-of the sup profile of |V| near each position over every direction at
-once; ``modulation_direction_verdict`` fits one direction.  Both floor
-against the signal's cached scale (``Signal.peak_off_origin``).
+of that profile near each position over every direction at once;
+``modulation_direction_verdict`` fits one direction.  Both floor against
+the signal's cached scale (``Signal.peak_off_origin``).
 """
 
 from __future__ import annotations
@@ -28,12 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinear import conjugate_exponent
-from .grid import Signal, TorusGrid, _prefactor, forward_transform, lattice
+from .grid import Signal, TorusGrid, _prefactor, lattice
+# not called here: kept bound so that tracers which rebind forward_transform
+# in every flwave module keep finding it in this one
+from .grid import forward_transform  # noqa: F401
 from .norms import FLNormSpec, _row_norm, fl_norm
-from .wavefront import (WavefrontQuery, WavefrontReport, _cone_fits,
-                        _fl_bound, _scan, _segment_table, _verdicts)
+from .wavefront import (WavefrontQuery, WavefrontReport, _band_reduce,
+                        _cone_fits, _fl_bound, _scan, _segment_table,
+                        _verdicts)
 from .weights import Weight
-from .windows import WindowSpec, window_values
+from .windows import WindowSpec, origin_window, windowed_spectra
 
 __all__ = [
     "SpaceFreqWeight",
@@ -63,8 +70,8 @@ class SpaceFreqWeight:
 
 def _rolled_windows(grid: TorusGrid, window: WindowSpec) -> np.ndarray:
     """Conjugated window centered at every cell c, as a view indexed [c][j]."""
-    w0 = np.conj(window_values(grid, window, (0,) * grid.d))
-    tiled = np.tile(w0.reshape(grid.shape), (2,) * grid.d)
+    # the window is real, so it is its own conjugate
+    tiled = np.tile(origin_window(grid, window), (2,) * grid.d)
     views = np.lib.stride_tricks.sliding_window_view(tiled, grid.shape)
     return views[(slice(grid.n, 0, -1),) * grid.d]
 
@@ -183,14 +190,21 @@ def modulation_sup_profile(f: Signal, x0, window: WindowSpec,
     Shared by all direction verdicts at the same scan point.  The default
     radius is an eighth of the window width: the sup must stay within the
     spectral estimator's effective localization, or it drags neighboring
-    singularities into the verdict.  Each near cell's window is read from
-    the rolled origin window; each cell keeps its own transform.
+    singularities into the verdict.
     """
+    return np.fft.fftshift(_unshifted_sup_profile(
+        f, x0, window, position_radius, position_step)).ravel()
+
+
+def _unshifted_sup_profile(f: Signal, x0, window: WindowSpec,
+                           position_radius, position_step) -> np.ndarray:
+    """``modulation_sup_profile`` in ``fftn`` order, shape ``grid.shape``:
+    the running max of |spectrum| over the near cells' windowed spectra."""
     grid = f.grid
     if position_radius is None:
         position_radius = max(2, int(window.width) // 8)
     x0 = np.atleast_1d(np.asarray(x0, dtype=int))
-    sup_v = np.zeros(grid.size)
+    w0 = origin_window(grid, window)  # raises for a window wider than n
     # the shortest periodic offset to a near cell lies in this box, which
     # holds one offset per residue mod n on each axis
     h = int(np.clip(position_radius, 0, grid.n // 2))
@@ -198,11 +212,10 @@ def modulation_sup_profile(f: Signal, x0, window: WindowSpec,
         grid.d, -1).T - h
     offsets = offsets[np.sqrt(np.sum(offsets**2, axis=-1)) <= position_radius]
     cells = (x0 + offsets) % grid.n
-    rolled = _rolled_windows(grid, window)
-    for cell in cells[np.all(cells % position_step == 0, axis=-1)]:
-        windowed = f.reshaped() * rolled[tuple(cell)]
-        coeffs = forward_transform(Signal(grid, windowed)).coeffs
-        np.maximum(sup_v, np.abs(coeffs), out=sup_v)
+    sup_v, mags = np.zeros(grid.shape), np.empty(grid.shape)
+    for spec in windowed_spectra(
+            f, w0, cells[np.all(cells % position_step == 0, axis=-1)]):
+        np.maximum(sup_v, np.abs(spec, out=mags), out=sup_v)
     return sup_v
 
 
@@ -224,10 +237,11 @@ def modulation_direction_verdict(f: Signal, x0, direction, q: float,
     if sup_v is None:
         sup_v = modulation_sup_profile(f, x0, window, position_radius,
                                        position_step)
-    wvals = Weight.power(s).on_lattice(grid)
-    table = _segment_table(grid, (direction,), aperture, octaves)
+    weighted = sup_v * Weight.power(s).on_lattice(grid)
+    table = _segment_table(grid, (direction,), aperture, octaves).centred
     floor = rel_floor * f.peak_off_origin
-    slopes, used, _ = _cone_fits(table, sup_v, sup_v * wvals, q, floor)
+    slopes, used, _ = _cone_fits(table, _band_reduce(table, sup_v, q),
+                                 _band_reduce(table, weighted, q), q, floor)
     [regular], [slope] = _verdicts(slopes, used, _fl_bound(grid.d, q, margin))
     return {"verdict": "regular" if regular else "singular",
             "slope": float(slope)}
@@ -239,5 +253,6 @@ def modulation_wavefront(f: Signal, query: WavefrontQuery,
     """``modulation_direction_verdict`` at every position and direction of
     the query (weight ``query.spec.weight``, floor ``query.rel_floor``):
     one sup profile per position, one cone fit over all directions."""
-    return _scan(f, query, "modulation", lambda x0: modulation_sup_profile(
-        f, x0, query.window, position_radius, position_step))
+    return _scan(f, query, "modulation", (_unshifted_sup_profile(
+        f, x0, query.window, position_radius, position_step)
+        for x0 in query.positions))

@@ -16,11 +16,13 @@ mass slope stays below -d/q.
 
 All annulus statistics come from one cached segment table per (grid,
 directions, aperture, octaves): an int32 gather index that lists each
-direction cone's lattice points, banded by octave.  A scan evaluates its
-window once, at the origin; periodic cell distances are integer-valued,
-so the window at a scan position is that origin window rolled to it.
-Per scan position one transform, one gather of |F| and one of |F w|,
-each followed by a single ``reduceat`` over the band starts, give the
+direction cone's lattice points, banded by octave, as positions of the
+unshifted ``fftn`` output.  A scan reads its spectra from
+``windows.windowed_spectra``, one reused buffer rolling the cached origin
+window to each position; its weight is permuted to ``fftn`` order once.
+Per scan position the buffer's |F| is gathered and reduced by one
+``reduceat`` over the band starts, the buffer is weighted in place and
+reduced again (classical scans reuse the first reduction), giving the
 averages and the cone seminorms of every direction at once, and one
 array fit and one array verdict decide every direction.
 
@@ -35,11 +37,13 @@ beta = -slope reaches the query threshold T.
 
 from __future__ import annotations
 
+import copy
 import csv
 import itertools
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +52,8 @@ from .grid import (Signal, Spectrum, TorusGrid, forward_transform,
                    inverse_transform, lattice)
 from .norms import FLNormSpec
 from .weights import Weight
-from .windows import WindowSpec, window_values
+from .windows import (WindowSpec, origin_window, window_values,
+                      windowed_spectra)
 
 __all__ = [
     "WavefrontQuery",
@@ -163,13 +168,15 @@ def default_query(grid: TorusGrid, spec: FLNormSpec | None = None,
 class _SegmentTable:
     """Every cone's lattice points, grouped into octave bands.
 
-    ``index`` lists, direction after direction, the flat lattice indices
-    of the cone (origin excluded), stably sorted into bands: below m_lo,
-    one band per octave m_lo..m_hi, above m_hi.  Inside a band the points
-    keep row-major order.  ``counts`` holds the band sizes, shape
+    ``index`` lists, direction after direction, the cone's lattice points
+    (origin excluded) as flat positions of the unshifted ``fftn`` output,
+    stably sorted into bands: below m_lo, one band per octave m_lo..m_hi,
+    above m_hi.  Inside a band the points keep the row-major order of the
+    centred lattice.  ``counts`` holds the band sizes, shape
     (directions, octaves + 2); ``starts`` are the offsets of the non-empty
     bands, where one ``reduceat`` over the gathered values begins a sum.
     Cones overlap, so a point may appear under several directions.
+    ``centred`` is the same table gathering from centred-lattice arrays.
     """
 
     def __init__(self, grid: TorusGrid, directions, aperture, octaves):
@@ -184,12 +191,25 @@ class _SegmentTable:
             pts = np.flatnonzero(cone_mask(grid, Cone(direction, aperture)))
             index.append(pts[np.argsort(band[pts], kind="stable")])
             counts.append(np.bincount(band[pts], minlength=top + 1))
-        self.octaves = octaves
-        self.index = np.concatenate(index).astype(np.int32)
+        self.grid, self.octaves = grid, octaves
+        self.index = _shift_positions(grid)[np.concatenate(index)]
         self.counts = np.array(counts)
         flat = self.counts.ravel()
         self.filled = flat > 0
         self.starts = (np.cumsum(flat) - flat)[self.filled]
+
+    @cached_property
+    def centred(self) -> "_SegmentTable":
+        other = copy.copy(self)
+        other.index = _shift_positions(self.grid)[self.index]
+        return other
+
+
+def _shift_positions(grid: TorusGrid) -> np.ndarray:
+    """int32 map between flat positions of the centred lattice and of the
+    ``fftn`` output, either way (for even n the shift is an involution)."""
+    return np.fft.fftshift(np.arange(grid.size, dtype=np.int32).reshape(
+        grid.shape)).ravel()
 
 
 _TABLE_CACHE: dict = {}
@@ -204,25 +224,43 @@ def _segment_table(grid: TorusGrid, directions, aperture,
     return _TABLE_CACHE[key]
 
 
-def _band_reduce(table: _SegmentTable, values: np.ndarray, q: float):
-    """Per (direction, band): sum of |values|^q, or max at q=inf; 0 if empty."""
-    mags = np.take(np.abs(values), table.index)
+def _unshifted(grid: TorusGrid, centred: np.ndarray) -> np.ndarray:
+    """A new array of centred-lattice values in ``fftn`` order, shape
+    ``grid.shape`` (an exact permutation)."""
+    return np.fft.ifftshift(centred.reshape(grid.shape))
+
+
+def _band_reduce(table: _SegmentTable, values: np.ndarray, q: float,
+                 scratch=None) -> np.ndarray:
+    """Per (direction, band): sum of |values|^q, or max at q=inf; 0 if empty.
+
+    ``values`` are in ``fftn`` order (centred for ``table.centred``).
+    ``scratch``, two float arrays of the sizes of ``values`` and
+    ``table.index``, receives |values| and the gathered terms in place of
+    new arrays.
+    """
+    mags, terms = scratch or (None, None)
+    mags = np.abs(values.reshape(-1), out=mags)
+    # the index is in range; unlike "raise", "clip" writes straight to out
+    terms = np.take(mags, table.index, out=terms, mode="clip")
     out = np.zeros(table.counts.size)
     if np.isinf(q):
-        out[table.filled] = np.maximum.reduceat(mags, table.starts)
+        out[table.filled] = np.maximum.reduceat(terms, table.starts)
     else:
-        out[table.filled] = np.add.reduceat(mags**q, table.starts)
+        terms **= q
+        out[table.filled] = np.add.reduceat(terms, table.starts)
     return out.reshape(table.counts.shape)
 
 
-def annulus_averages(table: _SegmentTable, raw: np.ndarray,
-                     weighted: np.ndarray, q: float):
+def annulus_averages(table: _SegmentTable, raw_bands: np.ndarray,
+                     bands: np.ndarray, q: float):
     """Annulus statistics of every cone in the table at once.
 
-    Returns (raw_avgs, avgs, seminorms): the count-normalized l^q annulus
-    averages of |raw| and of |weighted| (max at q=inf), each of shape
-    (directions, octaves) with NaN where the annulus is empty, and the
-    l^q norm of ``weighted`` over each whole cone (0 for an empty cone).
+    Takes the ``_band_reduce`` sums of the unweighted and the weighted
+    coefficients.  Returns (raw_avgs, avgs, seminorms): the
+    count-normalized l^q annulus averages of each (max at q=inf), of
+    shape (directions, octaves) with NaN where the annulus is empty, and
+    the weighted l^q norm over each whole cone (0 for an empty cone).
     """
     inner = table.counts[:, 1:-1]
 
@@ -232,10 +270,9 @@ def annulus_averages(table: _SegmentTable, raw: np.ndarray,
             bands = (bands / np.maximum(inner, 1)) ** (1.0 / q)
         return np.where(inner > 0, bands, np.nan)
 
-    bands = _band_reduce(table, weighted, q)
     seminorms = (bands.max(axis=1) if np.isinf(q)
                  else bands.sum(axis=1) ** (1.0 / q))
-    return averages(_band_reduce(table, raw, q)), averages(bands), seminorms
+    return averages(raw_bands), averages(bands), seminorms
 
 
 def fit_decay_slope(averages: np.ndarray, usable: np.ndarray, octaves):
@@ -264,14 +301,15 @@ def fit_decay_slope(averages: np.ndarray, usable: np.ndarray, octaves):
     return slopes, used
 
 
-def _cone_fits(table: _SegmentTable, raw, weighted, q, floor):
-    """(slopes, used, seminorms) of every table cone, one array fit.
+def _cone_fits(table: _SegmentTable, raw_bands, bands, q, floor):
+    """(slopes, used, seminorms) of every table cone, one array fit, from
+    the band sums of the unweighted and the weighted coefficients.
 
     Annulus usability is decided on the unweighted coefficients against
     the floor, so the usable set does not move with the weight order; the
     decay slopes are then fitted to the weighted averages over that set.
     """
-    raw_avgs, avgs, seminorms = annulus_averages(table, raw, weighted, q)
+    raw_avgs, avgs, seminorms = annulus_averages(table, raw_bands, bands, q)
     return (*fit_decay_slope(avgs, raw_avgs > floor, table.octaves),
             seminorms)
 
@@ -295,8 +333,7 @@ def _verdicts(slopes, used, bound):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WavefrontRecord:
+class WavefrontRecord(NamedTuple):
     x0: tuple
     theta: tuple
     verdict: str  # "regular" | "singular"
@@ -501,9 +538,10 @@ def regular_directions(f: Signal, spec: FLNormSpec, aperture: float,
         octaves = (max(1, m_hi - 3), m_hi)
     coeffs = forward_transform(f).coeffs
     floor = rel_floor * f.peak_off_origin
-    table = _segment_table(grid, dirs, aperture, octaves)
-    slopes, used, _ = _cone_fits(table, coeffs,
-                                 coeffs * spec.weight.on_lattice(grid),
+    table = _segment_table(grid, dirs, aperture, octaves).centred
+    weighted = coeffs * spec.weight.on_lattice(grid)
+    slopes, used, _ = _cone_fits(table, _band_reduce(table, coeffs, spec.q),
+                                 _band_reduce(table, weighted, spec.q),
                                  spec.q, floor)
     regular, slopes = _verdicts(slopes, used,
                                 _fl_bound(grid.d, spec.q, margin))
@@ -512,21 +550,14 @@ def regular_directions(f: Signal, spec: FLNormSpec, aperture: float,
             "slopes": dict(zip(dirs, slopes.tolist()))}
 
 
-def _windowed_transform(f: Signal, w0: np.ndarray, x0) -> np.ndarray:
-    """Spectrum of f times the origin window ``w0`` rolled to the cell x0.
-
-    For an integer cell the rolled window equals ``window_values`` centred
-    there exactly; the roll is a temporary freed before the transform.
-    """
-    shift = tuple(int(c) for c in np.atleast_1d(x0))
-    return forward_transform(Signal(f.grid, f.reshaped() * np.roll(
-        w0.reshape(f.grid.shape), shift, tuple(range(f.grid.d))))).coeffs
-
-
 def _scan(f: Signal, query: WavefrontQuery, mode: str,
-          spectrum=None) -> WavefrontReport:
-    """Scan in ``mode`` "fl", "classical" or "modulation"; the cones of
-    ``spectrum(x0)`` (default: f windowed at x0, transformed) are fitted."""
+          spectra=None) -> WavefrontReport:
+    """Scan in ``mode`` "fl", "classical" or "modulation".
+
+    ``spectra`` yields one array of shape ``grid.shape`` per query
+    position, in ``fftn`` order (default: ``windowed_spectra`` of f); each
+    is weighted in place once its unweighted bands are reduced.
+    """
     grid = f.grid
     query.validate(grid)
     classical = mode == "classical"
@@ -534,26 +565,30 @@ def _scan(f: Signal, query: WavefrontQuery, mode: str,
         raise ValueError("classical scan needs at least 3 octaves")
     if classical:
         rel = query.classical_rel_floor
-        q, w, bound = np.inf, 1.0, -query.decay_threshold
+        q, w, bound = np.inf, None, -query.decay_threshold
     else:
         rel, q = query.rel_floor, query.spec.q
-        w = query.spec.weight.on_lattice(grid)
+        w = _unshifted(grid, query.spec.weight.on_lattice(grid))
         bound = _fl_bound(grid.d, q, query.margin)
     # global reference scale: the floor must not depend on how much of the
     # signal the window catches, or far-away windows see pure noise
     floor = rel * f.peak_off_origin
     table = _segment_table(grid, query.directions, query.aperture,
                            query.octaves)
-    if spectrum is None:
-        w0 = window_values(grid, query.window, (0,) * grid.d)
-        spectrum = partial(_windowed_transform, f, w0)
+    if spectra is None:
+        spectra = windowed_spectra(f, origin_window(grid, query.window),
+                                   query.positions)
+    scratch = (np.empty(grid.size), np.empty(table.index.size))
     shape = (len(query.positions), len(query.directions))
     regular, slopes, seminorms = (np.empty(shape, dtype=bool),
                                   np.empty(shape), np.empty(shape))
-    for i, x0 in enumerate(query.positions):
-        coeffs = spectrum(x0)
-        fit_slopes, used, seminorms[i] = _cone_fits(table, coeffs,
-                                                    coeffs * w, q, floor)
+    for i, spec in enumerate(spectra):
+        raw = bands = _band_reduce(table, spec, q, scratch)
+        if w is not None:  # classical scans are unweighted
+            spec *= w
+            bands = _band_reduce(table, spec, q, scratch)
+        fit_slopes, used, seminorms[i] = _cone_fits(table, raw, bands, q,
+                                                    floor)
         regular[i], slopes[i] = _verdicts(fit_slopes, used, bound)
     return WavefrontReport(grid, query, ~regular, slopes, seminorms, mode)
 
@@ -600,24 +635,33 @@ def superior_scan(f: Signal, query: WavefrontQuery, s_list) -> dict:
     ladders = [(1.0, 1.0), (0.5, 1.0), (0.25, 1.0)]
     if grid.d > 1:
         ladders += [(1.0, 0.5), (0.5, 0.5)]
-    # one origin window per width factor, one table per aperture factor
-    windows = {wf: window_values(grid, query.window.narrowed(wf),
-                                 (0,) * grid.d) for wf, _ in ladders}
+    # one spectrum stream per width factor, one table per aperture factor
+    spectra = {wf: windowed_spectra(
+        f, origin_window(grid, query.window.narrowed(wf)), query.positions)
+        for wf, _ in ladders}
     tables = {af: _segment_table(grid, query.directions,
                                  query.aperture * af, query.octaves)
               for _, af in ladders}
-    weights = [Weight.power(float(s)).on_lattice(grid) for s in s_list]
+    weights = [_unshifted(grid, Weight.power(float(s)).on_lattice(grid))
+               for s in s_list]
+    mags, weighted = np.empty(grid.size), np.empty(grid.shape, dtype=complex)
+    scratch = {af: (mags, np.empty(table.index.size))
+               for af, table in tables.items()}
     out = {}
-    for x0 in query.positions:
-        coeffs = {wf: _windowed_transform(f, w0, x0)
-                  for wf, w0 in windows.items()}
+    for x0, *specs in zip(query.positions, *spectra.values()):
+        coeffs = dict(zip(spectra, specs))
         # passes[ladder, order, direction]; ladder 0 is the fixed variant
-        passes = np.array([
-            [_verdicts(*_cone_fits(tables[af], coeffs[wf], coeffs[wf] * w,
-                                   q, floor)[:2], bound)[0]
-             for w in weights]
-            for wf, af in ladders
-        ])
+        passes = np.empty((len(ladders), len(weights), len(query.directions)),
+                          dtype=bool)
+        for i, (wf, af) in enumerate(ladders):
+            table, spec = tables[af], coeffs[wf]
+            raw = _band_reduce(table, spec, q, scratch[af])
+            for j, w in enumerate(weights):
+                np.multiply(spec, w, out=weighted)
+                slopes, used, _ = _cone_fits(
+                    table, raw, _band_reduce(table, weighted, q, scratch[af]),
+                    q, floor)
+                passes[i, j] = _verdicts(slopes, used, bound)[0]
         cell = tuple(int(c) for c in np.atleast_1d(x0))
         for i, direction in enumerate(query.directions):
             fixed = passes[0, :, i].tolist()

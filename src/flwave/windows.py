@@ -7,17 +7,25 @@ Shapes:
 * ``hann``: raised cosine on ``width`` cells.
 * ``flattop``: unit plateau of half the width with Gaussian skirts; used
   as the outer cutoff in cone-split constructions.
+
+Scans evaluate a window once per (grid, spec), at the origin
+(``origin_window``): periodic cell distances are integer-valued, so the
+window centred at any cell is that origin window rolled there exactly.
+``windowed_spectra`` turns a signal and a sequence of cells into the
+spectra of the windowed signal, one per cell, in one reused buffer.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Signal, TorusGrid
+from .grid import Signal, TorusGrid, _prefactor
 
-__all__ = ["WindowSpec", "window_signal", "window_values"]
+__all__ = ["WindowSpec", "window_signal", "window_values", "origin_window",
+           "windowed_spectra"]
 
 GAUSS_TRUNC_SIGMAS = np.sqrt(2.0 * np.log(1e16))  # ~8.58 sigma at 1e-16
 
@@ -78,3 +86,44 @@ def window_values(grid: TorusGrid, spec: WindowSpec, center) -> np.ndarray:
 def window_signal(f: Signal, spec: WindowSpec, center) -> Signal:
     """Pointwise product of f with the window centered at a grid index."""
     return Signal(f.grid, f.values * window_values(f.grid, spec, center))
+
+
+_ORIGIN_CACHE: dict = {}
+
+
+def origin_window(grid: TorusGrid, spec: WindowSpec) -> np.ndarray:
+    """Read-only window samples centred at the origin cell, shape
+    ``grid.shape``, cached per (grid, spec)."""
+    key = (grid, spec)
+    if key not in _ORIGIN_CACHE:
+        w0 = window_values(grid, spec, (0,) * grid.d).reshape(grid.shape)
+        w0.flags.writeable = False
+        _ORIGIN_CACHE[key] = w0
+    return _ORIGIN_CACHE[key]
+
+
+def windowed_spectra(f: Signal, w0: np.ndarray, cells):
+    """Yield, per integer cell c, the forward transform of f times the
+    origin window ``w0`` rolled to c, in unshifted ``fftn`` order.
+
+    Every spectrum is written into one buffer, overwritten by the next:
+    the product by 2^d block products of f and w0 (no rolled copy), the
+    transform in place, then the prefactor.  A spectrum that is not
+    finite raises ValueError.
+    """
+    n = f.grid.n
+    vals, buf = f.reshaped(), np.empty(f.grid.shape, dtype=complex)
+    for cell in cells:
+        # per axis: samples c..n-1 meet window 0..n-c-1, samples 0..c-1
+        # meet window n-c..n-1
+        pieces = [[(slice(c, n), slice(0, n - c))]
+                  + ([(slice(0, c), slice(n - c, n))] if c else [])
+                  for c in (int(c) % n for c in np.atleast_1d(cell))]
+        for block in itertools.product(*pieces):
+            at, w_at = zip(*block)
+            np.multiply(vals[at], w0[w_at], out=buf[at])
+        np.fft.fftn(buf, out=buf)
+        buf *= _prefactor(f.grid)
+        if not np.all(np.isfinite(buf)):
+            raise ValueError("spectrum coefficients must be finite")
+        yield buf

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import flwave.corpus
 from flwave.corpus import (
     make_delta,
     make_edge,
@@ -171,6 +172,28 @@ def test_standard_corpus_states_its_size_rule(d):
     with pytest.raises(ValueError, match=r"standard corpus needs n >= 16"):
         standard_corpus(d, 8)
     assert standard_corpus(d, 16)
+
+
+def test_d1_corpus_rejects_overlapping_graded_footprints(monkeypatch):
+    # at n = 36, 38, 44 and 46 two 4-sigma footprints of the graded sum
+    # overlap; the corpus says so before it builds any entry
+    overlapping = (36, 38, 44, 46)
+    for n in range(16, 66, 2):
+        if n not in overlapping:
+            assert [e.id for e in standard_corpus(1, n)][-1] == "graded-sum-3"
+    assert standard_corpus(2, 36)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an entry was built before the size check")
+
+    monkeypatch.setattr(flwave.corpus, "make_smooth", unreachable)
+    for n in overlapping:
+        with pytest.raises(ValueError, match="footprints must be disjoint"):
+            make_example_sum(TorusGrid(1, n))
+        with pytest.raises(ValueError, match=(
+                r"excludes n = 36, 38, 44 and 46, where the 4-sigma "
+                rf"footprints of its graded-sum bumps overlap; got n = {n}$")):
+            standard_corpus(1, n)
 
 
 def test_example_sum_single_component_origin_smooth():

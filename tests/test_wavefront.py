@@ -18,6 +18,7 @@ from flwave.wavefront import (
     WavefrontQuery,
     WavefrontRecord,
     WavefrontReport,
+    _band_reduce,
     _merge_singular,
     _segment_table,
     annulus_averages,
@@ -313,6 +314,13 @@ def _reference_stats(grid, raw, weighted, direction, aperture, octaves, q):
     return averages(raw), averages(weighted), sequence_norm(weighted[cone], q)
 
 
+def _table_stats(table, raw, weighted, q):
+    """``annulus_averages`` of two centred coefficient arrays."""
+    table = table.centred
+    return annulus_averages(table, _band_reduce(table, raw, q),
+                            _band_reduce(table, weighted, q), q)
+
+
 @settings(max_examples=80, deadline=None)
 @given(d=st.sampled_from([1, 2, 3]), size=st.integers(0, 2),
        q=st.sampled_from([1.0, 1.5, 2.0, np.inf]),
@@ -338,7 +346,7 @@ def test_engine_matches_mask_reference(d, size, q, aperture, m_lo, span,
         # cones normalize their axes
         dirs = tuple(tuple(rng.standard_normal(d)) for _ in range(count))
     octaves = (m_lo, m_lo + span)
-    raw_avgs, avgs, seminorms = annulus_averages(
+    raw_avgs, avgs, seminorms = _table_stats(
         _segment_table(grid, dirs, aperture, octaves), raw, weighted, q)
     assert raw_avgs.shape == avgs.shape == (len(dirs), span + 1)
     for i, direction in enumerate(dirs):
@@ -354,7 +362,7 @@ def test_engine_empty_cone_and_annuli():
     coeffs = np.ones(grid.size, dtype=complex)
     table = _segment_table(grid, ((np.cos(0.1), np.sin(0.1)), (1.0, 0.0)),
                            1e-3, (0, 3))
-    raw_avgs, avgs, seminorms = annulus_averages(table, coeffs, coeffs, 1.0)
+    raw_avgs, avgs, seminorms = _table_stats(table, coeffs, coeffs, 1.0)
     # the first cone holds no lattice point; the second only k = (1..3, 0),
     # which fill octaves 0 and 1
     assert np.all(np.isnan(avgs[0])) and seminorms[0] == 0.0
@@ -441,7 +449,7 @@ def _reference_scan(f, query, classical, table_stats=False):
     slopes, seminorms = np.empty(shape), np.empty(shape)
     for i, x0 in enumerate(query.positions):
         coeffs = forward_transform(window_signal(f, query.window, x0)).coeffs
-        stats = (zip(*annulus_averages(table, coeffs, coeffs * w, q))
+        stats = (zip(*_table_stats(table, coeffs, coeffs * w, q))
                  if table_stats else
                  (_reference_stats(grid, coeffs, coeffs * w, direction,
                                    query.aperture, query.octaves, q)
