@@ -12,9 +12,10 @@ derivatives).
 
 ``transport_check`` scans f and Af at their orders with the grid's
 default query (``wavefront._scan_at_order``), matches singular sets
-under ``report_included_in``'s default tolerance, and finds the
-characteristic scan points with the fixed lower bound |a| > 0.1 |k|^m
-beyond |k| = 4.
+under ``report_included_in``'s default tolerance, and marks the
+characteristic scan points, where the lower bound |a| > 0.1 |k|^m beyond
+|k| = 4 fails, in one (positions x directions) mask: one symbol
+evaluation per position, one in total for a multiplier.
 """
 
 from __future__ import annotations
@@ -61,10 +62,8 @@ class Symbol:
         """Multiplier values a(k) for x-independent symbols."""
         if not self.x_independent:
             raise ValueError("symbol depends on x; no single multiplier")
-        pts = np.zeros((1, grid.d))
-        return np.asarray(
-            self.evaluator(pts, lattice(grid).points.astype(float))
-        ).reshape(-1)
+        ks = lattice(grid).points.astype(float)
+        return np.ravel(self.evaluator(np.zeros((1, grid.d)), ks))
 
     def table(self, grid: TorusGrid) -> np.ndarray:
         """Dense a(x_j, k) over grid x lattice (guarded by size)."""
@@ -126,37 +125,39 @@ def quantize_apply(a: Symbol, f: Signal) -> Signal:
 
 def noncharacteristic_at(a: Symbol, x0, direction, c: float, R: float,
                          aperture: float, grid: TorusGrid) -> bool:
-    """|a(x, k)| > c |k|^m on the cone beyond radius R, within n/16 cells
-    of x0."""
-    if R >= grid.n // 2:
-        raise ValueError(f"R = {R} leaves no testable frequencies (n = {grid.n})")
-    lat = lattice(grid)
-    cone = Cone(tuple(direction), aperture)
-    mask = cone_mask(grid, cone) & (lat.norms > R)
-    if not np.any(mask):
-        raise ValueError("no lattice frequencies in the test cone")
-    ks = lat.points[mask].astype(float)
-    pts = grid.sample_points()
-    x0v = np.atleast_1d(np.asarray(x0, dtype=float)) * grid.h
-    delta = (pts - x0v + np.pi) % TWO_PI - np.pi
-    near = np.sqrt(np.sum(delta**2, axis=-1)) <= grid.n / 16.0 * grid.h
-    xs = pts[near]
-    vals = np.abs(np.asarray(a.evaluator(xs, ks)))
-    bound = c * lat.norms[mask] ** a.order
-    return bool(np.all(vals > bound[None, :]))
+    """One entry of ``char_set_scan``, negated: |a| > c |k|^m holds."""
+    return not char_set_scan(a, [x0], [direction], c, R, aperture, grid)[0, 0]
 
 
 def char_set_scan(a: Symbol, positions, directions, c: float, R: float,
-                  aperture: float, grid: TorusGrid) -> list:
-    """(x0, direction) pairs where the symbol fails the lower bound."""
-    flagged = []
-    for x0 in positions:
-        for direction in directions:
-            if not noncharacteristic_at(a, x0, direction, c, R, aperture,
-                                        grid=grid):
-                flagged.append((tuple(int(v) for v in np.atleast_1d(x0)),
-                                tuple(direction)))
-    return flagged
+                  aperture: float, grid: TorusGrid) -> np.ndarray:
+    """(positions, directions) mask, True where |a(x, k)| > c |k|^m fails
+    on the direction's cone beyond radius R within n/16 cells of the
+    position: one symbol evaluation per position, one for a multiplier."""
+    if R >= grid.n // 2:
+        raise ValueError(f"R = {R} leaves no testable frequencies (n = {grid.n})")
+    lat = lattice(grid)
+    beyond = lat.norms > R
+    cones = np.array([cone_mask(grid, Cone(tuple(t), aperture))[beyond]
+                      for t in directions])
+    if not np.all(np.any(cones, axis=1)):
+        raise ValueError("no lattice frequencies in the test cone")
+    ks = lat.points[beyond].astype(float)
+    bound = c * lat.norms[beyond] ** a.order
+    pts = grid.sample_points()
+
+    def flags(xs):
+        vals = np.abs(np.asarray(a.evaluator(xs, ks)))
+        return np.any(cones & ~np.all(vals > bound, axis=0), axis=1)
+
+    if a.x_independent:
+        # a multiplier's rows are all equal: one point serves every position
+        return np.repeat([flags(pts[:1])], len(positions), axis=0)
+    cells = np.asarray(positions, dtype=float).reshape(-1, 1, grid.d)
+    delta = (pts - cells * grid.h + np.pi) % TWO_PI - np.pi
+    near = np.sqrt(np.sum(delta**2, axis=-1)) <= grid.n / 16.0 * grid.h
+    return np.array([flags(pts[row]) for row in near],
+                    dtype=bool).reshape(len(near), len(cones))
 
 
 def transport_check(a: Symbol, f: Signal, q: float, s: float) -> dict:
@@ -173,13 +174,11 @@ def transport_check(a: Symbol, f: Signal, q: float, s: float) -> dict:
     forward = report_included_in(rep_Af, rep_f)
 
     query = rep_f.query
-    char = set(char_set_scan(a, query.positions, query.directions, CHAR_C,
-                             CHAR_R, query.aperture, f.grid))
+    char = char_set_scan(a, query.positions, query.directions, CHAR_C,
+                         CHAR_R, query.aperture, f.grid)
     # Af regular at a point and no singular Af nearby is exactly "no
     # singular Af within tolerance": the neighbourhood holds the point
-    char_mask = np.array([(r.x0, r.theta) in char for r in rep_f.records],
-                         dtype=bool).reshape(rep_f.singular_mask.shape)
-    off_char = replace(rep_f, singular_mask=rep_f.singular_mask & ~char_mask)
+    off_char = replace(rep_f, singular_mask=rep_f.singular_mask & ~char)
     lift = report_included_in(off_char, rep_Af)
     union = report_included_in(off_char, _scan_at_order(Af, q, s))
     return {
@@ -189,7 +188,8 @@ def transport_check(a: Symbol, f: Signal, q: float, s: float) -> dict:
         "lift_violations": lift["violations"],
         "union_holds": union["holds"],
         "union_violations": union["violations"],
-        "char_points": sorted(char),
+        "char_points": sorted((r.x0, r.theta) for r, flag
+                              in zip(rep_f.records, char.flat) if flag),
     }
 
 
@@ -216,8 +216,7 @@ def parse_symbol(text: str, grid: TorusGrid) -> Symbol:
         with open(text[6:]) as fh:
             payload = json.load(fh)
         vals = np.asarray(payload["values"], dtype=complex)
-        N = grid.size
-        table = vals.reshape(N, N)
+        table = vals.reshape(grid.size, grid.size)
 
         def evaluator(xs, ks, _table=table, _grid=grid):
             # exact-grid x and lattice k only

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from flwave.cones import Cone, cone_mask
 from flwave.corpus import make_edge, make_power_cusp, standard_corpus
-from flwave.grid import TorusGrid, random_signal, single_mode
+from flwave.grid import TorusGrid, lattice, random_signal, single_mode
 from flwave.pdo import (
     Symbol,
     char_set_scan,
@@ -17,7 +18,7 @@ from flwave.pdo import (
     transport_check,
 )
 from flwave.semilinear import jet
-from flwave.wavefront import directions_for
+from flwave.wavefront import default_query, directions_for
 
 
 def test_identity_symbol():
@@ -122,35 +123,85 @@ def test_noncharacteristic_r_validation():
 def test_char_set_scan_elliptic_empty():
     g = TorusGrid(2, 16)
     ell = multiplier_symbol(2.0, lambda ks: 1.0 + np.sum(ks**2, axis=-1))
-    flagged = char_set_scan(ell, [(0, 0), (8, 8)], directions_for(2, 8),
-                            0.5, 2.0, np.pi / 8, g)
-    assert flagged == []
+    char = char_set_scan(ell, [(0, 0), (8, 8)], directions_for(2, 8),
+                         0.5, 2.0, np.pi / 8, g)
+    assert char.shape == (2, 8) and char.dtype == bool
+    assert not char.any()
 
 
 def test_char_set_scan_directional_flags():
     g = TorusGrid(2, 16)
     k1 = multiplier_symbol(1.0, lambda ks: ks[:, 0])
     dirs = directions_for(2, 8)
-    flagged = char_set_scan(k1, [(0, 0)], dirs, 0.1, 4.0, np.pi / 8, g)
-    flagged_dirs = [th for _, th in flagged]
+    char = char_set_scan(k1, [(0, 0)], dirs, 0.1, 4.0, np.pi / 8, g)
+    assert char.shape == (1, 8)
     # directions near +-e2 must be flagged; +-e1 must not
-    assert any(np.allclose(th, (0.0, 1.0), atol=1e-12) for th in flagged_dirs)
-    assert not any(np.allclose(th, (1.0, 0.0), atol=1e-12)
-                   for th in flagged_dirs)
+    e2 = [np.allclose(th, (0.0, 1.0), atol=1e-12) for th in dirs]
+    e1 = [np.allclose(th, (1.0, 0.0), atol=1e-12) for th in dirs]
+    assert char[0, e2].all() and any(e2)
+    assert not char[0, e1].any() and any(e1)
+
+
+def _variable_elliptic(xs, ks):
+    xs, ks = np.atleast_2d(xs), np.atleast_2d(ks)
+    factor = np.sin(xs[:, 0]) + 2.0
+    return factor[:, None] * (1.0 + np.sum(ks**2, axis=-1))[None, :]
 
 
 def test_char_set_scan_variable_elliptic():
     g = TorusGrid(2, 16)
+    sym = Symbol(order=2.0, evaluator=_variable_elliptic)
+    char = char_set_scan(sym, [(0, 0), (4, 12)], directions_for(2, 8),
+                         0.5, 2.0, np.pi / 8, g)
+    assert char.shape == (2, 8)
+    assert not char.any()
 
-    def ev(xs, ks):
-        xs, ks = np.atleast_2d(xs), np.atleast_2d(ks)
-        factor = np.sin(xs[:, 0]) + 2.0
-        return factor[:, None] * (1.0 + np.sum(ks**2, axis=-1))[None, :]
 
-    sym = Symbol(order=2.0, evaluator=ev)
-    flagged = char_set_scan(sym, [(0, 0), (4, 12)], directions_for(2, 8),
-                            0.5, 2.0, np.pi / 8, g)
-    assert flagged == []
+def _cos_k1_table(tmp_path):
+    """cos(x) k_1 as a table symbol of order 1 on the d=1 n=64 grid: it
+    vanishes at cells 16 and 48."""
+    g = TorusGrid(1, 64)
+    k1 = lattice(g).points[:, 0].astype(float)
+    vals = np.cos(g.sample_points()[:, 0])[:, None] * k1[None, :]
+    path = tmp_path / "cos_k1.json"
+    path.write_text(json.dumps({"order": 1.0, "values": vals.tolist()}))
+    return parse_symbol(f"table:{path}", g)
+
+
+def _noncharacteristic_reference(a, x0, direction, c, R, aperture, grid):
+    """One (position, direction) pair on its own: its own cone mask and
+    its own symbol evaluation over the near points and that cone."""
+    lat = lattice(grid)
+    mask = cone_mask(grid, Cone(tuple(direction), aperture)) & (lat.norms > R)
+    ks = lat.points[mask].astype(float)
+    pts = grid.sample_points()
+    x0v = np.atleast_1d(np.asarray(x0, dtype=float)) * grid.h
+    delta = (pts - x0v + np.pi) % (2.0 * np.pi) - np.pi
+    near = np.sqrt(np.sum(delta**2, axis=-1)) <= grid.n / 16.0 * grid.h
+    vals = np.abs(np.asarray(a.evaluator(pts[near], ks)))
+    return bool(np.all(vals > c * lat.norms[mask] ** a.order))
+
+
+def test_char_set_scan_matches_the_per_pair_reference(tmp_path):
+    variable = Symbol(order=2.0, evaluator=_variable_elliptic)
+    cases = []
+    for g in (TorusGrid(1, 256), TorusGrid(2, 64)):
+        cases += [(g, parse_symbol(spec, g), 0.1)
+                  for spec in ("dx1", "laplace+1", "poly:1,0,1")]
+        # at c = 2.8 the variable symbol's set turns on the n/16 radius
+        cases.append((g, variable, 2.8))
+    # |k_1| = |k| in 1-D: at c = 1 the strict bound fails by equality alone
+    g = TorusGrid(1, 256)
+    cases.append((g, parse_symbol("dx1", g), 1.0))
+    cases.append((TorusGrid(1, 64), _cos_k1_table(tmp_path), 0.1))
+    for g, sym, c in cases:
+        query = default_query(g)
+        char = char_set_scan(sym, query.positions, query.directions, c,
+                             4.0, query.aperture, g)
+        ref = [[not _noncharacteristic_reference(
+                    sym, x0, th, c, 4.0, query.aperture, g)
+                for th in query.directions] for x0 in query.positions]
+        np.testing.assert_array_equal(char, ref, err_msg=sym.label)
 
 
 def test_transport_identity_symbol():
@@ -196,6 +247,15 @@ def test_transport_characteristic_direction_edge():
     assert any(np.allclose(th, (0.0, 1.0), atol=1e-12) for th in char_dirs)
     assert rep["union_holds"], rep["union_violations"]
     assert rep["lift_holds"], rep["lift_violations"]
+
+
+def test_transport_x_dependent_table_symbol(tmp_path):
+    # the characteristic set is where cos(x) vanishes, in both directions
+    cusp = standard_corpus(1, 64)[3]
+    rep = transport_check(_cos_k1_table(tmp_path), cusp.signal, q=1.0,
+                          s=2.75)
+    assert rep["char_points"] == [((16,), (-1.0,)), ((16,), (1.0,)),
+                                  ((48,), (-1.0,)), ((48,), (1.0,))]
 
 
 def test_parse_symbol():

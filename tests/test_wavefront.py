@@ -563,7 +563,7 @@ def test_scan_positions_must_be_grid_cells():
 # ---------------------------------------------------------------------------
 
 
-def _corpus_scans(mode, d=2, n=64):
+def _corpus_scans(mode, d, n):
     """The d-dimensional corpus with its default query, and a scan of a
     transformed copy of an entry's values."""
     entries = standard_corpus(d, n)
@@ -591,14 +591,14 @@ def _quarter_turn(values):
     return values[j, -i % values.shape[0]]
 
 
-# (values map, cell of the original verdict, bin of the original verdict)
-# for 32 bins at angles 2 pi j / 32 on the n = 64 grid
+# (values map, cell of the original verdict on the n-grid, bin of the
+# original verdict) for 32 bins at angles 2 pi j / 32
 SYMMETRIES = {
-    "scale 1e-3": (lambda v: 1e-3 * v, lambda c: c, lambda j: j),
-    "scale 7": (lambda v: 7.0 * v, lambda c: c, lambda j: j),
+    "scale 1e-3": (lambda v: 1e-3 * v, lambda c, n: c, lambda j: j),
+    "scale 7": (lambda v: 7.0 * v, lambda c, n: c, lambda j: j),
     # conj(f)^(k) = conj(f^(-k)): theta -> -theta, half a turn of bins
-    "conjugate": (np.conj, lambda c: c, lambda j: (j + 16) % 32),
-    "quarter turn": (_quarter_turn, lambda c: (c[1], -c[0] % 64),
+    "conjugate": (np.conj, lambda c, n: c, lambda j: (j + 16) % 32),
+    "quarter turn": (_quarter_turn, lambda c, n: (c[1], -c[0] % n),
                      lambda j: (j - 8) % 32),
 }
 
@@ -607,29 +607,35 @@ SYMMETRIES = {
 @pytest.mark.parametrize("name", sorted(SYMMETRIES))
 def test_verdicts_respect_the_symmetry(mode, name):
     values_map, cell_of, bin_of = SYMMETRIES[name]
-    entries, query, run = _corpus_scans(mode)
-    for entry in entries:
-        values = entry.signal.reshaped()
-        np.testing.assert_array_equal(
-            run(values_map(values)),
-            _remapped(run(values), query, cell_of, bin_of))
+    for n in (64, 128):
+        entries, query, run = _corpus_scans(mode, 2, n)
+        for entry in entries:
+            values = entry.signal.reshaped()
+            np.testing.assert_array_equal(
+                run(values_map(values)),
+                _remapped(run(values), query, lambda c: cell_of(c, n),
+                          bin_of))
 
 
 @settings(max_examples=12, deadline=None)
 @given(mode=st.sampled_from(["fl", "classical"]),
        steps=st.tuples(st.integers(0, 3), st.integers(0, 3)),
-       entry=st.integers(0, 3))
-# one stride along each axis
-@example(mode="fl", steps=(1, 0), entry=2)
-@example(mode="classical", steps=(0, 1), entry=3)
-def test_verdicts_follow_a_translation_by_the_scan_stride(mode, steps, entry):
-    entries, query, run = _corpus_scans(mode)
-    shift = tuple(16 * k for k in steps)  # the default stride n/4
+       entry=st.integers(0, 3), n=st.sampled_from([64, 128]))
+# one stride along each axis, and a diagonal one
+@example(mode="fl", steps=(1, 0), entry=2, n=64)
+@example(mode="classical", steps=(0, 1), entry=3, n=64)
+@example(mode="fl", steps=(1, 0), entry=2, n=128)
+@example(mode="classical", steps=(0, 1), entry=3, n=128)
+@example(mode="fl", steps=(2, 3), entry=3, n=128)
+def test_verdicts_follow_a_translation_by_the_scan_stride(mode, steps, entry,
+                                                          n):
+    entries, query, run = _corpus_scans(mode, 2, n)
+    shift = tuple(n // 4 * k for k in steps)  # the default stride n/4
     values = entries[entry].signal.reshaped()
     np.testing.assert_array_equal(
         run(np.roll(values, shift, (0, 1))),
         _remapped(run(values), query,
-                  lambda c: tuple((a - b) % 64 for a, b in zip(c, shift)),
+                  lambda c: tuple((a - b) % n for a, b in zip(c, shift)),
                   lambda j: j))
 
 
@@ -637,7 +643,7 @@ def test_verdicts_follow_a_translation_by_the_scan_stride(mode, steps, entry):
 SYMMETRIES_D1 = {
     "scale 1e-3": SYMMETRIES["scale 1e-3"],
     "scale 7": SYMMETRIES["scale 7"],
-    "conjugate": (np.conj, lambda c: c, lambda j: 1 - j),
+    "conjugate": (np.conj, lambda c, n: c, lambda j: 1 - j),
 }
 
 
@@ -650,7 +656,8 @@ def test_d1_verdicts_respect_the_symmetry(mode, name):
         values = entry.signal.reshaped()
         np.testing.assert_array_equal(
             run(values_map(values)),
-            _remapped(run(values), query, cell_of, bin_of))
+            _remapped(run(values), query, lambda c: cell_of(c, 256),
+                      bin_of))
 
 
 @pytest.mark.parametrize("mode", ["fl", "classical"])
