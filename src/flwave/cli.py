@@ -4,6 +4,7 @@ Commands and their flags:
 
 - ``norm --input F``: ``--space {fl,mixed,mod,cone}``, ``--q``, ``--p``,
   ``--weight``, ``--order``, ``--window``, ``--direction``, ``--aperture``.
+  ``mixed`` takes no weight but ``s:0`` and ``mod`` only ``s:`` weights.
 - ``wavefront --input F``: ``--mode {fl,classical,modulation}``, ``--q``,
   ``--s``, ``--bins``, ``--out``, ``--csv``.  The scan runs the default
   query at exponent ``--q``; ``--s`` replaces its weight by <k>^s.
@@ -163,6 +164,10 @@ def _echo(args, keys) -> dict:
 def _run_norm(args) -> dict:
     sig = read_signal(args.input)
     weight = parse_weight(args.weight)
+    if args.space == "mixed" and weight != Weight.power(0.0):
+        raise ValueError("--space mixed takes no --weight but s:0")
+    if args.space == "mod" and weight.kind != "power":
+        raise ValueError("--space mod takes only s: --weight values")
     if args.space == "fl":
         value = fl_norm(sig, FLNormSpec(args.q, weight))
     elif args.space == "cone":
@@ -176,7 +181,7 @@ def _run_norm(args) -> dict:
         width = args.window or max(8, sig.grid.n // 4)
         value = modulation_norm(
             sig, args.p, args.q,
-            SpaceFreqWeight(s=weight.s if weight.kind == "power" else 0.0),
+            SpaceFreqWeight(s=weight.s),
             WindowSpec("gauss", width))
     print(value)
     return {"space": args.space, "value": value,

@@ -99,11 +99,6 @@ class FrequencyLattice:
         self.norms = np.sqrt(np.sum(self.points.astype(float) ** 2, axis=-1))
         self.brackets = np.sqrt(1.0 + self.norms**2)
 
-    def wrap(self, k: np.ndarray) -> np.ndarray:
-        """Wrap integer vectors onto the centered lattice (mod n per axis)."""
-        n = self.grid.n
-        return (np.asarray(k) + n // 2) % n - n // 2
-
     def index_of(self, k) -> int:
         """Row-major flat index of a lattice point."""
         n = self.grid.n

@@ -20,8 +20,9 @@ it comes, never holding V.
 max of their magnitudes in ``fftn`` order, shifting once at the end.
 ``modulation_wavefront``, the third wave-front scan mode, fits the cones
 of that profile near each position over every direction at once;
-``modulation_direction_verdict`` fits one direction.  Both floor against
-the signal's cached scale (``Signal.peak_off_origin``).
+``modulation_direction_verdict`` fits one direction.  Both decide through
+the spectral estimators' verdict kernel (``wavefront._decide``) and floor
+against the signal's cached scale (``Signal.peak_off_origin``).
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from .grid import Signal, TorusGrid, _prefactor, lattice
 # in every flwave module keep finding it in this one
 from .grid import forward_transform  # noqa: F401
 from .norms import FLNormSpec, _row_norm, fl_norm
-from .wavefront import (WavefrontQuery, WavefrontReport, _band_reduce,
-                        _cone_fits, _fl_bound, _scan, _segment_table,
-                        _verdicts)
+from .wavefront import (WavefrontQuery, WavefrontReport, _decide, _fl_bound,
+                        _scan, _segment_table)
 from .weights import Weight
 from .windows import WindowSpec, origin_window, windowed_spectra
 
@@ -224,7 +224,6 @@ def modulation_direction_verdict(f: Signal, x0, direction, q: float,
                                  aperture: float, octaves,
                                  position_radius: int | None = None,
                                  rel_floor: float = 1e-6,
-                                 margin: float = 0.25,
                                  position_step: int = 4,
                                  sup_v: np.ndarray | None = None) -> dict:
     """Wave-front verdict from cone-restricted modulation content.
@@ -237,12 +236,11 @@ def modulation_direction_verdict(f: Signal, x0, direction, q: float,
     if sup_v is None:
         sup_v = modulation_sup_profile(f, x0, window, position_radius,
                                        position_step)
-    weighted = sup_v * Weight.power(s).on_lattice(grid)
-    table = _segment_table(grid, (direction,), aperture, octaves).centred
-    floor = rel_floor * f.peak_off_origin
-    slopes, used, _ = _cone_fits(table, _band_reduce(table, sup_v, q),
-                                 _band_reduce(table, weighted, q), q, floor)
-    [regular], [slope] = _verdicts(slopes, used, _fl_bound(grid.d, q, margin))
+    # a product buffer of its own: callers share one sup_v over directions
+    [[regular]], [[slope]], _ = _decide(
+        _segment_table(grid, (direction,), aperture, octaves).centred, sup_v,
+        [Weight.power(s).on_lattice(grid)], q, rel_floor * f.peak_off_origin,
+        _fl_bound(grid.d, q), np.empty_like(sup_v))
     return {"verdict": "regular" if regular else "singular",
             "slope": float(slope)}
 

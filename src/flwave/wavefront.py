@@ -9,7 +9,7 @@ coefficient array the estimator computes, per octave m with
 
 (the count-normalized l^q average; max at q=inf), fits the slope of
 log2 A_m against m by least squares over the query's octave range, and
-declares the direction regular when slope <= -(d/q + margin).  The
+declares the direction regular when slope <= -(d/q + SLOPE_MARGIN).  The
 count normalization makes the threshold equivalent to summability of
 the weighted tail: sum_m count_m * A_m^q converges exactly when the
 mass slope stays below -d/q.
@@ -20,11 +20,15 @@ direction cone's lattice points, banded by octave, as positions of the
 unshifted ``fftn`` output.  A scan reads its spectra from
 ``windows.windowed_spectra``, one reused buffer rolling the cached origin
 window to each position; its weight is permuted to ``fftn`` order once.
-Per scan position the buffer's |F| is gathered and reduced by one
-``reduceat`` over the band starts, the buffer is weighted in place and
-reduced again (classical scans reuse the first reduction), giving the
-averages and the cone seminorms of every direction at once, and one
-array fit and one array verdict decide every direction.
+
+Every estimator (``estimate_wavefront``, ``classical_wavefront``,
+``superior_scan``, ``regular_directions`` and both modulation verdicts)
+decides a position through one kernel, ``_decide``: the spectrum's |F| is
+gathered and reduced by one ``reduceat`` over the band starts, then per
+weight the weighted spectrum is reduced again (a classical scan reuses
+the first reduction), giving the averages and cone seminorms of every
+direction at once, and one array fit and one array verdict decide every
+direction under every weight.
 
 Annuli whose content falls below a relative floor are dropped from the
 fit; if nothing in the fit range rises above the floor the direction is
@@ -87,7 +91,6 @@ class WavefrontQuery:
     octaves: tuple = (3, 6)  # inclusive fit range [m_lo, m_hi]
     rel_floor: float = REL_FLOOR
     classical_rel_floor: float = CLASSICAL_REL_FLOOR
-    margin: float = SLOPE_MARGIN
 
     def __post_init__(self):
         if not (0 < self.aperture <= np.pi / 2):
@@ -176,7 +179,6 @@ class _SegmentTable:
     (directions, octaves + 2); ``starts`` are the offsets of the non-empty
     bands, where one ``reduceat`` over the gathered values begins a sum.
     Cones overlap, so a point may appear under several directions.
-    ``centred`` is the same table gathering from centred-lattice arrays.
     """
 
     def __init__(self, grid: TorusGrid, directions, aperture, octaves):
@@ -200,6 +202,10 @@ class _SegmentTable:
 
     @cached_property
     def centred(self) -> "_SegmentTable":
+        """The table over centred-lattice arrays.  Its one user is
+        ``modulation.modulation_direction_verdict``, which the benchmark's
+        criterion-9c op calls per direction; both go once that op calls
+        ``modulation_wavefront`` instead."""
         other = copy.copy(self)
         other.index = _shift_positions(self.grid)[self.index]
         return other
@@ -301,31 +307,38 @@ def fit_decay_slope(averages: np.ndarray, usable: np.ndarray, octaves):
     return slopes, used
 
 
-def _cone_fits(table: _SegmentTable, raw_bands, bands, q, floor):
-    """(slopes, used, seminorms) of every table cone, one array fit, from
-    the band sums of the unweighted and the weighted coefficients.
-
-    Annulus usability is decided on the unweighted coefficients against
-    the floor, so the usable set does not move with the weight order; the
-    decay slopes are then fitted to the weighted averages over that set.
-    """
-    raw_avgs, avgs, seminorms = annulus_averages(table, raw_bands, bands, q)
-    return (*fit_decay_slope(avgs, raw_avgs > floor, table.octaves),
-            seminorms)
-
-
-def _fl_bound(d, q, margin) -> float:
+def _fl_bound(d, q) -> float:
     """Largest regular slope under the summability rule."""
-    return -((0.0 if np.isinf(q) else d / q) + margin)
+    return -((0.0 if np.isinf(q) else d / q) + SLOPE_MARGIN)
 
 
-def _verdicts(slopes, used, bound):
-    """(regular, recorded slopes): regular when slope <= bound, or outright
-    (recording REGULAR_SENTINEL) below two usable annuli: an empty cone or
-    an isolated spectral blob, band-limited with no growing tail."""
-    fitted = used >= 2
-    return (~fitted | (slopes <= bound),
-            np.where(fitted, slopes, REGULAR_SENTINEL))
+def _decide(table: _SegmentTable, spec: np.ndarray, weights, q, floor,
+            bound, product: np.ndarray, scratch=None):
+    """Verdicts of every table cone on one spectrum ``spec`` (in the
+    table's order) under each weight: (regular, slopes, seminorms), each
+    of shape (weights, directions).  The verdict kernel of every estimator.
+
+    The unweighted bands are reduced once; per weight, spec * w goes into
+    ``product`` (spec itself only for a single weight, else spec is left
+    unchanged) and is reduced, while None reuses the unweighted bands.
+    Usability is decided on the unweighted averages against ``floor``, so
+    it does not move with the weight; the slopes fit the weighted
+    averages.  A cone is regular when its slope is <= ``bound``, or
+    outright (slope REGULAR_SENTINEL) below two usable annuli: an empty
+    cone or an isolated spectral blob, band-limited with no growing tail.
+    """
+    raw = _band_reduce(table, spec, q, scratch)
+    regular = np.empty((len(weights), len(table.counts)), dtype=bool)
+    slopes, seminorms = np.empty(regular.shape), np.empty(regular.shape)
+    for i, w in enumerate(weights):
+        bands = raw if w is None else _band_reduce(
+            table, np.multiply(spec, w, out=product), q, scratch)
+        raw_avgs, avgs, seminorms[i] = annulus_averages(table, raw, bands, q)
+        fit, used = fit_decay_slope(avgs, raw_avgs > floor, table.octaves)
+        fitted = used >= 2
+        regular[i] = ~fitted | (fit <= bound)
+        slopes[i] = np.where(fitted, fit, REGULAR_SENTINEL)
+    return regular, slopes, seminorms
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +535,7 @@ def oracle_recovery(report: WavefrontReport, components, cell_tol,
 
 
 def regular_directions(f: Signal, spec: FLNormSpec, aperture: float,
-                       direction_count: int = 32, octaves=None,
-                       rel_floor: float = REL_FLOOR,
-                       margin: float = SLOPE_MARGIN) -> dict:
+                       direction_count: int = 32, octaves=None) -> dict:
     """Partition direction bins of a (pre-windowed) signal into Theta/Sigma.
 
     The caller is responsible for localizing f first; this routine only
@@ -536,15 +547,11 @@ def regular_directions(f: Signal, spec: FLNormSpec, aperture: float,
     if octaves is None:
         m_hi = int(np.log2(grid.n // 2))
         octaves = (max(1, m_hi - 3), m_hi)
-    coeffs = forward_transform(f).coeffs
-    floor = rel_floor * f.peak_off_origin
-    table = _segment_table(grid, dirs, aperture, octaves).centred
-    weighted = coeffs * spec.weight.on_lattice(grid)
-    slopes, used, _ = _cone_fits(table, _band_reduce(table, coeffs, spec.q),
-                                 _band_reduce(table, weighted, spec.q),
-                                 spec.q, floor)
-    regular, slopes = _verdicts(slopes, used,
-                                _fl_bound(grid.d, spec.q, margin))
+    coeffs = _unshifted(grid, forward_transform(f).coeffs)
+    [regular], [slopes], _ = _decide(
+        _segment_table(grid, dirs, aperture, octaves), coeffs,
+        [_unshifted(grid, spec.weight.on_lattice(grid))], spec.q,
+        REL_FLOOR * f.peak_off_origin, _fl_bound(grid.d, spec.q), coeffs)
     return {"theta": [t for t, ok in zip(dirs, regular) if ok],
             "sigma": [t for t, ok in zip(dirs, regular) if not ok],
             "slopes": dict(zip(dirs, slopes.tolist()))}
@@ -555,8 +562,8 @@ def _scan(f: Signal, query: WavefrontQuery, mode: str,
     """Scan in ``mode`` "fl", "classical" or "modulation".
 
     ``spectra`` yields one array of shape ``grid.shape`` per query
-    position, in ``fftn`` order (default: ``windowed_spectra`` of f); each
-    is weighted in place once its unweighted bands are reduced.
+    position, in ``fftn`` order (default: ``windowed_spectra`` of f); the
+    kernel weights each in place once its unweighted bands are reduced.
     """
     grid = f.grid
     query.validate(grid)
@@ -569,7 +576,7 @@ def _scan(f: Signal, query: WavefrontQuery, mode: str,
     else:
         rel, q = query.rel_floor, query.spec.q
         w = _unshifted(grid, query.spec.weight.on_lattice(grid))
-        bound = _fl_bound(grid.d, q, query.margin)
+        bound = _fl_bound(grid.d, q)
     # global reference scale: the floor must not depend on how much of the
     # signal the window catches, or far-away windows see pure noise
     floor = rel * f.peak_off_origin
@@ -583,13 +590,8 @@ def _scan(f: Signal, query: WavefrontQuery, mode: str,
     regular, slopes, seminorms = (np.empty(shape, dtype=bool),
                                   np.empty(shape), np.empty(shape))
     for i, spec in enumerate(spectra):
-        raw = bands = _band_reduce(table, spec, q, scratch)
-        if w is not None:  # classical scans are unweighted
-            spec *= w
-            bands = _band_reduce(table, spec, q, scratch)
-        fit_slopes, used, seminorms[i] = _cone_fits(table, raw, bands, q,
-                                                    floor)
-        regular[i], slopes[i] = _verdicts(fit_slopes, used, bound)
+        regular[i], slopes[i], seminorms[i] = _decide(
+            table, spec, [w], q, floor, bound, spec, scratch)
     return WavefrontReport(grid, query, ~regular, slopes, seminorms, mode)
 
 
@@ -630,7 +632,7 @@ def superior_scan(f: Signal, query: WavefrontQuery, s_list) -> dict:
     grid = f.grid
     query.validate(grid)
     q = query.spec.q
-    bound = _fl_bound(grid.d, q, query.margin)
+    bound = _fl_bound(grid.d, q)
     floor = query.rel_floor * f.peak_off_origin
     ladders = [(1.0, 1.0), (0.5, 1.0), (0.25, 1.0)]
     if grid.d > 1:
@@ -651,17 +653,9 @@ def superior_scan(f: Signal, query: WavefrontQuery, s_list) -> dict:
     for x0, *specs in zip(query.positions, *spectra.values()):
         coeffs = dict(zip(spectra, specs))
         # passes[ladder, order, direction]; ladder 0 is the fixed variant
-        passes = np.empty((len(ladders), len(weights), len(query.directions)),
-                          dtype=bool)
-        for i, (wf, af) in enumerate(ladders):
-            table, spec = tables[af], coeffs[wf]
-            raw = _band_reduce(table, spec, q, scratch[af])
-            for j, w in enumerate(weights):
-                np.multiply(spec, w, out=weighted)
-                slopes, used, _ = _cone_fits(
-                    table, raw, _band_reduce(table, weighted, q, scratch[af]),
-                    q, floor)
-                passes[i, j] = _verdicts(slopes, used, bound)[0]
+        passes = np.array([_decide(tables[af], coeffs[wf], weights, q, floor,
+                                   bound, weighted, scratch[af])[0]
+                           for wf, af in ladders])
         cell = tuple(int(c) for c in np.atleast_1d(x0))
         for i, direction in enumerate(query.directions):
             fixed = passes[0, :, i].tolist()

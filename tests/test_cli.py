@@ -149,6 +149,53 @@ def test_norm_on_missing_file_fails(capsys):
     assert "error" in payload and payload["status"] == "error"
 
 
+def _cusp_and_table(tmp_path):
+    """A d = 1 n = 16 corpus signal file and a table weight file w = 2."""
+    sig = standard_corpus(1, 16)[2].signal
+    sig_path, table_path = tmp_path / "f.json", tmp_path / "w.json"
+    write_signal(sig, str(sig_path))
+    table_path.write_text(json.dumps(
+        {"d": 1, "n": 16, "values": [2.0] * sig.grid.size}))
+    return str(sig_path), f"table:{table_path}"
+
+
+@pytest.mark.parametrize("space, weight", [("mixed", "s:3"),
+                                           ("mixed", "table"),
+                                           ("mod", "table")])
+def test_norm_weight_that_the_space_ignores_is_a_usage_error(
+        tmp_path, capsys, space, weight):
+    sig_path, table = _cusp_and_table(tmp_path)
+    code, out = _run(["norm", "--input", sig_path, "--space", space,
+                      "--weight", table if weight == "table" else weight],
+                     capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert set(payload) == {"error", "status"}
+    assert payload["status"] == "error" and "--weight" in payload["error"]
+
+
+@pytest.mark.parametrize("space, weight", [("mixed", "s:0"), ("mod", "s:1")])
+def test_norm_weight_that_the_space_applies_runs(tmp_path, capsys, space,
+                                                 weight):
+    sig_path, _ = _cusp_and_table(tmp_path)
+    code, out = _run(["norm", "--input", sig_path, "--space", space,
+                      "--weight", weight], capsys)
+    assert code == 0 and float(out.splitlines()[0]) > 0
+
+
+@pytest.mark.parametrize("space", ["fl", "cone"])
+def test_norm_table_weight_scales_the_norm(tmp_path, capsys, space):
+    sig_path, table = _cusp_and_table(tmp_path)
+    values = []
+    for weight in ("s:0", table):
+        code, out = _run(["norm", "--input", sig_path, "--space", space,
+                          "--weight", weight], capsys)
+        assert code == 0
+        values.append(float(out.splitlines()[0]))
+    assert values[0] > 0
+    assert values[1] == pytest.approx(2.0 * values[0], rel=1e-12)
+
+
 def test_verify_that_cannot_run_is_a_usage_error(capsys):
     # an odd lattice size is bad input, not a failed verification
     code, out = _run(["verify", "tf-bounds", "--n", "3"], capsys)

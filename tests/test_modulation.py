@@ -127,7 +127,7 @@ def _per_direction_verdicts(f, query):
             out = modulation_direction_verdict(
                 f, x0, theta, query.spec.q, query.spec.weight.s,
                 query.window, query.aperture, query.octaves,
-                rel_floor=query.rel_floor, margin=query.margin, sup_v=sup_v)
+                rel_floor=query.rel_floor, sup_v=sup_v)
             singular[i, j] = out["verdict"] == "singular"
             slopes[i, j] = out["slope"]
     return singular, slopes

@@ -15,6 +15,7 @@ from flwave.grid import Signal, Spectrum, TorusGrid, forward_transform, \
     impulse, inverse_transform, lattice, single_mode
 from flwave.norms import FLNormSpec, fl_norm, sequence_norm
 from flwave.wavefront import (
+    SLOPE_MARGIN,
     WavefrontQuery,
     WavefrontRecord,
     WavefrontReport,
@@ -462,7 +463,7 @@ def _reference_scan(f, query, classical, table_stats=False):
                 regular, slopes[i, j] = -slope >= query.decay_threshold, slope
             else:
                 dq = 0.0 if np.isinf(q) else grid.d / q
-                regular = slope <= -(dq + query.margin)
+                regular = slope <= -(dq + SLOPE_MARGIN)
                 slopes[i, j] = slope
             singular[i, j] = not regular
     return singular, slopes, seminorms

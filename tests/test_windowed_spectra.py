@@ -20,14 +20,16 @@ from flwave.modulation import modulation_sup_profile, modulation_wavefront
 from flwave.norms import FLNormSpec
 from flwave.wavefront import (
     WavefrontRecord,
-    _cone_fits,
+    _decide,
     _fl_bound,
     _last_true_prefix,
     _segment_table,
-    _verdicts,
+    _unshifted,
+    annulus_averages,
     classical_wavefront,
     default_query,
     estimate_wavefront,
+    fit_decay_slope,
     superior_scan,
 )
 from flwave.weights import Weight
@@ -82,11 +84,16 @@ def _centred_bands(table, coeffs, q):
 
 
 def _reference_verdicts(table, coeffs, w, q, floor, bound):
-    """(regular, slopes, seminorms) of one centred spectrum."""
-    slopes, used, seminorms = _cone_fits(
+    """(regular, slopes, seminorms) of one centred spectrum: usability on
+    the unweighted averages, the fit on the weighted ones, and regular
+    when slope <= bound or below two usable annuli (slope -99)."""
+    raw_avgs, avgs, seminorms = annulus_averages(
         table, _centred_bands(table, coeffs, q),
-        _centred_bands(table, coeffs * w, q), q, floor)
-    return (*_verdicts(slopes, used, bound), seminorms)
+        _centred_bands(table, coeffs * w, q), q)
+    slopes, used = fit_decay_slope(avgs, raw_avgs > floor, table.octaves)
+    fitted = used >= 2
+    return (~fitted | (slopes <= bound), np.where(fitted, slopes, -99.0),
+            seminorms)
 
 
 def _reference_scan(f, query, mode, spectrum):
@@ -98,7 +105,7 @@ def _reference_scan(f, query, mode, spectrum):
         floor = query.classical_rel_floor * f.peak_off_origin
     else:
         q, w = query.spec.q, query.spec.weight.on_lattice(grid)
-        bound = _fl_bound(grid.d, q, query.margin)
+        bound = _fl_bound(grid.d, q)
         floor = query.rel_floor * f.peak_off_origin
     table = _segment_table(grid, query.directions, query.aperture,
                            query.octaves)
@@ -111,7 +118,7 @@ def _reference_scan(f, query, mode, spectrum):
 def _reference_superior(f, query, s_list):
     """``superior_scan`` from one rolled window per (position, ladder)."""
     grid = f.grid
-    bound = _fl_bound(grid.d, query.spec.q, query.margin)
+    bound = _fl_bound(grid.d, query.spec.q)
     floor = query.rel_floor * f.peak_off_origin
     ladders = [(1.0, 1.0), (0.5, 1.0), (0.25, 1.0)]
     if grid.d > 1:
@@ -200,6 +207,41 @@ def test_superior_scan_equals_the_rolled_window_reference(d, n):
     for entry in entries:
         assert superior_scan(entry.signal, query, ORDERS) == \
             _reference_superior(entry.signal, query, ORDERS), entry.id
+
+
+@pytest.mark.parametrize("d, n", CORPORA)
+@pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
+def test_kernel_rows_equal_one_call_per_weight(d, n, q):
+    # several weights in one call, a classical (None) row among them, give
+    # the rows of one call per weight; a separate product buffer leaves the
+    # spectrum as it was, so callers may share it across calls
+    f = standard_corpus(d, n)[2].signal
+    grid = f.grid
+    query = default_query(grid)
+    table = _segment_table(grid, query.directions, query.aperture,
+                           query.octaves)
+    weights = [_unshifted(grid, Weight.power(s).on_lattice(grid))
+               for s in (0.5, 2.0, 4.0)]
+    weights.insert(1, None)
+    floor, bound = query.rel_floor * f.peak_off_origin, _fl_bound(d, q)
+    scratch = (np.empty(grid.size), np.empty(table.index.size))
+    spectra = windowed_spectra(f, origin_window(grid, query.window),
+                               query.positions)
+    fitted = False
+    for spec in spectra:
+        before = spec.copy()
+        got = _decide(table, spec, weights, q, floor, bound,
+                      np.empty_like(spec))
+        assert _same_bits(spec, before)
+        assert all(a.shape == (len(weights), len(query.directions))
+                   for a in got)
+        for i, w in enumerate(weights):
+            own = before.copy()  # weighted in place by its own call
+            want = _decide(table, own, [w], q, floor, bound, own, scratch)
+            assert all(_same_bits(a[i], b[0]) for a, b in zip(got, want))
+        # some slope differs between the weights, so the rows are not copies
+        fitted |= not _same_bits(got[1][0], got[1][3])
+    assert fitted
 
 
 def test_sup_profiles_equal_the_rolled_window_reference():
