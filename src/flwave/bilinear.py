@@ -88,7 +88,9 @@ def tf_dual_pair(F: KernelGrid, f, g, h) -> tuple:
 
     lhs = <T_F(f,g), h>; rhs = <T_G(h, g~), f> with G the transposed
     kernel and g~ the reflection of g.  Equal on the lattice (finite
-    rearrangement), up to rounding.
+    rearrangement), up to rounding.  This is the duality step that moves
+    the paper's T_F bounds between exponents q and q'; ``verify duality``
+    checks it on trial stacks through ``tf_dual_rows``.
     """
     rows = [np.asarray(a, dtype=complex).ravel()[None] for a in (f, g, h)]
     lhs, rhs = tf_dual_rows(F.grid, F.values[None], *rows)

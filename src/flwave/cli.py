@@ -7,7 +7,8 @@ Commands and their flags:
   ``mixed`` takes no weight but ``s:0`` and ``mod`` only ``s:`` weights.
 - ``wavefront --input F``: ``--mode {fl,classical,modulation}``, ``--q``,
   ``--s``, ``--bins``, ``--out``, ``--csv``.  The scan runs the default
-  query at exponent ``--q``; ``--s`` replaces its weight by <k>^s.
+  query at exponent ``--q``; ``--s`` replaces its weight by <k>^s, and
+  ``--bins`` its 2-D direction bins (a usage error on a 1-D signal).
 - ``corpus list`` and ``corpus emit --id ID --out F``: ``--d``, ``--n``.
   ID names an entry of ``standard_corpus(d, n)`` by its id or by the id
   prefix before a dash (``smooth`` is ``smooth-1`` at d = 1).
@@ -91,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                       default="fl")
     p_wf.add_argument("--q", type=float, default=1.0)
     p_wf.add_argument("--s", type=float, default=None)
-    p_wf.add_argument("--bins", type=int, default=32)
+    p_wf.add_argument("--bins", type=int, default=None,
+                      help="direction bins of a 2-D scan (default 32)")
     p_wf.add_argument("--out", type=str, default=None)
     p_wf.add_argument("--csv", type=str, default=None)
 
@@ -190,6 +192,10 @@ def _run_norm(args) -> dict:
 
 def _run_wavefront(args) -> dict:
     sig = read_signal(args.input)
+    if args.bins is not None and sig.grid.d == 1:  # d = 1 has two signs
+        raise ValueError("--bins sets 2-D direction bins; a 1-D scan has "
+                         "the two signs")
+    args.bins = 32 if args.bins is None else args.bins
     query = default_query(sig.grid, bins=args.bins)
     weight = query.spec.weight if args.s is None else Weight.power(args.s)
     query = replace(query, spec=FLNormSpec(args.q, weight))

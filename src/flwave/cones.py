@@ -13,8 +13,7 @@ import numpy as np
 
 from .grid import TorusGrid, lattice
 
-__all__ = ["Cone", "contains", "cone_mask", "RegionMask", "omega_masks",
-           "parse_direction"]
+__all__ = ["Cone", "cone_mask", "RegionMask", "omega_masks", "parse_direction"]
 
 FULL_APERTURE = np.pi
 
@@ -38,32 +37,6 @@ class Cone:
                 f"aperture must lie in (0, pi], got {self.aperture}"
             )
         object.__setattr__(self, "axis", tuple(float(a) for a in ax))
-
-    @staticmethod
-    def full(d: int) -> "Cone":
-        axis = np.zeros(d)
-        axis[0] = 1.0
-        return Cone(tuple(axis), np.pi)
-
-    @staticmethod
-    def halfline(sign: int) -> "Cone":
-        """1-D cone: a sign of the frequency axis."""
-        return Cone((float(np.sign(sign)),), np.pi / 2)
-
-    def shrink(self, factor: float) -> "Cone":
-        return Cone(self.axis, self.aperture * factor)
-
-
-def contains(c: Cone, k) -> bool:
-    """Membership test for a single lattice point k != 0."""
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    norm = np.linalg.norm(k)
-    if norm == 0:
-        raise ValueError("cone membership is undefined at the origin")
-    if c.aperture >= FULL_APERTURE - 1e-12:
-        return True
-    cosang = np.clip(np.dot(c.axis, k) / norm, -1.0, 1.0)
-    return bool(np.arccos(cosang) < c.aperture)
 
 
 def cone_mask(grid: TorusGrid, c: Cone) -> np.ndarray:
@@ -108,13 +81,12 @@ class RegionMask:
     masks: tuple = field(repr=False)  # five (N, N) boolean arrays
 
 
-def omega_masks(grid: TorusGrid, delta: float, R: float,
-                disjoint: bool = True) -> RegionMask:
+def omega_masks(grid: TorusGrid, delta: float, R: float) -> RegionMask:
     """Build the five frequency-pair regions used by the product bounds.
 
-    With ``disjoint`` the second region drops its overlap with the first
-    and ties between regions 4 and 5 resolve to region 4, so the five
-    masks tile all pairs exactly once.
+    The second region drops its overlap with the first and ties between
+    regions 4 and 5 resolve to region 4, so the five masks tile all pairs
+    exactly once.
     """
     if not (0 < delta < 1):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -131,12 +103,9 @@ def omega_masks(grid: TorusGrid, delta: float, R: float,
     kl_br = np.sqrt(1.0 + np.sum(diff**2, axis=-1))
 
     om1 = l_br < delta * k_br
-    om2 = kl_br < delta * k_br
+    om2 = (kl_br < delta * k_br) & ~om1
     low = delta * k_br <= np.minimum(l_br, kl_br)
     om3 = low & (k_abs <= R)
     om4 = low & (k_abs > R) & (kl_br <= l_br)
-    om5 = low & (k_abs > R) & (l_br <= kl_br)
-    if disjoint:
-        om2 = om2 & ~om1
-        om5 = om5 & ~om4
+    om5 = low & (k_abs > R) & (l_br <= kl_br) & ~om4
     return RegionMask(grid, delta, R, (om1, om2, om3, om4, om5))

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Signal, TorusGrid, impulse
-from .norms import FLNormSpec, fl_norm
-from .weights import Weight
 
 __all__ = [
     "CorpusEntry",
@@ -105,14 +103,11 @@ def make_delta(grid: TorusGrid, x_star) -> CorpusEntry:
                        classical_singular_cells=(x_star,))
 
 
-def make_edge(grid: TorusGrid, axis: int = 0, offset: int = 0,
-              smooth_profile: bool = False) -> CorpusEntry:
+def make_edge(grid: TorusGrid, axis: int = 0, offset: int = 0) -> CorpusEntry:
     """Periodized jump across the grid line {x_axis = offset*h} (d=2 only).
 
     A sawtooth in the transversal coordinate: one jump per period, C^inf
-    elsewhere, spectrum ~ 1/k along the normal.  ``smooth_profile`` adds a
-    smooth tangential modulation, which thickens the spectral line without
-    moving the co-normal directions.
+    elsewhere, spectrum ~ 1/k along the normal.
     """
     if grid.d != 2:
         raise ValueError("edges are 2-D corpus entries")
@@ -120,9 +115,6 @@ def make_edge(grid: TorusGrid, axis: int = 0, offset: int = 0,
     pts = grid.sample_points()
     u = (pts[:, axis] - offset * grid.h) / (2 * np.pi)
     vals = (u % 1.0) - 0.5 + 0j
-    if smooth_profile:
-        t = pts[:, 1 - axis]
-        vals = vals * (1.0 + 0.3 * np.cos(t))
     normal = [0.0, 0.0]
     normal[axis] = 1.0
     cells = []
@@ -192,8 +184,7 @@ def _texture_bump(grid: TorusGrid, center: float, sigma_cells: float,
     return envelope * vals
 
 
-def make_example_sum(grid: TorusGrid, count: int = 3, q: float = 1.0,
-                     seed: int = 5) -> CorpusEntry:
+def make_example_sum(grid: TorusGrid, count: int = 3) -> CorpusEntry:
     """Sum of disjoint modulated bumps marching toward x = 0 (d=1).
 
     Component j (1-based) occupies an interval approaching the origin as
@@ -210,7 +201,7 @@ def make_example_sum(grid: TorusGrid, count: int = 3, q: float = 1.0,
     if count > 4:
         raise ValueError("count is limited to 4 by grid resolution")
     n = grid.n
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)  # the bumps' texture phases
     stride = max(8, n // 4)  # default scan stride at this grid size
     # component j: Gaussian envelope (center, sigma) in cells.  Component
     # centers sit on the scan grid (windows at other scan positions stay
@@ -288,12 +279,3 @@ def standard_corpus(d: int, n: int) -> list:
         ]
     raise ValueError("corpus targets d in {1, 2}")
 
-
-def weighted_tail_ratio(entry_vals: np.ndarray, grid: TorusGrid,
-                        order_in: float, order_out: float,
-                        q: float = 1.0) -> float:
-    """Ratio of the order_out weighted tail to the order_in value."""
-    sig = Signal(grid, entry_vals)
-    hi = fl_norm(sig, FLNormSpec(q, Weight.power(order_out)))
-    lo = fl_norm(sig, FLNormSpec(q, Weight.power(order_in)))
-    return hi / lo

@@ -99,13 +99,17 @@ class FrequencyLattice:
         self.norms = np.sqrt(np.sum(self.points.astype(float) ** 2, axis=-1))
         self.brackets = np.sqrt(1.0 + self.norms**2)
 
-    def index_of(self, k) -> int:
-        """Row-major flat index of a lattice point."""
+    def index_of(self, k):
+        """Row-major flat index of a lattice point, or the flat indices of
+        the rows of an (M, d) array of lattice points."""
         n = self.grid.n
         k = np.atleast_1d(np.asarray(k, dtype=int))
-        if np.any(k < -n // 2) or np.any(k >= n // 2):
-            raise ValueError(f"lattice point {k} out of range for n={n}")
-        return int(np.ravel_multi_index(tuple(k + n // 2), self.grid.shape))
+        rows = np.atleast_2d(k)
+        bad = np.any((rows < -n // 2) | (rows >= n // 2), axis=-1)
+        if np.any(bad):
+            raise ValueError(f"lattice point {rows[bad][0]} out of range "
+                             f"for n={n}")
+        return np.ravel_multi_index(tuple((k + n // 2).T), self.grid.shape)
 
 
 _LATTICE_CACHE: dict = {}
@@ -243,22 +247,16 @@ def _convolve_rows(grid: TorusGrid, v1: np.ndarray,
         len(v1), -1)
 
 
-def lp_norm(f: Signal, p: float, spatial_weight=None) -> float:
-    """Weighted L^p norm (h^d sum_j |f(x_j) w(x_j)|^p)^(1/p); max norm at p=inf.
+def lp_norm(f: Signal, p: float) -> float:
+    """L^p norm (h^d sum_j |f(x_j)|^p)^(1/p); max norm at p=inf.
 
-    ``spatial_weight`` is evaluated at the sample points x_j (a Weight of
-    power kind, or any callable mapping an (N, d) array to positive values).
+    The L^p side of the lattice Parseval identity and of Young's
+    convolution inequality (the transform's normalization pairs h^d on
+    the samples with counting measure on frequencies).
     """
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     mags = np.abs(f.values)
-    if spatial_weight is not None:
-        pts = f.grid.sample_points()
-        if hasattr(spatial_weight, "evaluate_points"):
-            w = spatial_weight.evaluate_points(pts)
-        else:
-            w = np.asarray(spatial_weight(pts), dtype=float)
-        mags = mags * w
     peak = float(np.max(mags)) if mags.size else 0.0
     if np.isinf(p) or peak == 0.0:
         return peak
@@ -304,12 +302,24 @@ def write_signal(f: Signal, path: str, fmt: str | None = None):
         raise ValueError(f"unknown signal format {fmt!r}")
 
 
+def _read_json_object(path: str, keys) -> dict:
+    """The JSON object in a file; ValueError unless it holds every key."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON object but a "
+                         f"{type(payload).__name__}")
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return payload
+
+
 def read_signal(path: str, fmt: str | None = None) -> Signal:
     """Read a signal written by write_signal."""
     fmt = fmt or ("json" if str(path).endswith(".json") else "bin")
     if fmt == "json":
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = _read_json_object(path, ("d", "n", "re", "im"))
         grid = TorusGrid(int(payload["d"]), int(payload["n"]))
         vals = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(
             payload["im"], dtype=float

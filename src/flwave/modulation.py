@@ -135,8 +135,7 @@ def modulation_norm(f: Signal, p: float, q: float,
 
 
 def equivalence_check(f: Signal, q: float, s: float,
-                      window: WindowSpec, p: float = 2.0,
-                      support_fraction_limit: float = 0.5) -> dict:
+                      window: WindowSpec, p: float = 2.0) -> dict:
     """Ratio of modulation to Fourier-Lebesgue norm for localized signals.
 
     The two norms are equivalent on signals of fixed compact support;
@@ -146,7 +145,7 @@ def equivalence_check(f: Signal, q: float, s: float,
     """
     mags = np.abs(f.values)
     frac = np.count_nonzero(mags > 1e-8 * np.max(mags)) / f.grid.size
-    if frac > support_fraction_limit:
+    if frac > 0.5:
         raise ValueError(
             f"support covers {frac:.2f} of the torus; norms inequivalent"
         )
@@ -156,7 +155,6 @@ def equivalence_check(f: Signal, q: float, s: float,
     ratio = mod / fl if fl > 0 else 0.0
     # witnesses for the two sides of the equivalence
     return {"ratio": ratio,
-            "lower_ratio": ratio,
             "upper_ratio": fl / mod if mod > 0 else 0.0,
             "support_fraction": frac}
 

@@ -19,7 +19,6 @@ __all__ = [
     "FLNormSpec",
     "KernelGrid",
     "fl_norm",
-    "local_fl_norm",
     "cone_seminorm",
     "mixed_norm",
     "sequence_norm",
@@ -81,13 +80,6 @@ def _fl_rows(grid: TorusGrid, values: np.ndarray, spec: FLNormSpec):
     """fl_norm of each row of a (T, n^d) value stack, in one transform."""
     coeffs = _transform_rows(grid, values) * spec.weight.on_lattice(grid)
     return _row_norm(np.abs(coeffs), spec.q)
-
-
-def local_fl_norm(f: Signal, cutoff: Signal, spec: FLNormSpec) -> float:
-    """fl_norm of the pointwise product cutoff*f."""
-    if f.grid != cutoff.grid:
-        raise ValueError("grid mismatch between signal and cutoff")
-    return fl_norm(cutoff * f, spec)
 
 
 def cone_seminorm(f: Signal, cone: Cone, spec: FLNormSpec) -> float:

@@ -5,10 +5,7 @@ Symbols a(x, k) act through the standard quantization
     (a(x,D) f)(x_j) = (2 pi)^(-d/2) sum_k a(x_j, k) F(k) e^(i k.x_j)
 
 which reduces to an exact Fourier multiplier when a is x-independent and
-to pointwise multiplication when a is frequency-independent.  Symbol
-class membership is certified by sampled quotients |a| / <k>^m and first
-differences against <k>^(m-1) (table symbols have no closed-form
-derivatives).
+to pointwise multiplication when a is frequency-independent.
 
 ``transport_check`` scans f and Af at their orders with the grid's
 default query (``wavefront._scan_at_order``), matches singular sets
@@ -20,14 +17,13 @@ evaluation per position, one in total for a multiplier.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cones import Cone, cone_mask
-from .grid import Signal, Spectrum, TorusGrid, forward_transform, \
-    inverse_transform, lattice
+from .grid import Signal, Spectrum, TorusGrid, _read_json_object, \
+    forward_transform, inverse_transform, lattice
 from .wavefront import _scan_at_order, report_included_in
 
 __all__ = [
@@ -72,28 +68,6 @@ class Symbol:
         return np.asarray(self.evaluator(
             grid.sample_points(), lattice(grid).points.astype(float)
         )).reshape(grid.size, grid.size)
-
-    def class_certificate(self, grid: TorusGrid, sample: int = 512,
-                          seed: int = 0) -> dict:
-        """Sampled sup of |a|/<k>^m and first differences vs <k>^(m-1)."""
-        rng = np.random.default_rng(seed)
-        n, d = grid.n, grid.d
-        xs = grid.sample_points()[rng.integers(0, grid.size, size=sample)]
-        ks = rng.integers(-n // 2, n // 2 - 1, size=(sample, d)).astype(float)
-        br = np.sqrt(1.0 + np.sum(ks**2, axis=-1))
-        vals = np.asarray(self.evaluator(xs, ks))
-        if vals.ndim == 2:
-            vals = np.diagonal(vals)
-        sup0 = float(np.max(np.abs(vals) / br**self.order))
-        shift = ks.copy()
-        shift[:, 0] += 1.0
-        vals1 = np.asarray(self.evaluator(xs, shift))
-        if vals1.ndim == 2:
-            vals1 = np.diagonal(vals1)
-        sup1 = float(np.max(np.abs(vals1 - vals) / br ** (self.order - 1)))
-        if not (np.isfinite(sup0) and np.isfinite(sup1)):
-            raise ValueError("symbol class certificate is not finite")
-        return {"zeroth": sup0, "first_difference": sup1}
 
 
 def multiplier_symbol(order: float, func, label: str = "multiplier") -> Symbol:
@@ -213,8 +187,7 @@ def parse_symbol(text: str, grid: TorusGrid) -> Symbol:
 
         return multiplier_symbol(float(len(coeffs) - 1), func, text)
     if text.startswith("table:"):
-        with open(text[6:]) as fh:
-            payload = json.load(fh)
+        payload = _read_json_object(text[6:], ("values",))
         vals = np.asarray(payload["values"], dtype=complex)
         table = vals.reshape(grid.size, grid.size)
 
@@ -225,8 +198,7 @@ def parse_symbol(text: str, grid: TorusGrid) -> Symbol:
                                (cells, "grid points")):
                 if np.any(np.abs(np.rint(vals) - vals) > 1e-9):
                     raise ValueError(f"table symbol defined on {kind} only")
-            lat = lattice(_grid)
-            cols = [lat.index_of(k) for k in np.rint(ks).astype(int)]
+            cols = lattice(_grid).index_of(np.rint(ks).astype(int))
             rows = np.ravel_multi_index(tuple(np.rint(cells).astype(int).T),
                                         _grid.shape, mode="wrap")
             return _table[np.ix_(rows, cols)]

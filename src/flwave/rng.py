@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Signal, TorusGrid
+from .grid import TorusGrid
 from .norms import KernelGrid
 
-__all__ = ["trial_rng", "random_coeffs", "random_kernel",
-           "random_signal_mixed", "trial_stacks"]
+__all__ = ["trial_rng", "random_coeffs", "random_kernel", "trial_stacks"]
 
 # Bytes of instances per stack.  Stacking only saves per-call overhead,
 # which small instances need, and a check's temporaries take a few times
@@ -55,10 +54,6 @@ def random_kernel(grid: TorusGrid, rng: np.random.Generator) -> KernelGrid:
         return KernelGrid(grid, mags * np.exp(1j * phases))
     vals = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     return KernelGrid(grid, vals)
-
-
-def random_signal_mixed(grid: TorusGrid, rng: np.random.Generator) -> Signal:
-    return Signal(grid, random_coeffs(grid, rng))
 
 
 def trial_stacks(grid: TorusGrid, seed: int, trials: range, coeffs: int,

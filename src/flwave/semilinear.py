@@ -98,10 +98,6 @@ class Jet:
     components: tuple  # Signals, graded-lexicographic multi-index order
     multi_indices: tuple
 
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
 
 def _graded_multi_indices(d: int, k: int) -> list:
     out = []
@@ -235,8 +231,11 @@ def demo_solve(P: Symbol, G: PolynomialNonlinearity | None, source: Signal,
                jet_order: int = 0) -> dict:
     """Fixed-point solve of P(D) f = G(x, jet(f)) + source.
 
-    P must be an invertible x-independent multiplier.  Divergence raises;
-    on return the relative residual is below tol.
+    The paper's semilinear equation P(x,D)f = G(x, J_k f), with a source
+    term, for an x-independent P: its solutions are what the wave-front
+    gain at non-characteristic points is about.  P must be an invertible
+    x-independent multiplier.  Divergence raises; on return the relative
+    residual is below tol.
     """
     if not P.x_independent:
         raise ValueError("demo solver needs an x-independent symbol")

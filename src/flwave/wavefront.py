@@ -392,16 +392,6 @@ class WavefrontReport:
         return [r for r, flag in zip(self.records, self.singular_mask.flat)
                 if flag]
 
-    def verdict_at(self, x0, theta) -> str:
-        x0 = tuple(int(c) for c in np.atleast_1d(x0))
-        cells = [tuple(c) for c in self.cells.tolist()]
-        near = np.all(np.isclose(self.query.directions, theta, atol=1e-9),
-                      axis=1)
-        if x0 in cells and near.any():
-            return self.records[cells.index(x0) * near.size
-                                + int(near.argmax())].verdict
-        raise KeyError(f"no record at {x0}, {theta}")
-
     def to_json(self) -> str:
         rows = [
             {
@@ -538,9 +528,12 @@ def regular_directions(f: Signal, spec: FLNormSpec, aperture: float,
                        direction_count: int = 32, octaves=None) -> dict:
     """Partition direction bins of a (pre-windowed) signal into Theta/Sigma.
 
-    The caller is responsible for localizing f first; this routine only
-    reads the global spectrum.  Returns {"theta": [...], "sigma": [...],
-    "slopes": {direction: slope}}.
+    The direction split of the wave-front definition: Theta holds the
+    directions whose cone seminorm of the localized f decays at the
+    weight's order, Sigma the rest, and WF at x0 is the complement of the
+    union of the Thetas.  The caller is responsible for localizing f
+    first; this routine only reads the global spectrum.  Returns
+    {"theta": [...], "sigma": [...], "slopes": {direction: slope}}.
     """
     grid = f.grid
     dirs = directions_for(grid.d, direction_count)
@@ -677,14 +670,16 @@ def _last_true_prefix(flags) -> int:
 # ---------------------------------------------------------------------------
 
 
-def split_regular(f: Signal, x0, cone: Cone, spec: FLNormSpec,
-                  inner_window: WindowSpec, outer_window: WindowSpec):
+def split_regular(f: Signal, x0, cone: Cone, inner_window: WindowSpec,
+                  outer_window: WindowSpec):
     """Split the outer-localized signal into a cone part and a remainder.
 
-    g carries the full spectral mass of outer*f inside the cone (so its
-    FL norm is finite by construction) and h = outer*f - g has spectrum
-    identically zero on the cone.  The inner window must live where the
-    outer one is flat at 1, so that inner*(outer*f) == inner*f.
+    The cone split of the product wave-front proofs: a localized factor
+    is written as g + h, with g carrying the full spectral mass of
+    outer*f inside the cone (so every weighted FL norm of g is finite on
+    the lattice) and h = outer*f - g spectrally zero on the cone.  The
+    inner window must live where the outer one is flat at 1, so that
+    inner*(outer*f) == inner*f.
     """
     grid = f.grid
     outer_vals = window_values(grid, outer_window, x0)

@@ -45,8 +45,7 @@ from flwave.modulation import (
 )
 from flwave.norms import FLNormSpec
 from flwave.pdo import multiplier_symbol, transport_check
-from flwave.rng import random_coeffs, random_kernel, random_signal_mixed, \
-    trial_rng
+from flwave.rng import random_coeffs, random_kernel, trial_rng
 from flwave.semilinear import PolynomialNonlinearity, bootstrap_indices, \
     wf_nonlinearity_check
 from flwave.wavefront import (
@@ -141,8 +140,8 @@ def test_criterion_2_certified_inequalities():
     young = prod = 0.0
     for t in range(500):
         rng = trial_rng(203, t)
-        f1 = random_signal_mixed(g, rng)
-        f2 = random_signal_mixed(g, rng)
+        f1 = Signal(g, random_coeffs(g, rng))
+        f2 = Signal(g, random_coeffs(g, rng))
         young = max(young,
                     convolve_norm_check(f1, f2, 1.0, 2.0, 2.0,
                                         w0, w0, w0)["ratio"])
@@ -185,8 +184,8 @@ def test_criterion_3_constant_stability():
         for t in range(200):
             rng = trial_rng(302, t)
             rep = product_critical_norm_check(
-                random_signal_mixed(g, rng), random_signal_mixed(g, rng),
-                4.0, 1.0, 1.0, 0.6, s=1.0)
+                Signal(g, random_coeffs(g, rng)),
+                Signal(g, random_coeffs(g, rng)), 4.0, 1.0, 1.0, 0.6, s=1.0)
             worst = max(worst, rep["ratio"])
         crit[n] = worst
     crit_change = abs(crit[32] - crit[16]) / crit[16]

@@ -17,7 +17,7 @@ from flwave.corpus import make_delta, make_power_cusp, make_smooth, \
     standard_corpus
 from flwave.grid import Signal, TorusGrid, impulse, random_signal, single_mode
 from flwave.norms import FLNormSpec, fl_norm
-from flwave.rng import random_signal_mixed, trial_rng
+from flwave.rng import random_coeffs, trial_rng
 from flwave.weights import Weight
 
 TWO_PI = 2.0 * np.pi
@@ -29,8 +29,8 @@ def test_product_l1_certified():
     worst = 0.0
     for t in range(100):
         rng = trial_rng(0, t)
-        f1 = random_signal_mixed(g, rng)
-        f2 = random_signal_mixed(g, rng)
+        f1 = Signal(g, random_coeffs(g, rng))
+        f2 = Signal(g, random_coeffs(g, rng))
         rep = product_norm_check(f1, f2, 1, 1, 1, W0, W0, W0)
         worst = max(worst, rep["ratio"])
     assert worst <= 1 + 1e-10
@@ -84,8 +84,8 @@ def test_convolve_certified_random():
     worst = 0.0
     for t in range(100):
         rng = trial_rng(4, t)
-        f1 = random_signal_mixed(g, rng)
-        f2 = random_signal_mixed(g, rng)
+        f1 = Signal(g, random_coeffs(g, rng))
+        f2 = Signal(g, random_coeffs(g, rng))
         rep = convolve_norm_check(f1, f2, 1.0, 2.0, 2.0, W0, W0, W0)
         worst = max(worst, rep["ratio"])
         rep = convolve_norm_check(f1, f2, np.inf, np.inf, np.inf, W0, W0, W0)
@@ -99,8 +99,8 @@ def test_convolve_weighted_certified():
     worst = 0.0
     for t in range(50):
         rng = trial_rng(5, t)
-        rep = convolve_norm_check(random_signal_mixed(g, rng),
-                                  random_signal_mixed(g, rng),
+        rep = convolve_norm_check(Signal(g, random_coeffs(g, rng)),
+                                  Signal(g, random_coeffs(g, rng)),
                                   2.0, 4.0, 4.0, w, w1, w2)
         worst = max(worst, rep["ratio"])
     assert worst <= 1 + 1e-10
@@ -136,7 +136,7 @@ def test_critical_product_l1_reduction():
     for t in range(50):
         rng = trial_rng(7, t)
         rep = product_critical_norm_check(
-            random_signal_mixed(g, rng), random_signal_mixed(g, rng),
+            Signal(g, random_coeffs(g, rng)), Signal(g, random_coeffs(g, rng)),
             1.0, 0.0, 0.0, 0.0, s=0.0)
         worst = max(worst, rep["ratio"])
     assert worst <= 1 + 1e-10
@@ -150,8 +150,8 @@ def test_critical_product_stability():
         for t in range(100):
             rng = trial_rng(8, t)
             rep = product_critical_norm_check(
-                random_signal_mixed(g, rng), random_signal_mixed(g, rng),
-                4.0, 1.0, 1.0, 0.6, s=1.0)
+                Signal(g, random_coeffs(g, rng)),
+                Signal(g, random_coeffs(g, rng)), 4.0, 1.0, 1.0, 0.6, s=1.0)
             worst = max(worst, rep["ratio"])
         ratios[n] = worst
     assert abs(ratios[32] - ratios[16]) / ratios[16] < 0.5
@@ -181,8 +181,9 @@ def test_algebra_l1_certified():
     worst = 0.0
     for t in range(50):
         rng = trial_rng(11, t)
-        fs = [random_signal_mixed(g, rng) for _ in range(3)]
-        rep = algebra_check(fs, random_signal_mixed(g, rng), 1.0, 1.0, 0.0)
+        fs = [Signal(g, random_coeffs(g, rng)) for _ in range(3)]
+        rep = algebra_check(fs, Signal(g, random_coeffs(g, rng)), 1.0, 1.0,
+                            0.0)
         worst = max(worst, rep["per_factor_constant"])
     assert worst <= 1 + 1e-10
 
@@ -327,8 +328,9 @@ def test_algebra_constant_stable_in_factor_count():
         worst = 0.0
         for t in range(30):
             tr = trial_rng(21 + N, t)
-            fs = [random_signal_mixed(g, tr) for _ in range(N)]
-            rep = algebra_check(fs, random_signal_mixed(g, tr), 1.0, 1.0, 0.0)
+            fs = [Signal(g, random_coeffs(g, tr)) for _ in range(N)]
+            rep = algebra_check(fs, Signal(g, random_coeffs(g, tr)), 1.0,
+                                1.0, 0.0)
             worst = max(worst, rep["per_factor_constant"])
         constants.append(worst)
     assert all(c <= 1 + 1e-10 for c in constants)

@@ -298,3 +298,52 @@ def test_corpus_emit_outside_the_corpus_is_a_usage_error(tmp_path, capsys,
     assert code == 2
     assert json.loads(out)["status"] == "error"
     assert not (tmp_path / "x.json").exists()
+
+
+def test_wavefront_bins_on_a_1d_signal_is_a_usage_error(tmp_path, capsys):
+    # a 1-D scan has the two signs as its directions: --bins would do nothing
+    sig_path = tmp_path / "cusp.json"
+    write_signal(standard_corpus(1, 256)[3].signal, str(sig_path))
+    for bins in ("32", "3"):
+        code, out = _run(["wavefront", "--input", str(sig_path), "--bins",
+                          bins], capsys)
+        assert code == 2
+        payload = json.loads(out)
+        assert set(payload) == {"error", "status"}
+        assert payload["status"] == "error" and "--bins" in payload["error"]
+    code, out = _run(["wavefront", "--input", str(sig_path)], capsys)
+    assert code == 0 and json.loads(out)["params"]["bins"] == 32
+
+
+def test_wavefront_bins_sets_the_2d_direction_bins(tmp_path, capsys):
+    sig_path = tmp_path / "edge.bin"
+    write_signal(standard_corpus(2, 64)[2].signal, str(sig_path))
+    code, out = _run(["wavefront", "--input", str(sig_path), "--bins", "16"],
+                     capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"]["bins"] == 16
+    assert len(payload["records"]) == 16 * len(
+        default_query(TorusGrid(2, 64)).positions)
+
+
+@pytest.mark.parametrize("argv, payload, missing", [
+    (["norm", "--input", "{sig}"], {"d": 1, "n": 16, "re": [0.0] * 16},
+     "'im'"),
+    (["wavefront", "--input", "{sig}"], [1, 16], "not a JSON object"),
+    (["norm", "--input", "{ok}", "--weight", "table:{sig}"],
+     {"d": 1, "n": 16}, "'values'"),
+    (["verify", "transport", "--symbol", "table:{sig}"], {"order": 0.0},
+     "'values'"),
+])
+def test_malformed_json_input_is_a_usage_error(tmp_path, capsys, argv,
+                                               payload, missing):
+    # bad input must not read as a failed verification (exit 1)
+    bad, ok = tmp_path / "bad.json", tmp_path / "ok.json"
+    bad.write_text(json.dumps(payload))
+    write_signal(zero_signal(TorusGrid(1, 16)), str(ok))
+    code, out = _run([a.format(sig=bad, ok=ok) for a in argv], capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert set(report) == {"error", "status"}
+    assert report["status"] == "error" and missing in report["error"]

@@ -3,31 +3,53 @@
 import numpy as np
 import pytest
 
-from flwave.cones import Cone, cone_mask, contains, omega_masks
+from flwave.cones import FULL_APERTURE, Cone, cone_mask, omega_masks
 from flwave.grid import TorusGrid, lattice
+
+
+def contains(c: Cone, k) -> bool:
+    """Reference membership of one lattice point k != 0, for cone_mask."""
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    norm = np.linalg.norm(k)
+    if norm == 0:
+        raise ValueError("cone membership is undefined at the origin")
+    if c.aperture >= FULL_APERTURE - 1e-12:
+        return True
+    cosang = np.clip(np.dot(c.axis, k) / norm, -1.0, 1.0)
+    return bool(np.arccos(cosang) < c.aperture)
+
+
+def _member(c: Cone, k) -> bool:
+    """cone_mask's entry at k, checked against the reference."""
+    g = TorusGrid(len(k), 16)
+    got = bool(cone_mask(g, c)[lattice(g).index_of(k)])
+    assert got == contains(c, k)
+    return got
 
 
 def test_full_cone_contains_everything():
     c = Cone((1.0, 0.0), np.pi)
     for k in [(1, 0), (0, 5), (-3, -2), (-1, 0)]:
-        assert contains(c, k)
+        assert _member(c, k)
 
 
 def test_orthogonal_excluded():
     c = Cone((1.0, 0.0), np.pi / 6)
-    assert not contains(c, (0, 5))
+    assert not _member(c, (0, 5))
 
 
 def test_diagonal_membership():
     c = Cone((1 / np.sqrt(2), 1 / np.sqrt(2)), np.pi / 4)
     # angle((1,1)/sqrt2, (3,1)) ~ 26.57 degrees < 45
-    assert contains(c, (3, 1))
-    assert not contains(c, (-3, 1))
+    assert _member(c, (3, 1))
+    assert not _member(c, (-3, 1))
 
 
 def test_origin_rejected():
     with pytest.raises(ValueError):
         contains(Cone((1.0,), np.pi / 2), (0,))
+    g = TorusGrid(1, 16)
+    assert not cone_mask(g, Cone((1.0,), np.pi))[lattice(g).index_of((0,))]
 
 
 def test_axis_normalized():

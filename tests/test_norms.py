@@ -20,7 +20,6 @@ from flwave.norms import (
     KernelGrid,
     cone_seminorm,
     fl_norm,
-    local_fl_norm,
     mixed_norm,
 )
 from flwave.weights import Weight
@@ -55,12 +54,15 @@ def test_fl_norm_exponent_validation():
 
 
 def test_local_fl_norm():
+    # the localized norm is fl_norm of cutoff * f
     g = TorusGrid(1, 16)
     f = random_signal(g, np.random.default_rng(1))
     ones = Signal(g, np.ones(16))
     spec = FLNormSpec(1.0)
-    assert abs(local_fl_norm(f, ones, spec) - fl_norm(f, spec)) < 1e-12
-    assert local_fl_norm(f, zero_signal(g), spec) == 0.0
+    assert abs(fl_norm(ones * f, spec) - fl_norm(f, spec)) < 1e-12
+    assert fl_norm(zero_signal(g) * f, spec) == 0.0
+    with pytest.raises(ValueError, match="grid mismatch"):
+        zero_signal(TorusGrid(1, 8)) * f
 
 
 def test_local_fl_norm_windowed_direct_sum():
@@ -69,7 +71,7 @@ def test_local_fl_norm_windowed_direct_sum():
     f = random_signal(g, np.random.default_rng(2))
     win = Signal(g, window_values(g, WindowSpec("hann", 8), (4,)))
     spec = FLNormSpec(1.5, Weight.power(0.5))
-    got = local_fl_norm(f, win, spec)
+    got = fl_norm(win * f, spec)
     pts = g.sample_points()[:, 0]
     prod = f.values * win.values
     acc = 0.0
@@ -83,7 +85,7 @@ def test_cone_seminorm_full_cone_excludes_origin():
     g = TorusGrid(1, 16)
     f = random_signal(g, np.random.default_rng(3))
     spec = FLNormSpec(2.0)
-    full = cone_seminorm(f, Cone.full(1), spec)
+    full = cone_seminorm(f, Cone((1.0,), np.pi), spec)
     coeffs = forward_transform(f).coeffs
     expected = np.sqrt(np.sum(np.abs(coeffs) ** 2)
                        - abs(coeffs[8]) ** 2)
@@ -93,7 +95,7 @@ def test_cone_seminorm_full_cone_excludes_origin():
 def test_cone_seminorm_mode_outside_halfline():
     g = TorusGrid(1, 8)
     f = single_mode(g, 1.0)
-    val = cone_seminorm(f, Cone.halfline(-1), FLNormSpec(1.0))
+    val = cone_seminorm(f, Cone((-1.0,), np.pi / 2), FLNormSpec(1.0))
     assert val < 1e-12
 
 
@@ -219,7 +221,7 @@ def test_triangle_inequality(seed):
     spec = FLNormSpec(1.5, Weight.power(0.5))
     assert fl_norm(f + h, spec) <= \
         (fl_norm(f, spec) + fl_norm(h, spec)) * (1 + 1e-12)
-    cone = Cone.halfline(1)
+    cone = Cone((1.0,), np.pi / 2)
     assert cone_seminorm(f + h, cone, spec) <= \
         (cone_seminorm(f, cone, spec)
          + cone_seminorm(h, cone, spec)) * (1 + 1e-12)

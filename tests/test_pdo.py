@@ -88,14 +88,6 @@ def test_multiplier_composition_exact():
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-10
 
 
-def test_symbol_certificate():
-    g = TorusGrid(1, 64)
-    ell = multiplier_symbol(2.0, lambda ks: 1.0 + np.sum(ks**2, axis=-1))
-    cert = ell.class_certificate(g)
-    assert cert["zeroth"] <= 1.0 + 1e-12
-    assert np.isfinite(cert["first_difference"])
-
-
 def test_noncharacteristic_elliptic():
     g = TorusGrid(2, 16)
     ell = multiplier_symbol(2.0, lambda ks: 1.0 + np.sum(ks**2, axis=-1))

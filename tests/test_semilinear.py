@@ -57,7 +57,7 @@ def test_jet_order_zero():
     g = TorusGrid(1, 16)
     f = random_signal(g, np.random.default_rng(4))
     J = jet(f, 0)
-    assert J.n_components == 1
+    assert len(J.components) == 1
     assert np.max(np.abs(J.components[0].values - f.values)) < 1e-12
 
 
@@ -65,7 +65,7 @@ def test_jet_mode_eigenfunction():
     g = TorusGrid(1, 16)
     m = single_mode(g, 1.0)
     J = jet(m, 1)
-    assert J.n_components == 2
+    assert len(J.components) == 2
     assert np.max(np.abs(J.components[1].values - 1j * m.values)) < 1e-12
 
 
@@ -73,7 +73,7 @@ def test_jet_2d_counts_and_finite_differences():
     g = TorusGrid(2, 32)
     f = make_smooth(g, seed=5, degree=3).signal
     J = jet(f, 2)
-    assert J.n_components == 6  # binomial(4, 2)
+    assert len(J.components) == 6  # binomial(4, 2)
     # finite-difference cross-check of the first derivative
     dx = J.components[J.multi_indices.index((1, 0))]
     vals = f.reshaped()

@@ -202,10 +202,9 @@ def test_split_identity_and_vanishing_spectrum():
     g = TorusGrid(1, 256)
     entry = make_power_cusp(g, 2.5, 64)
     inner, outer = _split_windows(256)
-    cone = Cone.halfline(1)
+    cone = Cone((1.0,), np.pi / 2)
     spec = FLNormSpec(1.0, Weight.power(1.0))
-    gpart, hpart = split_regular(entry.signal, (64,), cone, spec, inner,
-                                 outer)
+    gpart, hpart = split_regular(entry.signal, (64,), cone, inner, outer)
     localized = Signal(g, entry.signal.values
                        * window_values(g, outer, (64,)))
     total = gpart + hpart
@@ -224,8 +223,7 @@ def test_split_full_cone_takes_everything():
     g = TorusGrid(1, 256)
     entry = make_smooth(g, seed=2)
     inner, outer = _split_windows(256)
-    spec = FLNormSpec(1.0)
-    gpart, hpart = split_regular(entry.signal, (0,), Cone.full(1), spec,
+    gpart, hpart = split_regular(entry.signal, (0,), Cone((1.0,), np.pi),
                                  inner, outer)
     # remainder carries only the origin coefficient
     h_hat = forward_transform(hpart).coeffs
@@ -236,10 +234,8 @@ def test_split_remainder_decays_on_shrunk_cone():
     g = TorusGrid(1, 256)
     entry = make_power_cusp(g, 0.5, 64)
     inner, outer = _split_windows(256)
-    cone = Cone.halfline(1)
-    spec = FLNormSpec(1.0, Weight.power(0.0))
-    gpart, hpart = split_regular(entry.signal, (64,), cone, spec, inner,
-                                 outer)
+    cone = Cone((1.0,), np.pi / 2)
+    gpart, hpart = split_regular(entry.signal, (64,), cone, inner, outer)
     rem = window_signal(hpart, inner, (64,))
     out = regular_directions(rem, FLNormSpec(np.inf), np.pi / 2, 2,
                              octaves=(4, 6))
@@ -254,8 +250,8 @@ def test_split_window_support_validation():
     inner = WindowSpec("gauss", 200)
     outer = WindowSpec("flattop", 64)
     with pytest.raises(ValueError):
-        split_regular(entry.signal, (0,), Cone.halfline(1), FLNormSpec(1.0),
-                      inner, outer)
+        split_regular(entry.signal, (0,), Cone((1.0,), np.pi / 2), inner,
+                      outer)
 
 
 # ---------------------------------------------------------------------------
@@ -824,18 +820,6 @@ def test_report_serialization_matches_record_serializer(tmp_path):
                 assert (tmp_path / "got.csv").read_bytes() == csv_bytes
                 assert rep.singular() == [r for r in records
                                           if r.verdict == "singular"]
-
-
-def test_verdict_at_reads_the_scan_and_raises_off_it():
-    g = TorusGrid(1, 256)
-    rep = estimate_wavefront(make_power_cusp(g, 2.5, 64).signal,
-                             default_query(g))
-    assert any(r.verdict == "singular" for r in rep.records)
-    for r in rep.records:
-        assert rep.verdict_at(r.x0, r.theta) == r.verdict
-    for x0, theta in (((1,), (1.0,)), ((64,), (0.5,)), ((64, 0), (1.0,))):
-        with pytest.raises(KeyError):
-            rep.verdict_at(x0, theta)
 
 
 def test_inclusion_rejects_reports_of_different_scans():
