@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import RegionMask
-from .grid import TorusGrid, lattice
+from .grid import TorusGrid, finite_kernel, lattice
 from .norms import KernelGrid, _axis_norm, _mixed_rows, _ratio, _row_norm
 from .rng import trial_stacks
 from .weights import Weight
@@ -40,30 +40,14 @@ class PowerKernelSpec:
     t2: float
 
 
-def power_kernel(grid: TorusGrid, spec: PowerKernelSpec) -> KernelGrid:
-    """Dense power kernel over lattice pairs (plain differences)."""
+def power_kernel(grid: TorusGrid, spec: PowerKernelSpec) -> np.ndarray:
+    """Dense power kernel over lattice pairs (plain differences): the real
+    (N, N) array <k>^t0 <k-l>^t1 <l>^t2, row k and column l."""
     lat = lattice(grid)
-    pts = lat.points.astype(float)
     k_br = lat.brackets[:, None]
     l_br = lat.brackets[None, :]
-    diff = pts[:, None, :] - pts[None, :, :]
-    kl_br = np.sqrt(1.0 + np.sum(diff**2, axis=-1))
-    vals = k_br**spec.t0 * kl_br**spec.t1 * l_br**spec.t2
-    return KernelGrid(grid, vals)
-
-
-def _wrap_index_table(grid: TorusGrid) -> np.ndarray:
-    """Flat index of wrap(k - l) for all lattice pairs, cached per grid."""
-    key = (grid.d, grid.n)
-    if key not in _WRAP_CACHE:
-        pts = lattice(grid).points + grid.n // 2
-        diff = pts[:, None, :] - pts[None, :, :] + grid.n // 2
-        _WRAP_CACHE[key] = np.ravel_multi_index(
-            tuple(np.moveaxis(diff, -1, 0)), grid.shape, mode="wrap")
-    return _WRAP_CACHE[key]
-
-
-_WRAP_CACHE: dict = {}
+    kl_br = np.sqrt(1.0 + lat.pair_sq_dists)
+    return finite_kernel(k_br**spec.t0 * kl_br**spec.t1 * l_br**spec.t2)
 
 
 def apply_tf(F: KernelGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -79,7 +63,7 @@ def apply_tf(F: KernelGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _tf_rows(grid: TorusGrid, kernels: np.ndarray, f: np.ndarray,
              g: np.ndarray) -> np.ndarray:
     """apply_tf over stacks: kernels (T, N, N), f and g (T, N)."""
-    gmat = g[:, _wrap_index_table(grid)]  # g(k - l) over pairs
+    gmat = g[:, lattice(grid).wrap_index]  # g(k - l) over pairs
     return np.matmul(kernels * gmat, f[..., None])[..., 0]
 
 
@@ -249,9 +233,8 @@ def kernel_slice_norms(spec: PowerKernelSpec, regions: RegionMask,
     if p < 1:
         raise ValueError("slice norm exponent must be >= 1")
     grid = regions.grid
-    F = power_kernel(grid, spec)
+    mags = power_kernel(grid, spec)
     brackets = lattice(grid).brackets
-    mags = np.abs(F.values)
     out = {}
     for j, mask in enumerate(regions.masks, start=1):
         vals = mags * mask
@@ -283,15 +266,12 @@ def tail_slice_norms(grid: TorusGrid, spec: PowerKernelSpec, c: float,
     elif spec.t1 + spec.t2 >= -dp:
         raise ValueError(f"needs t1 + t2 < -d/p = {-dp}")
     lat = lattice(grid)
-    pts = lat.points.astype(float)
     k_abs = lat.norms[:, None]
     k_br = lat.brackets[:, None]
     l_br = lat.brackets[None, :]
-    diff = pts[None, :, :] - pts[:, None, :]  # l - k
-    sep = np.sqrt(np.sum(diff**2, axis=-1)) >= c * k_abs
+    sep = np.sqrt(lat.pair_sq_dists) >= c * k_abs  # |l - k| >= c|k|
     mask = sep & (k_br >= R) & (l_br >= R)
-    F = power_kernel(grid, spec)
-    vals = np.abs(F.values) * mask
+    vals = power_kernel(grid, spec) * mask
     slices = _axis_norm(vals, p, axis=1)
     brackets = lat.brackets
     if spec.t2 >= -dp:

@@ -209,10 +209,10 @@ def algebra_rows(grid: TorusGrid, fs, g, q, q0, s) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def numerical_support(f: Signal, rel: float = 1e-8) -> np.ndarray:
-    """Mask of the grid cells where |f| exceeds rel * max|f|."""
+def numerical_support(f: Signal) -> np.ndarray:
+    """Mask of the grid cells where |f| exceeds 1e-8 * max|f|."""
     mags = np.abs(f.values)
-    return mags > rel * np.max(mags)
+    return mags > 1e-8 * np.max(mags)
 
 
 def wf_convolution_check(f1: Signal, f2: Signal) -> dict:

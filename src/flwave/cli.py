@@ -1,20 +1,11 @@
 """Command-line front end: norms, wave-front scans, verification targets.
 
-Commands and their flags:
-
-- ``norm --input F``: ``--space {fl,mixed,mod,cone}``, ``--q``, ``--p``,
-  ``--weight``, ``--order``, ``--window``, ``--direction``, ``--aperture``.
-  ``mixed`` takes no weight but ``s:0`` and ``mod`` only ``s:`` weights.
-- ``wavefront --input F``: ``--mode {fl,classical,modulation}``, ``--q``,
-  ``--s``, ``--bins``, ``--out``, ``--csv``.  The scan runs the default
-  query at exponent ``--q``; ``--s`` replaces its weight by <k>^s, and
-  ``--bins`` its 2-D direction bins (a usage error on a 1-D signal).
-- ``corpus list`` and ``corpus emit --id ID --out F``: ``--d``, ``--n``.
-  ID names an entry of ``standard_corpus(d, n)`` by its id or by the id
-  prefix before a dash (``smooth`` is ``smooth-1`` at d = 1).
-- ``verify TARGET``: ``--seed``, ``--trials``, ``--q``, ``--r``, ``--n``,
-  ``--d``, ``--s``, ``--k``, ``--m``, ``--variant``, ``--symbol``.  The
-  targets are the keys of ``VERIFY``.
+Commands: ``norm --input F --space S``, ``wavefront --input F --mode M``,
+``corpus list``, ``corpus emit --id ID --out F`` and ``verify TARGET``.
+Each takes the flags that its space (``NORM``), mode (the classical scan
+reads neither --q nor --s) or target (``VERIFY``) reads, and README.md
+lists them with their defaults.  Any other flag is a usage error: it
+would change nothing in the output.
 
 All randomness flows from verify's --seed through per-trial streams, so
 identical invocations produce byte-identical JSON reports.  Exit codes:
@@ -71,27 +62,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_norm = sub.add_parser("norm", help="norms of an input signal")
+    p_norm = sub.add_parser("norm", help="norms of an input signal",
+                            argument_default=argparse.SUPPRESS)
     p_norm.add_argument("--input", required=True)
-    p_norm.add_argument("--space", choices=("fl", "mixed", "mod", "cone"),
-                        default="fl")
-    p_norm.add_argument("--q", type=float, default=1.0)
-    p_norm.add_argument("--p", type=float, default=2.0)
-    p_norm.add_argument("--weight", type=str, default="s:0")
-    p_norm.add_argument("--order", type=int, default=1,
-                        help="mixed-norm nesting order (1 or 2)")
-    p_norm.add_argument("--window", type=float, default=0,
-                        help="window width in cells for modulation norms")
-    p_norm.add_argument("--direction", type=str, default="axis:1",
-                        help='cone axis: "dir:<radians>" or "axis:x1,...,xd"')
-    p_norm.add_argument("--aperture", type=float, default=np.pi / 8)
+    p_norm.add_argument("--space", choices=NORM, default="fl")
+    for flag, default in _NORM_FLAGS.items():
+        p_norm.add_argument(f"--{flag}", type=type(default))
 
     p_wf = sub.add_parser("wavefront", help="scan and report")
     p_wf.add_argument("--input", required=True)
     p_wf.add_argument("--mode", choices=("fl", "classical", "modulation"),
                       default="fl")
-    p_wf.add_argument("--q", type=float, default=1.0)
-    p_wf.add_argument("--s", type=float, default=None)
+    p_wf.add_argument("--q", type=float, default=argparse.SUPPRESS)
+    p_wf.add_argument("--s", type=float, default=argparse.SUPPRESS)
     p_wf.add_argument("--bins", type=int, default=None,
                       help="direction bins of a 2-D scan (default 32)")
     p_wf.add_argument("--out", type=str, default=None)
@@ -106,30 +89,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit.add_argument("--d", type=int, default=1)
     p_emit.add_argument("--out", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a verification target")
+    p_verify = sub.add_parser("verify", help="run a verification target",
+                              argument_default=argparse.SUPPRESS)
     p_verify.add_argument("target", choices=VERIFY)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--q", type=float, default=1.0)
-    p_verify.add_argument("--r", type=float, default=0.0)
-    p_verify.add_argument("--n", type=float, default=None,
-                          help="lattice size per axis (norm targets) or "
-                               "operator order (bootstrap)")
-    p_verify.add_argument("--d", type=int, default=1)
-    p_verify.add_argument("--s", type=float, default=1.0)
-    p_verify.add_argument("--k", type=int, default=0)
-    p_verify.add_argument("--m", type=int, default=2)
-    p_verify.add_argument("--variant", type=int, default=1)
-    p_verify.add_argument("--symbol", type=str, default="laplace+1",
-                          help="symbol spec for the transport target")
+    for flag, kind in _VERIFY_TYPES.items():
+        p_verify.add_argument(f"--{flag}", type=kind)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trials", 1) < 1:  # no trials certify nothing
-        parser.error(f"--trials must be >= 1, got {args.trials}")
     try:
         if args.command == "norm":
             report = _run_norm(args)
@@ -163,7 +134,27 @@ def _echo(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
 
+def _settle(args, flags, reads, defaults: dict, where: str) -> None:
+    """Fill in ``defaults`` for the flags not given; any of ``flags`` given
+    to ``where`` outside ``reads`` is a usage error."""
+    for flag in vars(args):  # in command-line order
+        if flag in flags and flag not in reads:
+            raise ValueError(f"{where} does not read --{flag}")
+    for flag, value in defaults.items():
+        vars(args).setdefault(flag, value)
+
+
+# The norm flags with their defaults (whose types the parser takes), and
+# the flags each space reads besides --q and --weight.
+_NORM_FLAGS = {"q": 1.0, "p": 2.0, "weight": "s:0", "order": 1,
+               "window": 0.0, "direction": "axis:1", "aperture": np.pi / 8}
+NORM = {"fl": (), "mixed": ("p", "order"), "mod": ("p", "window"),
+        "cone": ("direction", "aperture")}
+
+
 def _run_norm(args) -> dict:
+    _settle(args, _NORM_FLAGS, ("q", "weight") + NORM[args.space],
+            _NORM_FLAGS, f"norm --space {args.space}")
     sig = read_signal(args.input)
     weight = parse_weight(args.weight)
     if args.space == "mixed" and weight != Weight.power(0.0):
@@ -191,6 +182,9 @@ def _run_norm(args) -> dict:
 
 
 def _run_wavefront(args) -> dict:
+    flags = {"q": 1.0, "s": None}  # classical: q = infinity, no weight
+    _settle(args, flags, () if args.mode == "classical" else flags, flags,
+            f"wavefront --mode {args.mode}")
     sig = read_signal(args.input)
     if args.bins is not None and sig.grid.d == 1:  # d = 1 has two signs
         raise ValueError("--bins sets 2-D direction bins; a 1-D scan has "
@@ -233,18 +227,18 @@ def _run_corpus(args) -> dict:
 
 
 def _run_verify(args) -> dict:
+    run, row = VERIFY[args.target]
+    _settle(args, _VERIFY_TYPES, row, row, f"verify {args.target}")
+    if "trials" in row and args.trials < 1:  # no trials certify nothing
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.target == "bootstrap":  # --n is the real operator order
         if args.n is None:
             raise ValueError("bootstrap requires the operator order --n")
-    else:
-        n = 16.0 if args.n is None else args.n
-        if not n.is_integer():
-            raise ValueError(f"--n is a lattice size, got {n}")
-        args.n = int(n)
-    report = VERIFY[args.target](args)
-    report["target"] = args.target
-    report["seed"] = args.seed
-    return report
+    elif "n" in row:
+        if not float(args.n).is_integer():
+            raise ValueError(f"--n is a lattice size, got {args.n}")
+        args.n = int(args.n)
+    return {**run(args), "target": args.target, "seed": args.seed}
 
 
 EXACT_TOL = 1.0 + 1e-10
@@ -257,7 +251,7 @@ def _verify_tf_bounds(args) -> dict:
                         n=args.n),
         verify_tf_bound(3, q=min(args.q, 2.0), trials=args.trials,
                         seed=args.seed, n=args.n),
-        verify_tf_bound(2, q=max(args.q, 4.0), r=args.r or 0.6,
+        verify_tf_bound(2, q=max(args.q, 4.0), r=args.r,
                         trials=args.trials, seed=args.seed, n=args.n),
     ]
     ok = all(r["max_ratio"] <= EXACT_TOL for r in reports if r["exact"])
@@ -276,50 +270,52 @@ def _trial_max(key: str, bound: float, coeffs: int, values,
     """A target whose worst trial value must stay within ``bound``.
 
     Each trial draws a kernel (with ``kernel``) and ``coeffs`` coefficient
-    rows on the ``--d``/``--n`` grid; ``values(grid, q, *stacks)`` gives
-    the values of one trial stack, and the report names the worst ``key``.
+    rows on the ``--d``/``--n`` grid; ``values(grid, *stacks)`` gives the
+    values of one trial stack, and the report names the worst ``key``.
     """
     def run(args) -> dict:
         grid = TorusGrid(args.d, args.n)
-        worst = _worst(grid, args, coeffs, partial(values, grid, args.q),
-                       kernel)
+        worst = _worst(grid, args, coeffs, partial(values, grid), kernel)
         return {"pass": bool(worst <= bound), key: worst,
                 "trials": args.trials}
 
     return run
 
 
-def _duality_errors(grid, q, kernels, f, g, h):
+def _duality_errors(grid, kernels, f, g, h):
     lhs, rhs = tf_dual_rows(grid, kernels, f, g, h)
     diff = lhs - rhs  # np.hypot is abs() of a Python complex
     return np.hypot(diff.real, diff.imag) / np.maximum(
         np.hypot(lhs.real, lhs.imag), 1.0)
 
 
-def _young_ratios(grid, q, f1, f2):
+def _young_ratios(grid, f1, f2, q):
     return [convolve_norm_rows(grid, f1, f2, qo, qi, qi, W0, W0, W0)["ratio"]
             for qo, qi in ((q, 2.0 * q), (np.inf, np.inf))]
 
 
-def _product_ratios(grid, q, f1, f2):
+def _verify_young_conv(args) -> dict:
+    return _trial_max("max_ratio", EXACT_TOL, 2,
+                      partial(_young_ratios, q=args.q))(args)
+
+
+def _product_ratios(grid, f1, f2):
     return product_norm_rows(grid, f1, f2, 1.0, 1.0, 1.0, W0, W0, W0)["ratio"]
 
 
-def _algebra_constants(grid, q, f1, f2, f3, g):
+def _algebra_constants(grid, f1, f2, f3, g):
     return algebra_rows(grid, (f1, f2, f3), g, 1.0, 1.0,
                         0.0)["per_factor_constant"]
 
 
 def _verify_product_critical(args) -> dict:
-    q = args.q if args.q > 2 else 4.0
-    r = args.r or 0.6
     ratios = {}
     for n in (16, 32):
         grid = TorusGrid(1, n)
 
         def ratio(f1, f2):
-            return product_critical_rows(grid, f1, f2, q, 1.0, 1.0, r,
-                                         s=1.0)["ratio"]
+            return product_critical_rows(grid, f1, f2, args.q, 1.0, 1.0,
+                                         args.r, s=1.0)["ratio"]
 
         # f1 = f2 = 1 first: its concentrated spectra pin the constant
         ones = np.ones((1, n), dtype=complex)
@@ -331,8 +327,7 @@ def _verify_product_critical(args) -> dict:
 
 
 def _verify_wf_product(args) -> dict:
-    n = max(args.n, 256)
-    corpus = standard_corpus(1, n)
+    corpus = standard_corpus(1, 256)
     smooth = corpus[0]
     cusp = corpus[3]
     rep = wf_product_check(smooth.signal, cusp.signal, "dominant",
@@ -341,9 +336,8 @@ def _verify_wf_product(args) -> dict:
 
 
 def _verify_wf_conv(args) -> dict:
-    n = max(args.n, 256)
-    grid = TorusGrid(1, n)
-    corpus = standard_corpus(1, n)
+    grid = TorusGrid(1, 256)
+    corpus = standard_corpus(1, 256)
     delta = corpus[1]
     bump = make_smooth(grid, seed=3, degree=2)
     rep = wf_convolution_check(bump.signal, delta.signal)
@@ -374,8 +368,7 @@ def _verify_slice_norms(args) -> dict:
 
 
 def _verify_transport(args) -> dict:
-    n = max(args.n, 256)
-    corpus = standard_corpus(1, n)
+    corpus = standard_corpus(1, 256)
     cusp = corpus[3]
     symbol = parse_symbol(args.symbol, cusp.signal.grid)
     rep = transport_check(symbol, cusp.signal, q=1.0,
@@ -408,7 +401,7 @@ def _verify_modulation(args) -> dict:
     profile = np.exp(-((np.arange(64) - 32) ** 2) / 8.0)
     worst_mono = 0.0
     ratios = []
-    for t in range(min(args.trials, 100)):
+    for t in range(args.trials):
         rng = trial_rng(args.seed, t)
         vals = profile * (rng.standard_normal(64)
                           + 1j * rng.standard_normal(64))
@@ -440,22 +433,37 @@ def _verify_corpus(args) -> dict:
     return {"pass": not failures, "failures": failures}
 
 
-# The verify targets: the parser's choices and the dispatch both read it.
+# The verify flags besides --seed, which every target takes.  --n is real:
+# a lattice size per axis, or the operator order of bootstrap.  The 1-D
+# oracle targets (wf-product, wf-conv, transport) run at n = 256, the size
+# their corpus is calibrated at.
+_VERIFY_TYPES = {"trials": int, "q": float, "r": float, "n": float, "d": int,
+                 "s": float, "k": int, "m": int, "variant": int, "symbol": str}
+# Each target's runner and the flags it reads, with their defaults.  The
+# parser's choices and the dispatch both read it.
+_TRIALS_DN = {"trials": 200, "d": 1, "n": 16}
 VERIFY = {
-    "tf-bounds": _verify_tf_bounds,
-    "duality": _trial_max("max_rel_error", 1e-10, 3, _duality_errors,
-                          kernel=True),
-    "young-conv": _trial_max("max_ratio", EXACT_TOL, 2, _young_ratios),
-    "product": _trial_max("max_ratio", EXACT_TOL, 2, _product_ratios),
-    "product-critical": _verify_product_critical,
-    "wf-product": _verify_wf_product,
-    "wf-conv": _verify_wf_conv,
-    "algebra": _trial_max("max_constant", EXACT_TOL, 4, _algebra_constants),
-    "slice-norms": _verify_slice_norms,
-    "transport": _verify_transport,
-    "bootstrap": _verify_bootstrap,
-    "modulation-equiv": _verify_modulation,
-    "corpus-oracles": _verify_corpus,
+    "tf-bounds": (_verify_tf_bounds,
+                  {"trials": 200, "q": 1.0, "r": 0.6, "n": 16}),
+    "duality": (_trial_max("max_rel_error", 1e-10, 3, _duality_errors,
+                           kernel=True), _TRIALS_DN),
+    "young-conv": (_verify_young_conv,
+                   {"trials": 200, "q": 1.0, "d": 1, "n": 16}),
+    "product": (_trial_max("max_ratio", EXACT_TOL, 2, _product_ratios),
+                _TRIALS_DN),
+    "product-critical": (_verify_product_critical,
+                         {"trials": 200, "q": 4.0, "r": 0.6}),
+    "wf-product": (_verify_wf_product, {}),
+    "wf-conv": (_verify_wf_conv, {}),
+    "algebra": (_trial_max("max_constant", EXACT_TOL, 4, _algebra_constants),
+                _TRIALS_DN),
+    "slice-norms": (_verify_slice_norms, {}),
+    "transport": (_verify_transport, {"symbol": "laplace+1"}),
+    "bootstrap": (_verify_bootstrap,
+                  {"q": 1.0, "d": 1, "s": 1.0, "k": 0, "m": 2, "r": 0.0,
+                   "n": None, "variant": 1}),
+    "modulation-equiv": (_verify_modulation, {"trials": 100}),
+    "corpus-oracles": (_verify_corpus, {}),
 }
 
 

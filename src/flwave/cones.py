@@ -94,13 +94,10 @@ def omega_masks(grid: TorusGrid, delta: float, R: float) -> RegionMask:
         raise ValueError(f"R must be >= 4/delta = {4.0 / delta}, got {R}")
 
     lat = lattice(grid)
-    pts = lat.points.astype(float)
     k_abs = lat.norms[:, None]  # |k|, broadcast over l
     k_br = lat.brackets[:, None]  # <k>
     l_br = lat.brackets[None, :]  # <l>
-    # <k - l> over all pairs, plain difference
-    diff = pts[:, None, :] - pts[None, :, :]
-    kl_br = np.sqrt(1.0 + np.sum(diff**2, axis=-1))
+    kl_br = np.sqrt(1.0 + lat.pair_sq_dists)  # <k - l>, plain difference
 
     om1 = l_br < delta * k_br
     om2 = (kl_br < delta * k_br) & ~om1

@@ -50,16 +50,16 @@ class CorpusEntry:
     oracle_fl: dict = field(default_factory=dict)  # (q, s) -> bool membership
     classical_singular_cells: tuple = ()
 
-    def expected_singular(self, query_s: float, guard: float = 0.3):
+    def expected_singular(self, query_s: float):
         """(cells, directions) pairs the estimator must flag at order query_s.
 
-        Refuses queries that sit within ``guard`` of a component's
-        transition order; oracle verdicts are only meaningful with margin.
+        Refuses queries that sit within 0.3 of a component's transition
+        order; oracle verdicts are only meaningful with margin.
         """
         out = []
         for comp in self.oracle_wf:
             if comp.min_order != ALWAYS_SINGULAR and \
-                    abs(query_s - comp.min_order) < guard:
+                    abs(query_s - comp.min_order) < 0.3:
                 raise ValueError(
                     f"query order {query_s} too close to transition "
                     f"{comp.min_order} of {self.id}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -83,11 +83,30 @@ class TorusGrid:
         return float(np.sqrt(np.sum(delta**2)))
 
 
+KERNEL_SIZE_LIMIT = 4096  # arrays over lattice pairs only for small lattices
+
+
+def kernel_size(grid: TorusGrid) -> int:
+    """N, the side of an (N, N) array over the lattice pairs of ``grid``."""
+    if grid.size > KERNEL_SIZE_LIMIT:
+        raise ValueError(f"kernel lattice too large "
+                         f"({grid.size} > {KERNEL_SIZE_LIMIT})")
+    return grid.size
+
+
+def finite_kernel(values: np.ndarray) -> np.ndarray:
+    """``values`` of a kernel over lattice pairs, all of them finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("kernel values must be finite")
+    return values
+
+
 class FrequencyLattice:
     """Centered integer frequency lattice of a grid, with cached geometry.
 
     Enumerates k in {-n/2, ..., n/2-1}^d row-major; exposes |k| and
-    the Japanese bracket <k> = (1+|k|^2)^(1/2).
+    the Japanese bracket <k> = (1+|k|^2)^(1/2), and for lattices of at
+    most KERNEL_SIZE_LIMIT points two arrays over the pairs (k, l).
     """
 
     def __init__(self, grid: TorusGrid):
@@ -111,16 +130,28 @@ class FrequencyLattice:
                              f"for n={n}")
         return np.ravel_multi_index(tuple((k + n // 2).T), self.grid.shape)
 
+    def _pairs(self) -> np.ndarray:
+        """k - l over all lattice pairs (k, l), shape (N, N, d)."""
+        kernel_size(self.grid)
+        return self.points[:, None, :] - self.points[None, :, :]
 
-_LATTICE_CACHE: dict = {}
+    @cached_property
+    def pair_sq_dists(self) -> np.ndarray:
+        """|k - l|^2 over lattice pairs (N, N), plain differences."""
+        return np.sum(self._pairs().astype(float) ** 2, axis=-1)
+
+    @cached_property
+    def wrap_index(self) -> np.ndarray:
+        """Flat index of wrap(k - l) over lattice pairs (N, N)."""
+        diff = self._pairs() + self.grid.n // 2
+        return np.ravel_multi_index(tuple(np.moveaxis(diff, -1, 0)),
+                                    self.grid.shape, mode="wrap")
 
 
+@cache
 def lattice(grid: TorusGrid) -> FrequencyLattice:
-    """Shared FrequencyLattice for a grid (cached; immutable)."""
-    key = (grid.d, grid.n)
-    if key not in _LATTICE_CACHE:
-        _LATTICE_CACHE[key] = FrequencyLattice(grid)
-    return _LATTICE_CACHE[key]
+    """Shared FrequencyLattice for a grid (cached)."""
+    return FrequencyLattice(grid)
 
 
 @dataclass(frozen=True)
@@ -272,14 +303,10 @@ def lp_norm(f: Signal, p: float) -> float:
 _MAGIC = b"FLW1"
 
 
-def write_signal(f: Signal, path: str, fmt: str | None = None):
-    """Write a signal as JSON ({"d","n","re","im"}) or FLW1 binary.
-
-    Format is inferred from the extension (.json -> JSON) unless given
-    explicitly as ``fmt`` in {"json", "bin"}.
-    """
-    fmt = fmt or ("json" if str(path).endswith(".json") else "bin")
-    if fmt == "json":
+def write_signal(f: Signal, path: str):
+    """Write a signal as JSON ({"d","n","re","im"}) to a path ending in
+    .json, else as FLW1 binary."""
+    if str(path).endswith(".json"):
         payload = {
             "d": f.grid.d,
             "n": f.grid.n,
@@ -288,7 +315,7 @@ def write_signal(f: Signal, path: str, fmt: str | None = None):
         }
         with open(path, "w") as fh:
             json.dump(payload, fh)
-    elif fmt == "bin":
+    else:
         # 16-byte header: magic, u32 d, u32 n, u32 reserved; then
         # interleaved little-endian float64 re/im pairs.
         header = _MAGIC + struct.pack("<III", f.grid.d, f.grid.n, 0)
@@ -298,8 +325,6 @@ def write_signal(f: Signal, path: str, fmt: str | None = None):
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(inter.tobytes())
-    else:
-        raise ValueError(f"unknown signal format {fmt!r}")
 
 
 def _read_json_object(path: str, keys) -> dict:
@@ -315,26 +340,23 @@ def _read_json_object(path: str, keys) -> dict:
     return payload
 
 
-def read_signal(path: str, fmt: str | None = None) -> Signal:
+def read_signal(path: str) -> Signal:
     """Read a signal written by write_signal."""
-    fmt = fmt or ("json" if str(path).endswith(".json") else "bin")
-    if fmt == "json":
+    if str(path).endswith(".json"):
         payload = _read_json_object(path, ("d", "n", "re", "im"))
         grid = TorusGrid(int(payload["d"]), int(payload["n"]))
         vals = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(
             payload["im"], dtype=float
         )
         return Signal(grid, vals)
-    if fmt == "bin":
-        with open(path, "rb") as fh:
-            header = fh.read(16)
-            if header[:4] != _MAGIC:
-                raise ValueError("bad magic; not an FLW1 signal file")
-            d, n, _ = struct.unpack("<III", header[4:])
-            inter = np.frombuffer(fh.read(), dtype="<f8")
-        grid = TorusGrid(int(d), int(n))
-        return Signal(grid, inter[0::2] + 1j * inter[1::2])
-    raise ValueError(f"unknown signal format {fmt!r}")
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if header[:4] != _MAGIC:
+            raise ValueError("bad magic; not an FLW1 signal file")
+        d, n, _ = struct.unpack("<III", header[4:])
+        inter = np.frombuffer(fh.read(), dtype="<f8")
+    grid = TorusGrid(int(d), int(n))
+    return Signal(grid, inter[0::2] + 1j * inter[1::2])
 
 
 # ---------------------------------------------------------------------------

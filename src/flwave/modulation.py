@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinear import conjugate_exponent
+from .calculus import numerical_support
 from .grid import Signal, TorusGrid, _prefactor, lattice
 # not called here: kept bound so that tracers which rebind forward_transform
 # in every flwave module keep finding it in this one
@@ -135,22 +136,22 @@ def modulation_norm(f: Signal, p: float, q: float,
 
 
 def equivalence_check(f: Signal, q: float, s: float,
-                      window: WindowSpec, p: float = 2.0) -> dict:
-    """Ratio of modulation to Fourier-Lebesgue norm for localized signals.
+                      window: WindowSpec) -> dict:
+    """Ratio of the p = 2 modulation norm to the Fourier-Lebesgue norm for
+    localized signals.
 
     The two norms are equivalent on signals of fixed compact support;
     the ratio (not its value) is the regression quantity.  Signals whose
     numerical support exceeds half the torus are rejected, since the
     equivalence constant degenerates there.
     """
-    mags = np.abs(f.values)
-    frac = np.count_nonzero(mags > 1e-8 * np.max(mags)) / f.grid.size
+    frac = np.count_nonzero(numerical_support(f)) / f.grid.size
     if frac > 0.5:
         raise ValueError(
             f"support covers {frac:.2f} of the torus; norms inequivalent"
         )
     w = Weight.power(s)
-    mod = modulation_norm(f, p, q, SpaceFreqWeight(s=s), window)
+    mod = modulation_norm(f, 2.0, q, SpaceFreqWeight(s=s), window)
     fl = fl_norm(f, FLNormSpec(q, w))
     ratio = mod / fl if fl > 0 else 0.0
     # witnesses for the two sides of the equivalence

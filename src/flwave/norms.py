@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import Cone, cone_mask
-from .grid import Signal, TorusGrid, _transform_rows, forward_transform
+from .grid import (Signal, TorusGrid, _transform_rows, finite_kernel,
+                   forward_transform, kernel_size)
 from .weights import Weight
 
 __all__ = [
@@ -23,9 +24,6 @@ __all__ = [
     "mixed_norm",
     "sequence_norm",
 ]
-
-KERNEL_SIZE_LIMIT = 4096  # dense kernels only for small lattices
-
 
 @dataclass(frozen=True)
 class FLNormSpec:
@@ -51,15 +49,9 @@ class KernelGrid:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        N = self.grid.size
-        if N > KERNEL_SIZE_LIMIT:
-            raise ValueError(
-                f"kernel lattice too large ({N} > {KERNEL_SIZE_LIMIT})"
-            )
+        N = kernel_size(self.grid)
         vals = np.asarray(self.values, dtype=complex).reshape(N, N)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("kernel values must be finite")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", finite_kernel(vals))
 
 
 def sequence_norm(values: np.ndarray, q: float) -> float:

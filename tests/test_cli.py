@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flwave.cli import VERIFY, build_parser, main
+import flwave.cli as cli
+from flwave.cli import NORM, VERIFY, build_parser, main
 from flwave.corpus import standard_corpus
 from flwave.grid import TorusGrid, read_signal, write_signal, zero_signal
 from flwave.modulation import modulation_wavefront
@@ -217,10 +218,10 @@ def test_jobs_flag_is_a_usage_error(capsys):
                                             ("tf-bounds", "0")])
 def test_trials_below_one_is_a_usage_error(capsys, target, trials):
     # no trials would certify nothing
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", target, "--trials", trials])
-    assert exc.value.code == 2
-    assert "--trials must be >= 1" in capsys.readouterr().err
+    code, out = _run(["verify", target, "--trials", trials], capsys)
+    assert code == 2
+    assert json.loads(out) == {"error": f"--trials must be >= 1, got {trials}",
+                               "status": "error"}
 
 
 def test_wavefront_q_sets_the_scan_exponent(tmp_path, capsys):
@@ -284,6 +285,96 @@ def test_verify_targets_are_the_table(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.search(r"Verify targets: `([^`]*)`", readme).group(1)
     assert listed.split() == list(VERIFY)
+    assert _readme_verify_rows(readme) == {t: row for t, (_, row)
+                                           in VERIFY.items()}
+
+
+def _readme_verify_rows(readme: str) -> dict:
+    """README's per-target flag table as {target: {flag: default}}."""
+    table = readme.split("| target | flags besides `--seed` (default) |")[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        cells = line.strip().split(" | ")
+        if len(cells) != 2:
+            break
+        row = {}
+        for flag, text in re.findall(r"`--(\w+)` ([^,|]+)", cells[1]):
+            text = text.strip()
+            try:
+                row[flag] = None if text == "(required)" else json.loads(text)
+            except ValueError:
+                row[flag] = text
+        for target in re.findall(r"`([^`]+)`", cells[0]):
+            assert target not in rows
+            rows[target] = row
+    return rows
+
+
+# --trials 0 would be a usage error of its own where the target reads it
+_FLAG_VALUES = {"trials": "0", "q": "2", "r": "0.5", "n": "128", "d": "1",
+                "s": "1", "k": "0", "m": "2", "variant": "1",
+                "symbol": "dx1", "p": "1", "weight": "s:0", "order": "2",
+                "window": "8", "direction": "axis:1", "aperture": "0.3"}
+# (what runs, its arguments, a flag it does not read): every pair that the
+# tables reject
+_UNREAD = (
+    [(f"verify {t}", ["--n", "2"] if t == "bootstrap" else [], flag)
+     for t, (_, row) in VERIFY.items()
+     for flag in sorted({f for _, r in VERIFY.values() for f in r} - set(row))]
+    + [(f"norm --space {space}", ["--input", "{sig}"], flag)
+       for space, reads in NORM.items()
+       for flag in sorted(set(cli._NORM_FLAGS) - {"q", "weight", *reads})]
+    + [("wavefront --mode classical", ["--input", "{sig}"], flag)
+       for flag in ("q", "s")])
+
+
+def test_unread_flag_pairs_are_counted():
+    kinds = [where.split()[0] for where, _, _ in _UNREAD]
+    assert [kinds.count(k) for k in ("verify", "norm", "wavefront")] == \
+        [100, 14, 2]
+
+
+@pytest.mark.parametrize("where, argv, flag", _UNREAD,
+                         ids=[f"{w} --{f}" for w, _, f in _UNREAD])
+def test_flag_the_run_does_not_read_is_a_usage_error(tmp_path, capsys, where,
+                                                    argv, flag):
+    # before, each of these ran and printed what it prints without the flag
+    sig = tmp_path / "cusp.json"
+    write_signal(standard_corpus(1, 64)[3].signal, str(sig))
+    code, out = _run([*where.split(), *(a.format(sig=sig) for a in argv),
+                      f"--{flag}", _FLAG_VALUES[flag]], capsys)
+    assert code == 2
+    assert json.loads(out) == {"error": f"{where} does not read --{flag}",
+                               "status": "error"}
+
+
+def test_product_critical_runs_at_the_given_q(capsys):
+    code, out = _run(["verify", "product-critical", "--q", "1.5"], capsys)
+    assert (code, json.loads(out)) == (2, {
+        "error": "needs r = 0 when q <= 2", "status": "error"})
+    code, out = _run(["verify", "product-critical", "--q", "1.5", "--r", "0"],
+                     capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"] is True
+    assert payload["growth"] == 1.0
+
+
+def test_tf_bounds_runs_at_the_given_r(capsys):
+    code, out = _run(["verify", "tf-bounds", "--r", "0"], capsys)
+    assert code == 2
+    assert "case 2 requires r >" in json.loads(out)["error"]
+
+
+def test_modulation_equiv_runs_the_given_trials(capsys, monkeypatch):
+    calls, trial_rng = [], cli.trial_rng
+
+    def counted(seed, t):
+        calls.append(t)
+        return trial_rng(seed, t)
+
+    monkeypatch.setattr(cli, "trial_rng", counted)
+    code, _ = _run(["verify", "modulation-equiv", "--trials", "120"], capsys)
+    assert code == 0 and calls == list(range(120))
 
 
 @pytest.mark.parametrize("argv", [

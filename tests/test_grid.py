@@ -355,7 +355,7 @@ def _row_major_row(cells, n):
 def test_flat_indices_match_row_major_loop(tmp_path_factory, d, n, seed):
     import json
 
-    from flwave.bilinear import _reflect, _wrap_index_table
+    from flwave.bilinear import _reflect
     from flwave.calculus import numerical_support
     from flwave.grid import lattice
     from flwave.pdo import parse_symbol
@@ -377,7 +377,7 @@ def test_flat_indices_match_row_major_loop(tmp_path_factory, d, n, seed):
         Weight.from_table(g, table).evaluate_points(ks),
         table[[_row_major(k + n // 2, n) for k in ks]])
     pts = lat.points
-    np.testing.assert_array_equal(_wrap_index_table(g), [
+    np.testing.assert_array_equal(lat.wrap_index, [
         _row_major_row(k - pts + n // 2, n) for k in pts])
     vals = rng.standard_normal(g.size)
     np.testing.assert_array_equal(

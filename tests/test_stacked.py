@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import flwave.rng as rng_mod
 from flwave.bilinear import (
     _reflect,
-    _wrap_index_table,
     conjugate_exponent,
     tf_dual_rows,
     verify_tf_bound,
@@ -26,7 +25,7 @@ from flwave.calculus import (
     product_critical_rows,
     product_norm_rows,
 )
-from flwave.cli import main
+from flwave.cli import VERIFY, main
 from flwave.grid import Signal, TorusGrid, forward_transform, lattice
 from flwave.norms import KernelGrid, _axis_norm
 from flwave.weights import Weight
@@ -68,7 +67,7 @@ def _mixed(F, p, q, order):
 
 
 def _apply_tf(F, f, g):
-    return (F.values * g[_wrap_index_table(F.grid)]) @ f
+    return (F.values * g[lattice(F.grid).wrap_index]) @ f
 
 
 def _ref_product(f1, f2, q, q1, q2, w, w1, w2):
@@ -402,10 +401,16 @@ def test_cli_targets_match_per_trial_handlers(target, seed, trials, q, dn):
     import io
 
     d, n = dn
+    flags = {"trials": trials, "q": q, "d": d, "n": n}
+    if target == "product-critical":  # its reference pins q = 4, the default
+        del flags["q"]
+    argv = ["verify", target, "--seed", str(seed)]
+    for flag, value in flags.items():
+        if flag in VERIFY[target][1]:  # a flag outside the row is an error
+            argv += [f"--{flag}", str(value)]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        main(["verify", target, "--seed", str(seed), "--trials", str(trials),
-              "--q", str(q), "--d", str(d), "--n", str(n)])
+        main(argv)
     payload = json.loads(buf.getvalue().strip().splitlines()[-1])
     assert payload[_KEY[target]] == _ref_target(target, seed, trials, q, d, n)
 
