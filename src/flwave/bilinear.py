@@ -95,16 +95,10 @@ def _reflect(grid: TorusGrid, g: np.ndarray) -> np.ndarray:
     return g[..., np.ravel_multi_index(tuple(neg.T), grid.shape, mode="wrap")]
 
 
-def verify_tf_bound(case: int, q: float, r: float = 0.0, trials: int = 200,
-                    seed: int = 0, n: int = 16, d: int = 1) -> dict:
-    """Randomized certification of the three mixed-norm bounds for T_F.
-
-    Cases 1 and 3 are exact lattice inequalities (ratio <= 1); case 2
-    carries a non-constructive constant and reports the empirical maximum
-    instead.  Adversarial one-hot and heavy-tail instances are mixed in to
-    exercise the equality cases.  Trials whose denominator vanishes are
-    skipped; ``worst_seed`` is the first trial reaching the maximum.
-    """
+def _tf_case_grid(case: int, q: float, r: float, trials: int, n: int,
+                 d: int = 1) -> TorusGrid:
+    """The lattice of one ``verify_tf_bound`` run, once its arguments meet
+    the case's hypotheses (a ``ValueError`` names the first that fails)."""
     grid = TorusGrid(d, n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -115,6 +109,20 @@ def verify_tf_bound(case: int, q: float, r: float = 0.0, trials: int = 200,
             raise ValueError(f"case 2 requires r > d(1-2/q) = {d*(1-2.0/q)}")
     if case == 3 and q > 2:
         raise ValueError("case 3 requires q <= 2")
+    return grid
+
+
+def verify_tf_bound(case: int, q: float, r: float = 0.0, trials: int = 200,
+                    seed: int = 0, n: int = 16, d: int = 1) -> dict:
+    """Randomized certification of the three mixed-norm bounds for T_F.
+
+    Cases 1 and 3 are exact lattice inequalities (ratio <= 1); case 2
+    carries a non-constructive constant and reports the empirical maximum
+    instead.  Adversarial one-hot and heavy-tail instances are mixed in to
+    exercise the equality cases.  Trials whose denominator vanishes are
+    skipped; ``worst_seed`` is the first trial reaching the maximum.
+    """
+    grid = _tf_case_grid(case, q, r, trials, n, d)
     qp = conjugate_exponent(q)
     # case 2 spends its first trials on the structured instances
     pinned = _structured_instances(grid, q, r) if case == 2 else ()

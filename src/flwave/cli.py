@@ -2,10 +2,9 @@
 
 Commands: ``norm --input F --space S``, ``wavefront --input F --mode M``,
 ``corpus list``, ``corpus emit --id ID --out F`` and ``verify TARGET``.
-Each takes the flags that its space (``NORM``), mode (the classical scan
-reads neither --q nor --s) or target (``VERIFY``) reads, and README.md
-lists them with their defaults.  Any other flag is a usage error: it
-would change nothing in the output.
+Each space, mode or target takes the flags of its row in ``NORM``,
+``WAVEFRONT`` or ``VERIFY``, which README.md lists with their defaults.
+Any other flag is a usage error: it would change nothing in the output.
 
 All randomness flows from verify's --seed through per-trial streams, so
 identical invocations produce byte-identical JSON reports.  Exit codes:
@@ -25,8 +24,8 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .bilinear import verify_tf_bound, tf_dual_rows, kernel_slice_norms, \
-    tail_slice_norms, PowerKernelSpec
+from .bilinear import verify_tf_bound, _tf_case_grid, tf_dual_rows, \
+    kernel_slice_norms, tail_slice_norms, PowerKernelSpec
 from .calculus import (
     algebra_rows,
     convolve_norm_rows,
@@ -54,6 +53,14 @@ from .weights import Weight, parse_weight
 from .windows import WindowSpec
 
 
+# The type of every flag in a table row.  verify's --n is real: a lattice
+# size per axis, or the operator order of bootstrap.
+FLAG_TYPES = {"q": float, "s": float, "r": float, "n": float, "p": float,
+              "window": float, "aperture": float, "d": int, "k": int,
+              "m": int, "trials": int, "order": int, "bins": int,
+              "variant": int, "weight": str, "direction": str, "symbol": str}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flwave",
@@ -66,19 +73,15 @@ def build_parser() -> argparse.ArgumentParser:
                             argument_default=argparse.SUPPRESS)
     p_norm.add_argument("--input", required=True)
     p_norm.add_argument("--space", choices=NORM, default="fl")
-    for flag, default in _NORM_FLAGS.items():
-        p_norm.add_argument(f"--{flag}", type=type(default))
+    _add_flags(p_norm, NORM)
 
-    p_wf = sub.add_parser("wavefront", help="scan and report")
+    p_wf = sub.add_parser("wavefront", help="scan and report",
+                          argument_default=argparse.SUPPRESS)
     p_wf.add_argument("--input", required=True)
-    p_wf.add_argument("--mode", choices=("fl", "classical", "modulation"),
-                      default="fl")
-    p_wf.add_argument("--q", type=float, default=argparse.SUPPRESS)
-    p_wf.add_argument("--s", type=float, default=argparse.SUPPRESS)
-    p_wf.add_argument("--bins", type=int, default=None,
-                      help="direction bins of a 2-D scan (default 32)")
-    p_wf.add_argument("--out", type=str, default=None)
-    p_wf.add_argument("--csv", type=str, default=None)
+    p_wf.add_argument("--mode", choices=WAVEFRONT, default="fl")
+    _add_flags(p_wf, WAVEFRONT)
+    p_wf.add_argument("--out", default=None)
+    p_wf.add_argument("--csv", default=None)
 
     p_corpus = sub.add_parser("corpus", help="list or emit corpus entries")
     corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
@@ -93,23 +96,28 @@ def build_parser() -> argparse.ArgumentParser:
                               argument_default=argparse.SUPPRESS)
     p_verify.add_argument("target", choices=VERIFY)
     p_verify.add_argument("--seed", type=int, default=0)
-    for flag, kind in _VERIFY_TYPES.items():
-        p_verify.add_argument(f"--{flag}", type=kind)
+    _add_flags(p_verify, VERIFY)
     return parser
 
 
+def _add_flags(parser, table: dict) -> None:
+    """Add the flags of every row of ``table``, unset unless given."""
+    for flag in dict.fromkeys(f for _, row in table.values() for f in row):
+        parser.add_argument(f"--{flag}", type=FLAG_TYPES[flag])
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "norm":
-            report = _run_norm(args)
-        elif args.command == "wavefront":
-            report = _run_wavefront(args)
-        elif args.command == "corpus":
+        if args.command == "corpus":
             report = _run_corpus(args)
         else:
-            report = _run_verify(args)
+            table, pick, body = COMMANDS[args.command]
+            choice = getattr(args, pick.lstrip("-"))
+            run, row = table[choice]
+            named = f"{pick} {choice}" if pick.startswith("-") else choice
+            _settle(args, row, f"{args.command} {named}")
+            report = body(args, run, row)
     except (ValueError, OSError) as exc:  # could not run: a usage error
         print(json.dumps({"error": str(exc), "status": "error"},
                          sort_keys=True))
@@ -131,70 +139,71 @@ def _jsonable(obj):
 
 
 def _echo(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+    return {k: getattr(args, k) for k in keys}
 
 
-def _settle(args, flags, reads, defaults: dict, where: str) -> None:
-    """Fill in ``defaults`` for the flags not given; any of ``flags`` given
-    to ``where`` outside ``reads`` is a usage error."""
+def _settle(args, row: dict, where: str) -> None:
+    """Reject a flag given to ``where`` outside ``row``, then fill in the
+    row's defaults."""
     for flag in vars(args):  # in command-line order
-        if flag in flags and flag not in reads:
+        if flag in FLAG_TYPES and flag not in row:
             raise ValueError(f"{where} does not read --{flag}")
-    for flag, value in defaults.items():
+    for flag, value in row.items():
         vars(args).setdefault(flag, value)
 
 
-# The norm flags with their defaults (whose types the parser takes), and
-# the flags each space reads besides --q and --weight.
-_NORM_FLAGS = {"q": 1.0, "p": 2.0, "weight": "s:0", "order": 1,
-               "window": 0.0, "direction": "axis:1", "aperture": np.pi / 8}
-NORM = {"fl": (), "mixed": ("p", "order"), "mod": ("p", "window"),
-        "cone": ("direction", "aperture")}
-
-
-def _run_norm(args) -> dict:
-    _settle(args, _NORM_FLAGS, ("q", "weight") + NORM[args.space],
-            _NORM_FLAGS, f"norm --space {args.space}")
-    sig = read_signal(args.input)
-    weight = parse_weight(args.weight)
-    if args.space == "mixed" and weight != Weight.power(0.0):
-        raise ValueError("--space mixed takes no --weight but s:0")
-    if args.space == "mod" and weight.kind != "power":
-        raise ValueError("--space mod takes only s: --weight values")
-    if args.space == "fl":
-        value = fl_norm(sig, FLNormSpec(args.q, weight))
-    elif args.space == "cone":
-        axis = parse_direction(args.direction)
-        value = cone_seminorm(sig, Cone(axis, args.aperture),
-                              FLNormSpec(args.q, weight))
-    elif args.space == "mixed":
-        kernel = KernelGrid(sig.grid, np.outer(sig.values, sig.values))
-        value = mixed_norm(kernel, args.p, args.q, args.order)
-    else:
-        width = args.window or max(8, sig.grid.n // 4)
-        value = modulation_norm(
-            sig, args.p, args.q,
-            SpaceFreqWeight(s=weight.s),
-            WindowSpec("gauss", width))
+def _run_norm(args, norm, row) -> dict:
+    value = norm(read_signal(args.input), args)
     print(value)
-    return {"space": args.space, "value": value,
-            "params": _echo(args, ("q", "p", "weight", "order"))}
+    return {"space": args.space, "value": value, "params": _echo(args, row)}
 
 
-def _run_wavefront(args) -> dict:
-    flags = {"q": 1.0, "s": None}  # classical: q = infinity, no weight
-    _settle(args, flags, () if args.mode == "classical" else flags, flags,
-            f"wavefront --mode {args.mode}")
+def _fl(sig: Signal, args) -> float:
+    return fl_norm(sig, FLNormSpec(args.q, parse_weight(args.weight)))
+
+
+def _mixed(sig: Signal, args) -> float:
+    kernel = KernelGrid(sig.grid, np.outer(sig.values, sig.values))
+    return mixed_norm(kernel, args.p, args.q, args.order)
+
+
+def _mod(sig: Signal, args) -> float:
+    weight = parse_weight(args.weight)
+    if weight.kind != "power":
+        raise ValueError("--space mod takes only s: --weight values")
+    if args.window is None:
+        args.window = float(max(8, sig.grid.n // 4))
+    return modulation_norm(sig, args.p, args.q, SpaceFreqWeight(s=weight.s),
+                           WindowSpec("gauss", args.window))
+
+
+def _cone(sig: Signal, args) -> float:
+    spec = FLNormSpec(args.q, parse_weight(args.weight))
+    return cone_seminorm(
+        sig, Cone(parse_direction(args.direction), args.aperture), spec)
+
+
+# Each space's norm and the flags it reads, with their defaults; a None
+# window is max(8, n/4) cells.  mixed applies no weight.
+NORM = {
+    "fl": (_fl, {"q": 1.0, "weight": "s:0"}),
+    "mixed": (_mixed, {"q": 1.0, "p": 2.0, "order": 1}),
+    "mod": (_mod, {"q": 1.0, "p": 2.0, "weight": "s:0", "window": None}),
+    "cone": (_cone, {"q": 1.0, "weight": "s:0", "direction": "axis:1",
+                     "aperture": np.pi / 8}),
+}
+
+
+def _run_wavefront(args, scan, row) -> dict:
     sig = read_signal(args.input)
     if args.bins is not None and sig.grid.d == 1:  # d = 1 has two signs
         raise ValueError("--bins sets 2-D direction bins; a 1-D scan has "
                          "the two signs")
     args.bins = 32 if args.bins is None else args.bins
     query = default_query(sig.grid, bins=args.bins)
-    weight = query.spec.weight if args.s is None else Weight.power(args.s)
-    query = replace(query, spec=FLNormSpec(args.q, weight))
-    scan = {"fl": estimate_wavefront, "classical": classical_wavefront,
-            "modulation": modulation_wavefront}[args.mode]
+    if "s" in row:  # the classical scan reads neither: q = inf, no weight
+        weight = query.spec.weight if args.s is None else Weight.power(args.s)
+        query = replace(query, spec=FLNormSpec(args.q, weight))
     report = scan(sig, query)
     text = report.to_json()
     if args.out:
@@ -204,7 +213,18 @@ def _run_wavefront(args) -> dict:
         report.write_csv(args.csv)
     return {"mode": args.mode, "records": json.loads(text)["records"],
             "n_singular": len(report.singular()),
-            "params": _echo(args, ("q", "s", "bins"))}
+            "params": _echo(args, row)}
+
+
+# Each mode's scan (looked up when it runs, so a rebound one runs) and the
+# flags it reads, with their defaults: a None s keeps the default query's
+# weight, None bins are 32.
+_SCAN = {"q": 1.0, "s": None, "bins": None}
+WAVEFRONT = {
+    "fl": (lambda *a: estimate_wavefront(*a), _SCAN),
+    "classical": (lambda *a: classical_wavefront(*a), {"bins": None}),
+    "modulation": (lambda *a: modulation_wavefront(*a), _SCAN),
+}
 
 
 _CORPUS_IDS = ("smooth", "delta", "edge", "cusp-0.5", "cusp-2.5",
@@ -226,9 +246,7 @@ def _run_corpus(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_verify(args) -> dict:
-    run, row = VERIFY[args.target]
-    _settle(args, _VERIFY_TYPES, row, row, f"verify {args.target}")
+def _run_verify(args, run, row) -> dict:
     if "trials" in row and args.trials < 1:  # no trials certify nothing
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.target == "bootstrap":  # --n is the real operator order
@@ -246,14 +264,13 @@ W0 = Weight.power(0.0)
 
 
 def _verify_tf_bounds(args) -> dict:
-    reports = [
-        verify_tf_bound(1, q=args.q, trials=args.trials, seed=args.seed,
-                        n=args.n),
-        verify_tf_bound(3, q=min(args.q, 2.0), trials=args.trials,
-                        seed=args.seed, n=args.n),
-        verify_tf_bound(2, q=max(args.q, 4.0), r=args.r,
-                        trials=args.trials, seed=args.seed, n=args.n),
-    ]
+    # case 3 needs q <= 2 and case 2 q > 2: they run at min(q, 2), max(q, 4)
+    cases = ((1, args.q, 0.0), (3, min(args.q, 2.0), 0.0),
+             (2, max(args.q, 4.0), args.r))
+    for case, q, r in cases:  # every case's hypotheses before any trial
+        _tf_case_grid(case, q, r, args.trials, args.n)
+    reports = [verify_tf_bound(case, q, r, args.trials, args.seed, args.n)
+               for case, q, r in cases]
     ok = all(r["max_ratio"] <= EXACT_TOL for r in reports if r["exact"])
     return {"pass": bool(ok), "reports": reports}
 
@@ -265,21 +282,17 @@ def _worst(grid: TorusGrid, args, coeffs: int, values,
         grid, args.seed, range(args.trials), coeffs, kernel))))
 
 
-def _trial_max(key: str, bound: float, coeffs: int, values,
-               kernel: bool = False):
-    """A target whose worst trial value must stay within ``bound``.
+def _trial_max(key: str, bound: float, coeffs: int, values, args,
+               kernel: bool = False) -> dict:
+    """Run a target whose worst trial value must stay within ``bound``.
 
     Each trial draws a kernel (with ``kernel``) and ``coeffs`` coefficient
     rows on the ``--d``/``--n`` grid; ``values(grid, *stacks)`` gives the
     values of one trial stack, and the report names the worst ``key``.
     """
-    def run(args) -> dict:
-        grid = TorusGrid(args.d, args.n)
-        worst = _worst(grid, args, coeffs, partial(values, grid), kernel)
-        return {"pass": bool(worst <= bound), key: worst,
-                "trials": args.trials}
-
-    return run
+    grid = TorusGrid(args.d, args.n)
+    worst = _worst(grid, args, coeffs, partial(values, grid), kernel)
+    return {"pass": bool(worst <= bound), key: worst, "trials": args.trials}
 
 
 def _duality_errors(grid, kernels, f, g, h):
@@ -296,7 +309,7 @@ def _young_ratios(grid, f1, f2, q):
 
 def _verify_young_conv(args) -> dict:
     return _trial_max("max_ratio", EXACT_TOL, 2,
-                      partial(_young_ratios, q=args.q))(args)
+                      partial(_young_ratios, q=args.q), args)
 
 
 def _product_ratios(grid, f1, f2):
@@ -433,30 +446,25 @@ def _verify_corpus(args) -> dict:
     return {"pass": not failures, "failures": failures}
 
 
-# The verify flags besides --seed, which every target takes.  --n is real:
-# a lattice size per axis, or the operator order of bootstrap.  The 1-D
-# oracle targets (wf-product, wf-conv, transport) run at n = 256, the size
-# their corpus is calibrated at.
-_VERIFY_TYPES = {"trials": int, "q": float, "r": float, "n": float, "d": int,
-                 "s": float, "k": int, "m": int, "variant": int, "symbol": str}
-# Each target's runner and the flags it reads, with their defaults.  The
-# parser's choices and the dispatch both read it.
+# Each target's runner and the flags it reads besides --seed, which every
+# target takes, with their defaults.  The 1-D oracle targets (wf-product,
+# wf-conv, transport) run at n = 256, the size their corpus is calibrated at.
 _TRIALS_DN = {"trials": 200, "d": 1, "n": 16}
 VERIFY = {
     "tf-bounds": (_verify_tf_bounds,
                   {"trials": 200, "q": 1.0, "r": 0.6, "n": 16}),
-    "duality": (_trial_max("max_rel_error", 1e-10, 3, _duality_errors,
-                           kernel=True), _TRIALS_DN),
+    "duality": (partial(_trial_max, "max_rel_error", 1e-10, 3,
+                        _duality_errors, kernel=True), _TRIALS_DN),
     "young-conv": (_verify_young_conv,
                    {"trials": 200, "q": 1.0, "d": 1, "n": 16}),
-    "product": (_trial_max("max_ratio", EXACT_TOL, 2, _product_ratios),
-                _TRIALS_DN),
+    "product": (partial(_trial_max, "max_ratio", EXACT_TOL, 2,
+                        _product_ratios), _TRIALS_DN),
     "product-critical": (_verify_product_critical,
                          {"trials": 200, "q": 4.0, "r": 0.6}),
     "wf-product": (_verify_wf_product, {}),
     "wf-conv": (_verify_wf_conv, {}),
-    "algebra": (_trial_max("max_constant", EXACT_TOL, 4, _algebra_constants),
-                _TRIALS_DN),
+    "algebra": (partial(_trial_max, "max_constant", EXACT_TOL, 4,
+                        _algebra_constants), _TRIALS_DN),
     "slice-norms": (_verify_slice_norms, {}),
     "transport": (_verify_transport, {"symbol": "laplace+1"}),
     "bootstrap": (_verify_bootstrap,
@@ -465,6 +473,11 @@ VERIFY = {
     "modulation-equiv": (_verify_modulation, {"trials": 100}),
     "corpus-oracles": (_verify_corpus, {}),
 }
+
+# Each command's table, the argument that picks its row, and what runs it.
+COMMANDS = {"norm": (NORM, "--space", _run_norm),
+            "wavefront": (WAVEFRONT, "--mode", _run_wavefront),
+            "verify": (VERIFY, "target", _run_verify)}
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cones import Cone, cone_mask
 from .grid import Signal, Spectrum, TorusGrid, _read_json_object, \
-    forward_transform, inverse_transform, lattice
+    forward_transform, inverse_transform, kernel_size, lattice
 from .wavefront import _scan_at_order, report_included_in
 
 __all__ = [
@@ -62,12 +62,11 @@ class Symbol:
         return np.ravel(self.evaluator(np.zeros((1, grid.d)), ks))
 
     def table(self, grid: TorusGrid) -> np.ndarray:
-        """Dense a(x_j, k) over grid x lattice (guarded by size)."""
-        if grid.size > 4096:
-            raise ValueError("dense symbol table limited to n^d <= 4096")
+        """Dense a(x_j, k) over grid x lattice (``kernel_size`` guards it)."""
+        N = kernel_size(grid)
         return np.asarray(self.evaluator(
             grid.sample_points(), lattice(grid).points.astype(float)
-        )).reshape(grid.size, grid.size)
+        )).reshape(N, N)
 
 
 def multiplier_symbol(order: float, func, label: str = "multiplier") -> Symbol:

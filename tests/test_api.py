@@ -7,6 +7,7 @@ traces it (``bench/spans.py`` ``WRAPPED``), or when it is on ``KEPT``.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,9 +51,17 @@ def _identifiers(node: ast.AST) -> set:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+@functools.cache
 def _trees() -> dict:
     files = sorted(PACKAGE.glob("*.py")) + sorted(ROOT.glob("bench/**/*.py"))
     return {path: ast.parse(path.read_text()) for path in files}
+
+
+@functools.cache
+def _nodes() -> tuple:
+    """(path, node, its identifiers) of every top-level node, once."""
+    return tuple((path, node, _identifiers(node))
+                 for path, tree in _trees().items() for node in tree.body)
 
 
 def _module(path: Path) -> str:
@@ -71,8 +80,7 @@ def _uncalled(kept) -> set:
             key = (_module(path), name)
             if key in wrapped or key in kept:
                 continue
-            if not any(name in _identifiers(node)
-                       for other, tree in trees.items() for node in tree.body
+            if not any(name in used for other, node, used in _nodes()
                        if not (other == path and _defines(node, name))):
                 out.add(key)
     return out

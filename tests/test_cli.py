@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flwave.bilinear as bilinear
 import flwave.cli as cli
-from flwave.cli import NORM, VERIFY, build_parser, main
+from flwave.cli import NORM, VERIFY, WAVEFRONT, build_parser, main
 from flwave.corpus import standard_corpus
 from flwave.grid import TorusGrid, read_signal, write_signal, zero_signal
 from flwave.modulation import modulation_wavefront
@@ -160,7 +161,8 @@ def _cusp_and_table(tmp_path):
     return str(sig_path), f"table:{table_path}"
 
 
-@pytest.mark.parametrize("space, weight", [("mixed", "s:3"),
+@pytest.mark.parametrize("space, weight", [("mixed", "s:0"),
+                                           ("mixed", "s:3"),
                                            ("mixed", "table"),
                                            ("mod", "table")])
 def test_norm_weight_that_the_space_ignores_is_a_usage_error(
@@ -175,13 +177,44 @@ def test_norm_weight_that_the_space_ignores_is_a_usage_error(
     assert payload["status"] == "error" and "--weight" in payload["error"]
 
 
-@pytest.mark.parametrize("space, weight", [("mixed", "s:0"), ("mod", "s:1")])
+@pytest.mark.parametrize("space, weight", [("mod", "s:1")])
 def test_norm_weight_that_the_space_applies_runs(tmp_path, capsys, space,
                                                  weight):
     sig_path, _ = _cusp_and_table(tmp_path)
     code, out = _run(["norm", "--input", sig_path, "--space", space,
                       "--weight", weight], capsys)
     assert code == 0 and float(out.splitlines()[0]) > 0
+
+
+def test_norm_mod_window_zero_is_a_usage_error(tmp_path, capsys):
+    # before, --window 0 ran at the default max(8, n/4) cells in silence
+    sig_path, _ = _cusp_and_table(tmp_path)
+    code, out = _run(["norm", "--input", sig_path, "--space", "mod",
+                      "--window", "0"], capsys)
+    assert (code, json.loads(out)) == (2, {
+        "error": "window width must be >= 4 cells, got 0.0",
+        "status": "error"})
+
+
+_ROWS = [("norm --space", c) for c in NORM] + \
+    [("wavefront --mode", c) for c in WAVEFRONT]
+
+
+@pytest.mark.parametrize("command, choice", _ROWS,
+                         ids=[f"{c} {x}" for c, x in _ROWS])
+def test_params_echo_the_row_with_the_values_used(tmp_path, capsys, command,
+                                                  choice):
+    # a None default echoes what it stands for: at n = 64 a window of
+    # max(8, n/4) = 16 cells, and 32 bins
+    sig = tmp_path / "cusp.json"
+    write_signal(standard_corpus(1, 64)[3].signal, str(sig))
+    row = (NORM if command == "norm --space" else WAVEFRONT)[choice][1]
+    code, out = _run([*command.split(), choice, "--input", str(sig),
+                      *(["--q", "2"] if "q" in row else [])], capsys)
+    used = {**row, "q": 2.0, "window": 16.0, "bins": 32}
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["params"] == {
+        flag: used[flag] for flag in row}
 
 
 @pytest.mark.parametrize("space", ["fl", "cone"])
@@ -277,21 +310,30 @@ def test_corpus_emit_reads_the_library_corpus(tmp_path, capsys):
 
 
 def test_verify_targets_are_the_table(capsys):
+    # each command's choices, and README's flag table of each, are its rows
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    target = next(a for a in sub.choices["verify"]._actions
-                  if a.dest == "target")
-    assert list(target.choices) == list(VERIFY)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.search(r"Verify targets: `([^`]*)`", readme).group(1)
     assert listed.split() == list(VERIFY)
-    assert _readme_verify_rows(readme) == {t: row for t, (_, row)
-                                           in VERIFY.items()}
+    for command, dest, table, header in (
+            ("norm", "space", NORM, "| space | flags (default) |"),
+            ("wavefront", "mode", WAVEFRONT, "| mode | flags (default) |"),
+            ("verify", "target", VERIFY,
+             "| target | flags besides `--seed` (default) |")):
+        pick = next(a for a in sub.choices[command]._actions
+                    if a.dest == dest)
+        assert list(pick.choices) == list(table)
+        assert _readme_rows(readme, header) == {c: row for c, (_, row)
+                                                in table.items()}
 
 
-def _readme_verify_rows(readme: str) -> dict:
-    """README's per-target flag table as {target: {flag: default}}."""
-    table = readme.split("| target | flags besides `--seed` (default) |")[1]
+def _readme_rows(readme: str, header: str) -> dict:
+    """The README flag table under ``header`` as {choice: {flag: default}}.
+
+    A default in parentheses says what a None stands for; a note in
+    parentheses may follow a value."""
+    table = readme.split(header)[1]
     rows = {}
     for line in table.splitlines()[2:]:
         cells = line.strip().split(" | ")
@@ -299,14 +341,14 @@ def _readme_verify_rows(readme: str) -> dict:
             break
         row = {}
         for flag, text in re.findall(r"`--(\w+)` ([^,|]+)", cells[1]):
-            text = text.strip()
+            text = text.split(" (")[0].strip()  # drop a trailing note
             try:
-                row[flag] = None if text == "(required)" else json.loads(text)
+                row[flag] = None if text.startswith("(") else json.loads(text)
             except ValueError:
                 row[flag] = text
-        for target in re.findall(r"`([^`]+)`", cells[0]):
-            assert target not in rows
-            rows[target] = row
+        for choice in re.findall(r"`([^`]+)`", cells[0]):
+            assert choice not in rows
+            rows[choice] = row
     return rows
 
 
@@ -316,22 +358,21 @@ _FLAG_VALUES = {"trials": "0", "q": "2", "r": "0.5", "n": "128", "d": "1",
                 "symbol": "dx1", "p": "1", "weight": "s:0", "order": "2",
                 "window": "8", "direction": "axis:1", "aperture": "0.3"}
 # (what runs, its arguments, a flag it does not read): every pair that the
-# tables reject
-_UNREAD = (
-    [(f"verify {t}", ["--n", "2"] if t == "bootstrap" else [], flag)
-     for t, (_, row) in VERIFY.items()
-     for flag in sorted({f for _, r in VERIFY.values() for f in r} - set(row))]
-    + [(f"norm --space {space}", ["--input", "{sig}"], flag)
-       for space, reads in NORM.items()
-       for flag in sorted(set(cli._NORM_FLAGS) - {"q", "weight", *reads})]
-    + [("wavefront --mode classical", ["--input", "{sig}"], flag)
-       for flag in ("q", "s")])
+# tables reject, each flag of a command's rows outside one row
+_UNREAD = [
+    (f"{command} {choice}", ["--n", "2"] if choice == "bootstrap" else argv,
+     flag)
+    for command, table, argv in (
+        ("verify", VERIFY, []), ("norm --space", NORM, ["--input", "{sig}"]),
+        ("wavefront --mode", WAVEFRONT, ["--input", "{sig}"]))
+    for choice, (_, row) in table.items()
+    for flag in sorted({f for _, r in table.values() for f in r} - set(row))]
 
 
 def test_unread_flag_pairs_are_counted():
     kinds = [where.split()[0] for where, _, _ in _UNREAD]
     assert [kinds.count(k) for k in ("verify", "norm", "wavefront")] == \
-        [100, 14, 2]
+        [100, 15, 2]
 
 
 @pytest.mark.parametrize("where, argv, flag", _UNREAD,
@@ -363,6 +404,21 @@ def test_tf_bounds_runs_at_the_given_r(capsys):
     code, out = _run(["verify", "tf-bounds", "--r", "0"], capsys)
     assert code == 2
     assert "case 2 requires r >" in json.loads(out)["error"]
+
+
+def test_tf_bounds_checks_every_case_before_any_trial(capsys, monkeypatch):
+    # before, cases 1 and 3 drew and ran all their trials first
+    calls, trial_stacks = [], bilinear.trial_stacks
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return trial_stacks(*args, **kwargs)
+
+    monkeypatch.setattr(bilinear, "trial_stacks", counted)
+    code, out = _run(["verify", "tf-bounds", "--r", "0"], capsys)
+    assert code == 2 and calls == []
+    code, _ = _run(["verify", "tf-bounds", "--trials", "4"], capsys)
+    assert code == 0 and len(calls) == 3
 
 
 def test_modulation_equiv_runs_the_given_trials(capsys, monkeypatch):

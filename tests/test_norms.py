@@ -22,6 +22,7 @@ from flwave.norms import (
     fl_norm,
     mixed_norm,
 )
+from flwave.pdo import multiplier_symbol
 from flwave.weights import Weight
 from flwave.windows import WindowSpec, window_values
 
@@ -175,8 +176,13 @@ def test_mixed_norm_diagonal_collapse():
 
 
 def test_kernel_size_guard():
-    with pytest.raises(ValueError):
-        KernelGrid(TorusGrid(2, 128), np.zeros((1, 1)))
+    # every array over lattice pairs goes through one size check
+    grid = TorusGrid(2, 128)
+    symbol = multiplier_symbol(0.0, lambda ks: np.ones(ks.shape[0]))
+    for build in (lambda: KernelGrid(grid, np.zeros((1, 1))),
+                  lambda: symbol.table(grid)):
+        with pytest.raises(ValueError, match="kernel lattice too large"):
+            build()
 
 
 @settings(max_examples=25, deadline=None)
