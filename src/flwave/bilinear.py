@@ -11,12 +11,13 @@ n-stability diagnostic instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .cones import RegionMask
 from .grid import TorusGrid, finite_kernel, lattice
-from .norms import KernelGrid, _axis_norm, _mixed_rows, _ratio, _row_norm
+from .norms import KernelGrid, _lp_reduce, _mixed_rows, _ratio
 from .rng import trial_stacks
 from .weights import Weight
 
@@ -125,10 +126,11 @@ def verify_tf_bound(case: int, q: float, r: float = 0.0, trials: int = 200,
     grid = _tf_case_grid(case, q, r, trials, n, d)
     qp = conjugate_exponent(q)
     # case 2 spends its first trials on the structured instances
-    pinned = _structured_instances(grid, q, r) if case == 2 else ()
-    stacks = [tuple(a[:trials] for a in pinned)] if pinned else []
-    first = len(stacks[0][0]) if stacks else 0
-    stacks += trial_stacks(grid, seed, range(first, trials), 2, kernel=True)
+    pinned = [] if case != 2 else [
+        tuple(a[:trials] for a in _structured_instances(grid, q, r))]
+    first = len(pinned[0][0]) if pinned else 0
+    stacks = chain(pinned, trial_stacks(grid, seed, f"tf-bounds case {case}",
+                                        range(first, trials), 2, kernel=True))
     ratios = np.concatenate([_tf_ratios(grid, case, q, qp, r, *stack)
                              for stack in stacks])
     max_ratio = float(np.max(ratios))
@@ -140,8 +142,8 @@ def verify_tf_bound(case: int, q: float, r: float = 0.0, trials: int = 200,
 
 def _tf_ratios(grid, case, q, qp, r, kernels, f, g) -> np.ndarray:
     """Per-trial bound ratio of one case, 0 where the denominator is 0."""
-    out_norm = _row_norm(np.abs(_tf_rows(grid, kernels, f, g)), q)
-    fn = _row_norm(np.abs(f), q)
+    out_norm = _lp_reduce(np.abs(_tf_rows(grid, kernels, f, g)), q)
+    fn = _lp_reduce(np.abs(f), q)
     mags = np.abs(kernels)
     if case == 1:
         kn = _mixed_rows(mags, np.inf, qp, order=2)
@@ -150,7 +152,7 @@ def _tf_ratios(grid, case, q, qp, r, kernels, f, g) -> np.ndarray:
         g = g * Weight.power(r).on_lattice(grid)
     else:
         kn = _mixed_rows(mags, qp, np.inf, order=1)
-    return _ratio(out_norm, kn * fn * _row_norm(np.abs(g), q))
+    return _ratio(out_norm, kn * fn * _lp_reduce(np.abs(g), q))
 
 
 def conjugate_exponent(q: float) -> float:
@@ -247,10 +249,10 @@ def kernel_slice_norms(spec: PowerKernelSpec, regions: RegionMask,
     for j, mask in enumerate(regions.masks, start=1):
         vals = mags * mask
         if j in (1, 2):
-            slices = _axis_norm(vals, p, axis=1)
+            slices = _lp_reduce(vals, p, axis=1)
             bound, branch = _slice_bound_regions12(spec, p, brackets, j)
         else:
-            slices = _axis_norm(vals, p, axis=0)
+            slices = _lp_reduce(vals, p, axis=0)
             bound, branch = _slice_bound_regions345(spec, p, brackets, j)
         out[j] = _fitted_constant(slices, bound, branch)
     return out
@@ -280,7 +282,7 @@ def tail_slice_norms(grid: TorusGrid, spec: PowerKernelSpec, c: float,
     sep = np.sqrt(lat.pair_sq_dists) >= c * k_abs  # |l - k| >= c|k|
     mask = sep & (k_br >= R) & (l_br >= R)
     vals = power_kernel(grid, spec) * mask
-    slices = _axis_norm(vals, p, axis=1)
+    slices = _lp_reduce(vals, p, axis=1)
     brackets = lat.brackets
     if spec.t2 >= -dp:
         bound = brackets**spec.t0

@@ -6,8 +6,10 @@ Each space, mode or target takes the flags of its row in ``NORM``,
 ``WAVEFRONT`` or ``VERIFY``, which README.md lists with their defaults.
 Any other flag is a usage error: it would change nothing in the output.
 
-All randomness flows from verify's --seed through per-trial streams, so
-identical invocations produce byte-identical JSON reports.  Exit codes:
+All randomness flows from verify's --seed: each randomized target draws
+its trials in blocks, one generator per (seed, target, block), so
+identical invocations produce byte-identical JSON reports and different
+seeds draw different trials.  Exit codes:
 0 when every assertion of the selected target passes, 1 on verification
 failure (with a JSON failure report), 2 on usage errors: bad arguments,
 and bad input or unreadable files, reported as {"error", "status": "error"}.
@@ -41,7 +43,7 @@ from .modulation import embedding_check, equivalence_check, modulation_norm, \
     modulation_wavefront, SpaceFreqWeight
 from .norms import FLNormSpec, KernelGrid, cone_seminorm, fl_norm, mixed_norm
 from .pdo import parse_symbol, transport_check
-from .rng import trial_rng, trial_stacks
+from .rng import BLOCK, gaussian, trial_rng, trial_stacks
 from .semilinear import bootstrap_indices
 from .wavefront import (
     classical_wavefront,
@@ -107,7 +109,7 @@ def _add_flags(parser, table: dict) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         if args.command == "corpus":
             report = _run_corpus(args)
@@ -178,19 +180,24 @@ def _mod(sig: Signal, args) -> float:
 
 
 def _cone(sig: Signal, args) -> float:
+    if args.aperture is not None and sig.grid.d == 1:  # d = 1: two half-lines
+        raise ValueError("--aperture sets a 2-D cone's half-angle; a 1-D "
+                         "cone is a half-line")
+    args.aperture = np.pi / 8 if args.aperture is None else args.aperture
     spec = FLNormSpec(args.q, parse_weight(args.weight))
     return cone_seminorm(
         sig, Cone(parse_direction(args.direction), args.aperture), spec)
 
 
 # Each space's norm and the flags it reads, with their defaults; a None
-# window is max(8, n/4) cells.  mixed applies no weight.
+# window is max(8, n/4) cells, a None aperture pi/8.  mixed applies no
+# weight.
 NORM = {
     "fl": (_fl, {"q": 1.0, "weight": "s:0"}),
     "mixed": (_mixed, {"q": 1.0, "p": 2.0, "order": 1}),
     "mod": (_mod, {"q": 1.0, "p": 2.0, "weight": "s:0", "window": None}),
     "cone": (_cone, {"q": 1.0, "weight": "s:0", "direction": "axis:1",
-                     "aperture": np.pi / 8}),
+                     "aperture": None}),
 }
 
 
@@ -202,8 +209,8 @@ def _run_wavefront(args, scan, row) -> dict:
     args.bins = 32 if args.bins is None else args.bins
     query = default_query(sig.grid, bins=args.bins)
     if "s" in row:  # the classical scan reads neither: q = inf, no weight
-        weight = query.spec.weight if args.s is None else Weight.power(args.s)
-        query = replace(query, spec=FLNormSpec(args.q, weight))
+        args.s = query.spec.weight.s if args.s is None else args.s
+        query = replace(query, spec=FLNormSpec(args.q, Weight.power(args.s)))
     report = scan(sig, query)
     text = report.to_json()
     if args.out:
@@ -217,8 +224,8 @@ def _run_wavefront(args, scan, row) -> dict:
 
 
 # Each mode's scan (looked up when it runs, so a rebound one runs) and the
-# flags it reads, with their defaults: a None s keeps the default query's
-# weight, None bins are 32.
+# flags it reads, with their defaults: a None s is the default query's
+# weight order, None bins are 32.
 _SCAN = {"q": 1.0, "s": None, "bins": None}
 WAVEFRONT = {
     "fl": (lambda *a: estimate_wavefront(*a), _SCAN),
@@ -247,6 +254,8 @@ def _run_corpus(args) -> dict:
 
 
 def _run_verify(args, run, row) -> dict:
+    if args.seed < 0:  # a seed keys the trial blocks with n >= 0
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if "trials" in row and args.trials < 1:  # no trials certify nothing
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.target == "bootstrap":  # --n is the real operator order
@@ -279,7 +288,7 @@ def _worst(grid: TorusGrid, args, coeffs: int, values,
            kernel: bool = False) -> float:
     """Largest of ``values(*stacks)`` over the trial stacks, at least 0."""
     return float(max(0.0, *(np.max(values(*stacks)) for stacks in trial_stacks(
-        grid, args.seed, range(args.trials), coeffs, kernel))))
+        grid, args.seed, args.target, range(args.trials), coeffs, kernel))))
 
 
 def _trial_max(key: str, bound: float, coeffs: int, values, args,
@@ -415,10 +424,10 @@ def _verify_modulation(args) -> dict:
     worst_mono = 0.0
     ratios = []
     for t in range(args.trials):
-        rng = trial_rng(args.seed, t)
-        vals = profile * (rng.standard_normal(64)
-                          + 1j * rng.standard_normal(64))
-        sig = Signal(grid, vals)
+        if t % BLOCK == 0:
+            rows = profile * gaussian(
+                trial_rng(args.seed, args.target, t // BLOCK), BLOCK, 64)
+        sig = Signal(grid, rows[t % BLOCK])
         rep = embedding_check(sig, q=2.0, p1=1.0, p2=np.inf, window=window)
         worst_mono = max(worst_mono, rep["p_monotonicity_ratio"])
         ratios.append(equivalence_check(sig, 2.0, 0.0, window)["ratio"])
@@ -478,6 +487,9 @@ VERIFY = {
 COMMANDS = {"norm": (NORM, "--space", _run_norm),
             "wavefront": (WAVEFRONT, "--mode", _run_wavefront),
             "verify": (VERIFY, "target", _run_verify)}
+
+# Parsing leaves the parser as it was, so every call shares one.
+PARSER = build_parser()
 
 
 if __name__ == "__main__":

@@ -41,6 +41,9 @@ class Cone:
 
 def cone_mask(grid: TorusGrid, c: Cone) -> np.ndarray:
     """Boolean mask over the centered lattice; origin always False."""
+    if len(c.axis) != grid.d:
+        raise ValueError(f"cone axis has {len(c.axis)} components, the "
+                         f"grid has d = {grid.d}")
     lat = lattice(grid)
     nonzero = lat.norms > 0
     if c.aperture >= FULL_APERTURE - 1e-12:

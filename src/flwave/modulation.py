@@ -37,7 +37,7 @@ from .grid import Signal, TorusGrid, _prefactor, lattice
 # not called here: kept bound so that tracers which rebind forward_transform
 # in every flwave module keep finding it in this one
 from .grid import forward_transform  # noqa: F401
-from .norms import FLNormSpec, _row_norm, fl_norm
+from .norms import FLNormSpec, _lp_reduce, fl_norm
 from .wavefront import (WavefrontQuery, WavefrontReport, _decide, _fl_bound,
                         _scan, _segment_table)
 from .weights import Weight
@@ -132,7 +132,8 @@ def modulation_norm(f: Signal, p: float, q: float,
             buf[1:] **= p
         buf[0] = sums = reduce(buf, axis=0, out=sums)
     sums = np.fft.fftshift(sums.reshape(grid.shape)).ravel()
-    return float(_row_norm(sums if np.isinf(p) else sums ** (1.0 / p), q))
+    return float(_lp_reduce(sums if np.isinf(p) else np.float_power(
+        sums, 1.0 / p), q))
 
 
 def equivalence_check(f: Signal, q: float, s: float,

@@ -59,7 +59,7 @@ def sequence_norm(values: np.ndarray, q: float) -> float:
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
     mags = np.abs(np.asarray(values)).ravel()
-    return float(_row_norm(mags, q)) if mags.size else 0.0
+    return float(_lp_reduce(mags, q)) if mags.size else 0.0
 
 
 def fl_norm(f: Signal, spec: FLNormSpec) -> float:
@@ -71,7 +71,7 @@ def fl_norm(f: Signal, spec: FLNormSpec) -> float:
 def _fl_rows(grid: TorusGrid, values: np.ndarray, spec: FLNormSpec):
     """fl_norm of each row of a (T, n^d) value stack, in one transform."""
     coeffs = _transform_rows(grid, values) * spec.weight.on_lattice(grid)
-    return _row_norm(np.abs(coeffs), spec.q)
+    return _lp_reduce(np.abs(coeffs), spec.q)
 
 
 def cone_seminorm(f: Signal, cone: Cone, spec: FLNormSpec) -> float:
@@ -98,16 +98,10 @@ def _mixed_rows(mags: np.ndarray, p: float, q: float, order: int):
     if p < 1 or q < 1:
         raise ValueError("mixed norm exponents must be >= 1")
     if order == 1:  # inner over k, one value per l
-        return _row_norm(_axis_norm(mags, p, axis=-2), q)
+        return _lp_reduce(_lp_reduce(mags, p, axis=-2), q)
     if order == 2:  # inner over l, one value per k
-        return _row_norm(_axis_norm(mags, q, axis=-1), p)
+        return _lp_reduce(_lp_reduce(mags, q), p)
     raise ValueError(f"order must be 1 or 2, got {order}")
-
-
-def _axis_norm(mags: np.ndarray, p: float, axis: int) -> np.ndarray:
-    if np.isinf(p):
-        return np.max(mags, axis=axis)
-    return np.sum(mags**p, axis=axis) ** (1.0 / p)
 
 
 def _ratio(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -115,12 +109,12 @@ def _ratio(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
 
 
-def _row_norm(mags: np.ndarray, p: float) -> np.ndarray:
-    """l^p norm over the last axis, one value per row of a stack.
+def _lp_reduce(mags: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
+    """l^p norm of magnitudes along ``axis`` (the max at p = inf).
 
     The root is ``np.float_power``, the libm ``pow`` of a scalar ``**``
     (an array ``**`` may take a SIMD ``pow`` off in the last bit).
     """
     if np.isinf(p):
-        return np.max(mags, axis=-1)
-    return np.float_power(np.sum(mags**p, axis=-1), 1.0 / p)
+        return np.max(mags, axis=axis)
+    return np.float_power(np.sum(mags**p, axis=axis), 1.0 / p)

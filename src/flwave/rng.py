@@ -1,20 +1,31 @@
-"""Seeded per-trial random streams and adversarial instance generators.
+"""Seeded blocks of random trials and adversarial instance generators.
 
-Each trial derives its own generator from (master seed XOR trial index);
-checks draw their trials in order into stacks, one row per trial, and
-evaluate each stack as one array.  Random instances are complex Gaussian
-with one-hot and heavy-tail adversaries mixed in at roughly ten percent
-each, to exercise the equality cases of the Hoelder-type bounds.
+A target's trials come in blocks of BLOCK.  Block b holds trials
+b*BLOCK ... (b+1)*BLOCK - 1 and is drawn, one array per kind of draw,
+from its own generator keyed by (seed, target, b), the counter-based
+scheme of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
+(SC'11).  Trial t is row t % BLOCK of block t // BLOCK, so one trial is
+redrawn from its block alone, and different seeds or targets draw
+different trials.  Checks evaluate the trials in order as row stacks.
+Random instances are complex Gaussian with one-hot and heavy-tail
+adversaries mixed in at roughly ten percent each, to exercise the
+equality cases of the Hoelder-type bounds.
 """
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
-from .grid import TorusGrid
-from .norms import KernelGrid
+from .grid import TorusGrid, finite_kernel, kernel_size
 
-__all__ = ["trial_rng", "random_coeffs", "random_kernel", "trial_stacks"]
+__all__ = ["trial_rng", "gaussian", "random_coeffs", "random_kernel",
+           "trial_block", "trial_stacks"]
+
+# Trials per block.  The block is the unit of drawing, so it must not
+# depend on STACK_BYTES: a trial's instance would then depend on it too.
+BLOCK = 50
 
 # Bytes of instances per stack.  Stacking only saves per-call overhead,
 # which small instances need, and a check's temporaries take a few times
@@ -22,52 +33,74 @@ __all__ = ["trial_rng", "random_coeffs", "random_kernel", "trial_stacks"]
 STACK_BYTES = 1 << 17
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.uint64(seed) ^ np.uint64(trial))
+def trial_rng(seed: int, target: str, block: int) -> np.random.Generator:
+    """The generator of one block of a target's trials.  A target is
+    keyed by the CRC-32 of its name, which every process computes alike."""
+    return np.random.default_rng([seed, zlib.crc32(target.encode()), block])
 
 
-def random_coeffs(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
-    """Coefficient array on the lattice: Gaussian / one-hot / heavy-tail."""
-    N = grid.size
-    kind = rng.integers(0, 10)
-    if kind == 0:
-        out = np.zeros(N, dtype=complex)
-        out[rng.integers(0, N)] = rng.standard_normal() + 1j * rng.standard_normal()
-        return out
-    if kind == 1:
-        mags = rng.pareto(1.5, size=N) + 0.01
-        phases = rng.uniform(0, 2 * np.pi, size=N)
-        return mags * np.exp(1j * phases)
-    return rng.standard_normal(N) + 1j * rng.standard_normal(N)
+def gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Standard complex Gaussian values (real and imaginary parts N(0, 1))."""
+    return rng.standard_normal((*shape, 2)).view(complex)[..., 0]
 
 
-def random_kernel(grid: TorusGrid, rng: np.random.Generator) -> KernelGrid:
-    N = grid.size
-    kind = rng.integers(0, 10)
-    if kind == 0:
-        vals = np.zeros((N, N), dtype=complex)
-        vals[rng.integers(0, N), rng.integers(0, N)] = 1.0
-        return KernelGrid(grid, vals)
-    if kind == 1:
-        mags = rng.pareto(1.5, size=(N, N)) + 0.01
-        phases = rng.uniform(0, 2 * np.pi, size=(N, N))
-        return KernelGrid(grid, mags * np.exp(1j * phases))
-    vals = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    return KernelGrid(grid, vals)
+def _mixture(rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
+    """(rows, size) instances, each of one kind: one-hot (kind 0), heavy
+    tail (kind 1) or Gaussian; each kind's rows are drawn as one array."""
+    kind = rng.integers(0, 10, size=rows)
+    gauss, heavy, hot = kind >= 2, kind == 1, np.flatnonzero(kind == 0)
+    out = np.zeros((rows, size), dtype=complex)
+    out[gauss] = gaussian(rng, np.count_nonzero(gauss), size)
+    shape = (np.count_nonzero(heavy), size)
+    out[heavy] = (rng.pareto(1.5, size=shape) + 0.01) \
+        * np.exp(1j * rng.uniform(0, 2 * np.pi, size=shape))
+    out[hot, rng.integers(0, size, size=hot.size)] = gaussian(rng, hot.size)
+    return out
 
 
-def trial_stacks(grid: TorusGrid, seed: int, trials: range, coeffs: int,
-                 kernel: bool = False):
-    """Instances of the given trials, drawn in order, as row stacks.
+def random_coeffs(grid: TorusGrid, rng: np.random.Generator,
+                  rows: int) -> np.ndarray:
+    """(rows, N) coefficient arrays on the lattice: Gaussian / one-hot /
+    heavy-tail."""
+    return _mixture(rng, rows, grid.size)
 
-    Trial t draws a kernel (with ``kernel``), then ``coeffs`` coefficient
-    arrays, from ``trial_rng(seed, t)``.  Yields the kernels (T, N, N) and
-    coefficient stacks (T, N) of each run of trials within STACK_BYTES.
+
+def random_kernel(grid: TorusGrid, rng: np.random.Generator,
+                  rows: int) -> np.ndarray:
+    """(rows, N, N) kernels over lattice pairs, checked once as a stack."""
+    N = kernel_size(grid)
+    return finite_kernel(_mixture(rng, rows, N * N).reshape(rows, N, N))
+
+
+def trial_block(grid: TorusGrid, seed: int, target: str, block: int,
+                coeffs: int, kernel: bool) -> tuple:
+    """The instances of one block of trials: with ``kernel`` a kernel
+    stack (BLOCK, N, N), then ``coeffs`` coefficient stacks (BLOCK, N)."""
+    rng = trial_rng(seed, target, block)
+    kernels = (random_kernel(grid, rng, BLOCK),) if kernel else ()
+    return kernels + tuple(random_coeffs(grid, rng, coeffs * BLOCK).reshape(
+        coeffs, BLOCK, grid.size))
+
+
+def trial_stacks(grid: TorusGrid, seed: int, target: str, trials: range,
+                 coeffs: int, kernel: bool = False):
+    """Instances of the given trials, in order, as row stacks.
+
+    Trial t is row t % BLOCK of ``trial_block(..., t // BLOCK, ...)``.
+    Yields the kernels (T, N, N) and coefficient stacks (T, N) of each run
+    of consecutive trials within STACK_BYTES, cut from the blocks.
     """
     N = grid.size
     step = max(1, STACK_BYTES // (16 * N * (coeffs + N * kernel)))
-    for lo in range(0, len(trials), step):
-        draws = [([random_kernel(grid, rng).values] if kernel else [])
-                 + [random_coeffs(grid, rng) for _ in range(coeffs)]
-                 for rng in (trial_rng(seed, t) for t in trials[lo:lo + step])]
-        yield tuple(np.stack(stack) for stack in zip(*draws))
+    drawn = {}  # the last block drawn: a run may start inside it
+    for lo in range(trials.start, trials.stop, step):
+        hi = min(lo + step, trials.stop)
+        parts = []
+        for b in range(lo // BLOCK, (hi - 1) // BLOCK + 1):
+            if b not in drawn:
+                drawn.clear()  # one block of large kernels at a time
+                drawn[b] = trial_block(grid, seed, target, b, coeffs, kernel)
+            first = b * BLOCK
+            parts.append([a[max(lo - first, 0):hi - first] for a in drawn[b]])
+        yield tuple(p[0] if len(p) == 1 else np.concatenate(p)
+                    for p in zip(*parts))

@@ -14,7 +14,15 @@ from flwave.bilinear import (
 from flwave.cones import omega_masks
 from flwave.grid import TorusGrid, lattice
 from flwave.norms import KernelGrid
-from flwave.rng import random_coeffs, random_kernel, trial_rng
+from flwave.rng import random_coeffs, random_kernel, trial_stacks
+
+
+def _trials(g, seed, trials, count):
+    """Each trial's kernel and ``count`` coefficient arrays, in order."""
+    for stacks in trial_stacks(g, seed, "bilinear", range(trials), count,
+                               kernel=True):
+        for K, *rows in zip(*stacks):
+            yield KernelGrid(g, K), *rows
 
 
 def _direct_tf(grid, F, f, g):
@@ -32,24 +40,21 @@ def test_apply_tf_constant_kernel_is_convolution():
     g = TorusGrid(1, 8)
     rng = np.random.default_rng(0)
     F = KernelGrid(g, np.ones((8, 8)))
-    f, h = random_coeffs(g, rng), random_coeffs(g, rng)
+    f, h = random_coeffs(g, rng, 2)
     assert np.max(np.abs(apply_tf(F, f, h) - _direct_tf(g, F, f, h))) < 1e-12
 
 
 def test_apply_tf_zero_factor():
     g = TorusGrid(1, 8)
     rng = np.random.default_rng(1)
-    F = random_kernel(g, rng)
-    f = random_coeffs(g, rng)
+    F = KernelGrid(g, random_kernel(g, rng, 1)[0])
+    (f,) = random_coeffs(g, rng, 1)
     assert np.all(apply_tf(F, f, np.zeros(8)) == 0)
 
 
 def test_apply_tf_direct_sum_oracle():
     g = TorusGrid(1, 8)
-    for t in range(10):
-        rng = trial_rng(3, t)
-        F = random_kernel(g, rng)
-        f, h = random_coeffs(g, rng), random_coeffs(g, rng)
+    for F, f, h in _trials(g, 3, 10, 2):
         got = apply_tf(F, f, h)
         want = _direct_tf(g, F, f, h)
         assert np.max(np.abs(got - want)) < 1e-13 * max(1, np.max(np.abs(want)))
@@ -59,17 +64,14 @@ def test_dual_pair_zero_kernel():
     g = TorusGrid(1, 8)
     rng = np.random.default_rng(2)
     F = KernelGrid(g, np.zeros((8, 8)))
-    f, h, k = (random_coeffs(g, rng) for _ in range(3))
+    f, h, k = random_coeffs(g, rng, 3)
     lhs, rhs = tf_dual_pair(F, f, h, k)
     assert lhs == 0 and rhs == 0
 
 
 def test_dual_pair_random():
     g = TorusGrid(1, 8)
-    for t in range(50):
-        rng = trial_rng(11, t)
-        F = random_kernel(g, rng)
-        f, h, k = (random_coeffs(g, rng) for _ in range(3))
+    for F, f, h, k in _trials(g, 11, 50, 3):
         lhs, rhs = tf_dual_pair(F, f, h, k)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
@@ -81,7 +83,7 @@ def test_dual_pair_separable_closed_form():
     u = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     F = KernelGrid(g, np.outer(u, v))
-    f, h, k = (random_coeffs(g, rng) for _ in range(3))
+    f, h, k = random_coeffs(g, rng, 3)
     lhs, rhs = tf_dual_pair(F, f, h, k)
     n = g.n
     lat = lattice(g).points[:, 0]

@@ -17,20 +17,24 @@ from flwave.corpus import make_delta, make_power_cusp, make_smooth, \
     standard_corpus
 from flwave.grid import Signal, TorusGrid, impulse, random_signal, single_mode
 from flwave.norms import FLNormSpec, fl_norm
-from flwave.rng import random_coeffs, trial_rng
+from flwave.rng import trial_stacks
 from flwave.weights import Weight
 
 TWO_PI = 2.0 * np.pi
 W0 = Weight.power(0.0)
 
 
+def _trials(g, seed, trials, count):
+    """Each trial's ``count`` signals, in order, from the trial blocks."""
+    for stacks in trial_stacks(g, seed, "calculus", range(trials), count):
+        for rows in zip(*stacks):
+            yield [Signal(g, row) for row in rows]
+
+
 def test_product_l1_certified():
     g = TorusGrid(1, 16)
     worst = 0.0
-    for t in range(100):
-        rng = trial_rng(0, t)
-        f1 = Signal(g, random_coeffs(g, rng))
-        f2 = Signal(g, random_coeffs(g, rng))
+    for f1, f2 in _trials(g, 0, 100, 2):
         rep = product_norm_check(f1, f2, 1, 1, 1, W0, W0, W0)
         worst = max(worst, rep["ratio"])
     assert worst <= 1 + 1e-10
@@ -82,10 +86,7 @@ def test_convolve_identity_element():
 def test_convolve_certified_random():
     g = TorusGrid(1, 16)
     worst = 0.0
-    for t in range(100):
-        rng = trial_rng(4, t)
-        f1 = Signal(g, random_coeffs(g, rng))
-        f2 = Signal(g, random_coeffs(g, rng))
+    for f1, f2 in _trials(g, 4, 100, 2):
         rep = convolve_norm_check(f1, f2, 1.0, 2.0, 2.0, W0, W0, W0)
         worst = max(worst, rep["ratio"])
         rep = convolve_norm_check(f1, f2, np.inf, np.inf, np.inf, W0, W0, W0)
@@ -97,11 +98,8 @@ def test_convolve_weighted_certified():
     g = TorusGrid(1, 16)
     w, w1, w2 = Weight.power(1.0), Weight.power(0.5), Weight.power(0.5)
     worst = 0.0
-    for t in range(50):
-        rng = trial_rng(5, t)
-        rep = convolve_norm_check(Signal(g, random_coeffs(g, rng)),
-                                  Signal(g, random_coeffs(g, rng)),
-                                  2.0, 4.0, 4.0, w, w1, w2)
+    for f1, f2 in _trials(g, 5, 50, 2):
+        rep = convolve_norm_check(f1, f2, 2.0, 4.0, 4.0, w, w1, w2)
         worst = max(worst, rep["ratio"])
     assert worst <= 1 + 1e-10
 
@@ -133,25 +131,25 @@ def test_moderation_constant_wrap_peetre():
 def test_critical_product_l1_reduction():
     g = TorusGrid(1, 16)
     worst = 0.0
-    for t in range(50):
-        rng = trial_rng(7, t)
-        rep = product_critical_norm_check(
-            Signal(g, random_coeffs(g, rng)), Signal(g, random_coeffs(g, rng)),
-            1.0, 0.0, 0.0, 0.0, s=0.0)
+    for f1, f2 in _trials(g, 7, 50, 2):
+        rep = product_critical_norm_check(f1, f2, 1.0, 0.0, 0.0, 0.0, s=0.0)
         worst = max(worst, rep["ratio"])
     assert worst <= 1 + 1e-10
 
 
 def test_critical_product_stability():
+    # the pair f1 = f2 = 1 first, as in `verify product-critical`: random
+    # pairs alone do not pin the constant (their maxima at n = 16 and 32
+    # differ by 50% or more for most seeds)
     ratios = {}
     for n in (16, 32):
         g = TorusGrid(1, n)
-        worst = 0.0
-        for t in range(100):
-            rng = trial_rng(8, t)
-            rep = product_critical_norm_check(
-                Signal(g, random_coeffs(g, rng)),
-                Signal(g, random_coeffs(g, rng)), 4.0, 1.0, 1.0, 0.6, s=1.0)
+        ones = Signal(g, np.ones(n, dtype=complex))
+        worst = product_critical_norm_check(ones, ones, 4.0, 1.0, 1.0, 0.6,
+                                            s=1.0)["ratio"]
+        for f1, f2 in _trials(g, 8, 100, 2):
+            rep = product_critical_norm_check(f1, f2, 4.0, 1.0, 1.0, 0.6,
+                                              s=1.0)
             worst = max(worst, rep["ratio"])
         ratios[n] = worst
     assert abs(ratios[32] - ratios[16]) / ratios[16] < 0.5
@@ -179,11 +177,8 @@ def test_critical_product_preconditions():
 def test_algebra_l1_certified():
     g = TorusGrid(1, 16)
     worst = 0.0
-    for t in range(50):
-        rng = trial_rng(11, t)
-        fs = [Signal(g, random_coeffs(g, rng)) for _ in range(3)]
-        rep = algebra_check(fs, Signal(g, random_coeffs(g, rng)), 1.0, 1.0,
-                            0.0)
+    for *fs, h in _trials(g, 11, 50, 4):
+        rep = algebra_check(fs, h, 1.0, 1.0, 0.0)
         worst = max(worst, rep["per_factor_constant"])
     assert worst <= 1 + 1e-10
 
@@ -326,11 +321,8 @@ def test_algebra_constant_stable_in_factor_count():
     constants = []
     for N in (1, 2, 3):
         worst = 0.0
-        for t in range(30):
-            tr = trial_rng(21 + N, t)
-            fs = [Signal(g, random_coeffs(g, tr)) for _ in range(N)]
-            rep = algebra_check(fs, Signal(g, random_coeffs(g, tr)), 1.0,
-                                1.0, 0.0)
+        for *fs, h in _trials(g, 21 + N, 30, N + 1):
+            rep = algebra_check(fs, h, 1.0, 1.0, 0.0)
             worst = max(worst, rep["per_factor_constant"])
         constants.append(worst)
     assert all(c <= 1 + 1e-10 for c in constants)

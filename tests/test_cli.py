@@ -205,13 +205,15 @@ _ROWS = [("norm --space", c) for c in NORM] + \
 def test_params_echo_the_row_with_the_values_used(tmp_path, capsys, command,
                                                   choice):
     # a None default echoes what it stands for: at n = 64 a window of
-    # max(8, n/4) = 16 cells, and 32 bins
+    # max(8, n/4) = 16 cells, an aperture of pi/8, 32 bins, and the 1-D
+    # default query's weight order 2.75
     sig = tmp_path / "cusp.json"
     write_signal(standard_corpus(1, 64)[3].signal, str(sig))
     row = (NORM if command == "norm --space" else WAVEFRONT)[choice][1]
     code, out = _run([*command.split(), choice, "--input", str(sig),
                       *(["--q", "2"] if "q" in row else [])], capsys)
-    used = {**row, "q": 2.0, "window": 16.0, "bins": 32}
+    used = {**row, "q": 2.0, "window": 16.0, "aperture": np.pi / 8,
+            "bins": 32, "s": 2.75}
     assert code == 0
     assert json.loads(out.splitlines()[-1])["params"] == {
         flag: used[flag] for flag in row}
@@ -400,6 +402,13 @@ def test_product_critical_runs_at_the_given_q(capsys):
     assert payload["growth"] == 1.0
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    # before, numpy's OverflowError escaped as a traceback (exit 1)
+    code, out = _run(["verify", "product", "--seed", "-1"], capsys)
+    assert (code, json.loads(out)) == (2, {
+        "error": "--seed must be >= 0, got -1", "status": "error"})
+
+
 def test_tf_bounds_runs_at_the_given_r(capsys):
     code, out = _run(["verify", "tf-bounds", "--r", "0"], capsys)
     assert code == 2
@@ -422,15 +431,65 @@ def test_tf_bounds_checks_every_case_before_any_trial(capsys, monkeypatch):
 
 
 def test_modulation_equiv_runs_the_given_trials(capsys, monkeypatch):
-    calls, trial_rng = [], cli.trial_rng
+    # 120 trials: the first three blocks, and one check per trial
+    blocks, signals = [], []
+    trial_rng, equivalence_check = cli.trial_rng, cli.equivalence_check
 
-    def counted(seed, t):
-        calls.append(t)
-        return trial_rng(seed, t)
+    def counted_rng(*key):
+        blocks.append(key)
+        return trial_rng(*key)
 
-    monkeypatch.setattr(cli, "trial_rng", counted)
+    def counted_check(sig, *args):
+        signals.append(sig.values.tobytes())
+        return equivalence_check(sig, *args)
+
+    monkeypatch.setattr(cli, "trial_rng", counted_rng)
+    monkeypatch.setattr(cli, "equivalence_check", counted_check)
     code, _ = _run(["verify", "modulation-equiv", "--trials", "120"], capsys)
-    assert code == 0 and calls == list(range(120))
+    assert code == 0
+    assert blocks == [(0, "modulation-equiv", b) for b in range(3)]
+    assert len(signals) == len(set(signals)) == 120
+
+
+@pytest.mark.parametrize("d, direction, sizes", [
+    (2, None, "1 components, the grid has d = 2"),  # the default axis:1
+    (2, "axis:1,0,0", "3 components, the grid has d = 2"),
+    (1, "dir:0.5", "2 components, the grid has d = 1"),
+])
+def test_cone_direction_of_another_dimension_is_a_usage_error(
+        tmp_path, capsys, d, direction, sizes):
+    # before, 2-D input failed inside numpy's matmul, and dir: on 1-D input
+    # was not checked
+    sig = tmp_path / "sig.json"
+    write_signal(standard_corpus(d, 64)[2].signal, str(sig))
+    code, out = _run(["norm", "--input", str(sig), "--space", "cone",
+                      *(["--direction", direction] if direction else [])],
+                     capsys)
+    assert (code, json.loads(out)) == (2, {
+        "error": f"cone axis has {sizes}", "status": "error"})
+
+
+def test_cone_aperture_on_a_1d_signal_is_a_usage_error(tmp_path, capsys):
+    # a 1-D cone is a half-line: before, every aperture gave one value
+    sig = tmp_path / "cusp.json"
+    write_signal(standard_corpus(1, 64)[3].signal, str(sig))
+    code, out = _run(["norm", "--input", str(sig), "--space", "cone",
+                      "--aperture", "0.3"], capsys)
+    payload = json.loads(out)
+    assert code == 2 and set(payload) == {"error", "status"}
+    assert "--aperture" in payload["error"]
+    delta = tmp_path / "delta.json"  # on 2-D input it sets the half-angle
+    write_signal(standard_corpus(2, 64)[1].signal, str(delta))
+    values = []
+    for aperture in ("0.2", "0.6"):
+        code, out = _run(["norm", "--input", str(delta), "--space", "cone",
+                          "--direction", "axis:1,0", "--aperture", aperture],
+                         capsys)
+        assert code == 0
+        assert json.loads(out.splitlines()[-1])["params"]["aperture"] == \
+            float(aperture)
+        values.append(float(out.splitlines()[0]))
+    assert values[0] < values[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -470,6 +529,7 @@ def test_wavefront_bins_sets_the_2d_direction_bins(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["params"]["bins"] == 16
+    assert payload["params"]["s"] == 1.0  # the 2-D default query's order
     assert len(payload["records"]) == 16 * len(
         default_query(TorusGrid(2, 64)).positions)
 

@@ -5,6 +5,7 @@ The references evaluate one instance at a time: one signal, one
 (``==``): evaluating a stack must not move a single bit.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -27,12 +28,13 @@ from flwave.calculus import (
 )
 from flwave.cli import VERIFY, main
 from flwave.grid import Signal, TorusGrid, forward_transform, lattice
-from flwave.norms import KernelGrid, _axis_norm
+from flwave.norms import KernelGrid, _lp_reduce
 from flwave.weights import Weight
 
 TWO_PI = 2.0 * np.pi
 W0 = Weight.power(0.0)
 QS = (1.0, 2.0, np.inf)
+TARGET = "stacked"  # the trial stream of the checks run here
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +64,8 @@ def _convolve(f, g):
 def _mixed(F, p, q, order):
     mags = np.abs(F.values)
     if order == 1:
-        return _seq_norm(_axis_norm(mags, p, axis=0), q)
-    return _seq_norm(_axis_norm(mags, q, axis=1), p)
+        return _seq_norm(_lp_reduce(mags, p, axis=0), q)
+    return _seq_norm(_lp_reduce(mags, q, axis=1), p)
 
 
 def _apply_tf(F, f, g):
@@ -130,6 +132,13 @@ def _structured(grid, q, r):
     return out
 
 
+def _trial(grid, seed, target, t, count, kernel=False):
+    """Trial t's instance, redrawn from its block alone."""
+    block = rng_mod.trial_block(grid, seed, target, t // rng_mod.BLOCK, count,
+                                kernel)
+    return [a[t % rng_mod.BLOCK] for a in block]
+
+
 def _ref_tf_bound(case, q, r, trials, seed, n, d):
     grid = TorusGrid(d, n)
     qp = conjugate_exponent(q)
@@ -140,10 +149,9 @@ def _ref_tf_bound(case, q, r, trials, seed, n, d):
         if t < len(structured):
             F, f, g = structured[t]
         else:
-            rng = rng_mod.trial_rng(seed, t)
-            F = rng_mod.random_kernel(grid, rng)
-            f = rng_mod.random_coeffs(grid, rng)
-            g = rng_mod.random_coeffs(grid, rng)
+            K, f, g = _trial(grid, seed, f"tf-bounds case {case}", t, 2,
+                             kernel=True)
+            F = KernelGrid(grid, K)
         out_norm = _seq_norm(_apply_tf(F, f, g), q)
         fn = _seq_norm(f, q)
         if case == 1:
@@ -160,20 +168,16 @@ def _ref_tf_bound(case, q, r, trials, seed, n, d):
     return max_ratio, worst
 
 
-def _signals(grid, seed, trials, count):
-    """Per-trial draws of ``count`` signals, as the loops made them."""
-    out = []
-    for t in range(trials):
-        rng = rng_mod.trial_rng(seed, t)
-        out.append([Signal(grid, rng_mod.random_coeffs(grid, rng))
-                    for _ in range(count)])
-    return out
+def _signals(grid, seed, trials, count, target=TARGET):
+    """Per-trial draws of ``count`` signals, each trial redrawn alone."""
+    return [[Signal(grid, row) for row in _trial(grid, seed, target, t, count)]
+            for t in range(trials)]
 
 
 def _stacked(grid, seed, trials, count, rows):
     """Per-trial values of ``rows`` over the stacked draws."""
     return np.concatenate([rows(*stacks) for stacks in rng_mod.trial_stacks(
-        grid, seed, range(trials), count)])
+        grid, seed, TARGET, range(trials), count)])
 
 
 def _critical_params(q, d):
@@ -222,12 +226,10 @@ def test_dual_pairs_match_per_trial_loop(dn, seed, trials):
     grid = TorusGrid(*dn)
     want = []
     for t in range(trials):
-        rng = rng_mod.trial_rng(seed, t)
-        F = rng_mod.random_kernel(grid, rng)
-        want.append(_ref_dual(F, *(rng_mod.random_coeffs(grid, rng)
-                                   for _ in range(3))))
+        K, *rows = _trial(grid, seed, TARGET, t, 3, kernel=True)
+        want.append(_ref_dual(KernelGrid(grid, K), *rows))
     got = []
-    for stacks in rng_mod.trial_stacks(grid, seed, range(trials), 3,
+    for stacks in rng_mod.trial_stacks(grid, seed, TARGET, range(trials), 3,
                                        kernel=True):
         got += zip(*(map(complex, side)
                      for side in tf_dual_rows(grid, *stacks)))
@@ -264,9 +266,13 @@ def test_case2_structured_instances_lead():
 
 
 def test_worst_seed_is_first_trial_reaching_maximum(monkeypatch):
-    # every trial draws the same instance, so every ratio ties
-    monkeypatch.setattr(rng_mod, "trial_rng",
-                        lambda seed, t: np.random.default_rng(seed))
+    # every trial draws the same instance, so every ratio ties: a block
+    # drawer gives all BLOCK trials one drawn row per kernel or row slot
+    B = rng_mod.BLOCK
+    for name in ("random_kernel", "random_coeffs"):
+        draw = getattr(rng_mod, name)
+        monkeypatch.setattr(rng_mod, name, lambda grid, rng, rows, draw=draw:
+                            np.repeat(draw(grid, rng, rows // B), B, axis=0))
     for case in (1, 3):
         rep = verify_tf_bound(case, q=1.0, trials=6, seed=5, n=8)
         assert rep["max_ratio"] > 0 and rep["worst_seed"] == 0
@@ -280,9 +286,10 @@ def test_zero_denominators_are_skipped(monkeypatch, share):
     # vanishing denominator
     draw = rng_mod.random_coeffs
 
-    def sometimes_zero(grid, rng):
-        out = draw(grid, rng)
-        return out * 0 if rng.random() < share else out
+    def sometimes_zero(grid, rng, rows):
+        out = draw(grid, rng, rows)
+        out[rng.random(rows) < share] = 0
+        return out
 
     monkeypatch.setattr(rng_mod, "random_coeffs", sometimes_zero)
     for case in (1, 3):
@@ -307,30 +314,33 @@ def test_zero_denominators_are_skipped(monkeypatch, share):
 def test_trial_stacks_chunks_under_the_byte_budget(monkeypatch):
     grid = TorusGrid(1, 8)
     N = grid.size
-    # three trials (one kernel and two coefficient arrays each) per chunk
+    B = rng_mod.BLOCK
+    # three trials (one kernel and two coefficient arrays each) per chunk;
+    # the middle chunk takes its rows from two blocks
     monkeypatch.setattr(rng_mod, "STACK_BYTES", 3 * 16 * N * (N + 2) + 7)
-    chunks = list(rng_mod.trial_stacks(grid, 4, range(2, 10), 2,
+    trials = range(B - 4, B + 4)
+    chunks = list(rng_mod.trial_stacks(grid, 4, TARGET, trials, 2,
                                        kernel=True))
     assert [len(c[0]) for c in chunks] == [3, 3, 2]
-    kernels, f, g = (np.concatenate(parts) for parts in zip(*chunks))
-    for i, t in enumerate(range(2, 10)):
-        rng = rng_mod.trial_rng(4, t)
-        assert np.array_equal(kernels[i],
-                              rng_mod.random_kernel(grid, rng).values)
-        assert np.array_equal(f[i], rng_mod.random_coeffs(grid, rng))
-        assert np.array_equal(g[i], rng_mod.random_coeffs(grid, rng))
+    stacked = [np.concatenate(parts) for parts in zip(*chunks)]
+    for i, t in enumerate(trials):
+        alone = _trial(grid, 4, TARGET, t, 2, kernel=True)
+        assert all(np.array_equal(a[i], b) for a, b in zip(stacked, alone))
     # a budget below one trial still makes progress, one trial per stack
     monkeypatch.setattr(rng_mod, "STACK_BYTES", 1)
-    assert [len(c[0]) for c in rng_mod.trial_stacks(grid, 4, range(3), 1)] \
-        == [1, 1, 1]
+    assert [len(c[0]) for c in rng_mod.trial_stacks(grid, 4, TARGET,
+                                                     range(3), 1)] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("budget", [1, 5000])
 def test_chunked_checks_match_one_stack(monkeypatch, capsys, budget):
-    argvs = [["verify", t, "--seed", "11", "--trials", "10", "--n", "8"]
+    # 60 trials run into a second block; modulation-equiv draws no stacks,
+    # and a few of its trials (8 ms each) show that
+    argvs = [["verify", t, "--seed", "11", "--trials", "60", "--n", "8"]
              for t in ("tf-bounds", "duality", "young-conv", "product",
                        "algebra")] + [
-        ["verify", "product-critical", "--seed", "11", "--trials", "10"]]
+        ["verify", "product-critical", "--seed", "11", "--trials", "60"],
+        ["verify", "modulation-equiv", "--seed", "11", "--trials", "3"]]
 
     def run_all():
         out = []
@@ -348,6 +358,61 @@ def test_chunked_checks_match_one_stack(monkeypatch, capsys, budget):
 
 
 # ---------------------------------------------------------------------------
+# Block draws
+# ---------------------------------------------------------------------------
+
+
+def test_seeds_draw_different_trials():
+    # before, trial t of seed s drew from the stream of s XOR t, so the
+    # seeds below 128 drew nearly one instance set over 200 trials
+    grid = TorusGrid(1, 16)
+    seen = set()
+    for seed in range(128):
+        for stacks in rng_mod.trial_stacks(grid, seed, "duality", range(200),
+                                           2, kernel=True):
+            seen.update(hashlib.blake2b(b"".join(a.tobytes() for a in rows),
+                                        digest_size=16).digest()
+                        for rows in zip(*stacks))
+    assert len(seen) == 128 * 200
+
+
+_B = rng_mod.BLOCK
+
+
+@pytest.mark.parametrize("t", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 37, 199])
+def test_one_trial_redrawn_alone_is_its_stack_row(t):
+    grid = TorusGrid(2, 4)
+    stacked = [np.concatenate(parts) for parts in zip(*rng_mod.trial_stacks(
+        grid, 9, TARGET, range(200), 3, kernel=True))]
+    alone = _trial(grid, 9, TARGET, t, 3, kernel=True)
+    assert all(np.array_equal(a[t], b) for a, b in zip(stacked, alone))
+
+
+@pytest.mark.parametrize("draw", [rng_mod.random_coeffs,
+                                  rng_mod.random_kernel])
+def test_one_hot_and_heavy_tail_shares(draw):
+    # 10,000 rows of 256 entries.  A row is one-hot or heavy-tail with
+    # probability 0.1 each, so each share lies within 5 binomial standard
+    # deviations, 5 sqrt(0.1 * 0.9 / 10,000) = 0.015, of 0.1.  A heavy-tail
+    # entry exceeds 6 with probability 7^-1.5 = 0.054 and a Gaussian one
+    # with exp(-18), so a row's maximum above 6 tells the two kinds apart
+    # (a heavy-tail row below it: 0.946^256 < 1e-6).
+    grid = TorusGrid(1, 256 if draw is rng_mod.random_coeffs else 16)
+    rows = one_hot = heavy = 0
+    for block in range(4):
+        mags = np.abs(draw(grid, rng_mod.trial_rng(3, TARGET, block), 2500))
+        mags = mags.reshape(2500, 256)
+        hot = np.count_nonzero(mags, axis=1) == 1
+        rows += len(mags)
+        one_hot += np.count_nonzero(hot)
+        heavy += np.count_nonzero(~hot & (mags.max(axis=1) > 6))
+    tol = 5 * np.sqrt(0.1 * 0.9 / rows)
+    assert rows == 10_000
+    assert abs(one_hot / rows - 0.1) < tol
+    assert abs(heavy / rows - 0.1) < tol
+
+
+# ---------------------------------------------------------------------------
 # CLI targets against their former per-trial handlers
 # ---------------------------------------------------------------------------
 
@@ -357,14 +422,13 @@ def _ref_target(target, seed, trials, q, d, n):
     if target == "duality":
         worst = 0.0
         for t in range(trials):
-            rng = rng_mod.trial_rng(seed, t)
-            F = rng_mod.random_kernel(grid, rng)
-            worst = max(worst, _rel_error(*_ref_dual(
-                F, *(rng_mod.random_coeffs(grid, rng) for _ in range(3)))))
+            K, *rows = _trial(grid, seed, target, t, 3, kernel=True)
+            worst = max(worst, _rel_error(*_ref_dual(KernelGrid(grid, K),
+                                                     *rows)))
         return worst
     if target == "young-conv":
         worst = 0.0
-        for f1, f2 in _signals(grid, seed, trials, 2):
+        for f1, f2 in _signals(grid, seed, trials, 2, target):
             worst = max(worst, _ref_convolve(f1, f2, q, 2 * q, 2 * q,
                                              W0, W0, W0))
             worst = max(worst, _ref_convolve(f1, f2, np.inf, np.inf, np.inf,
@@ -372,16 +436,18 @@ def _ref_target(target, seed, trials, q, d, n):
         return worst
     if target == "product":
         return max([0.0] + [_ref_product(f1, f2, 1.0, 1.0, 1.0, W0, W0, W0)
-                            for f1, f2 in _signals(grid, seed, trials, 2)])
+                            for f1, f2 in _signals(grid, seed, trials, 2,
+                                                   target)])
     if target == "algebra":
         return max([0.0] + [_ref_algebra(fs[:3], fs[3], 1.0, 1.0, 0.0)
-                            for fs in _signals(grid, seed, trials, 4)])
+                            for fs in _signals(grid, seed, trials, 4,
+                                               target)])
     ratios = {}
     for m in (16, 32):
         g = TorusGrid(1, m)
         ones = Signal(g, np.ones(m))
         worst = _ref_critical(ones, ones, 4.0, 1.0, 1.0, 0.6, 1.0)
-        for f1, f2 in _signals(g, seed, trials, 2):
+        for f1, f2 in _signals(g, seed, trials, 2, target):
             worst = max(worst, _ref_critical(f1, f2, 4.0, 1.0, 1.0, 0.6, 1.0))
         ratios[str(m)] = worst
     return ratios
