@@ -43,7 +43,7 @@ from .modulation import embedding_check, equivalence_check, modulation_norm, \
     modulation_wavefront, SpaceFreqWeight
 from .norms import FLNormSpec, KernelGrid, cone_seminorm, fl_norm, mixed_norm
 from .pdo import parse_symbol, transport_check
-from .rng import BLOCK, gaussian, trial_rng, trial_stacks
+from .rng import gaussian_trials, trial_stacks
 from .semilinear import bootstrap_indices
 from .wavefront import (
     classical_wavefront,
@@ -423,11 +423,9 @@ def _verify_modulation(args) -> dict:
     profile = np.exp(-((np.arange(64) - 32) ** 2) / 8.0)
     worst_mono = 0.0
     ratios = []
-    for t in range(args.trials):
-        if t % BLOCK == 0:
-            rows = profile * gaussian(
-                trial_rng(args.seed, args.target, t // BLOCK), BLOCK, 64)
-        sig = Signal(grid, rows[t % BLOCK])
+    for row in gaussian_trials(args.seed, args.target, range(args.trials),
+                               64):
+        sig = Signal(grid, profile * row)
         rep = embedding_check(sig, q=2.0, p1=1.0, p2=np.inf, window=window)
         worst_mono = max(worst_mono, rep["p_monotonicity_ratio"])
         ratios.append(equivalence_check(sig, 2.0, 0.0, window)["ratio"])

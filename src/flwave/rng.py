@@ -1,10 +1,12 @@
 """Seeded blocks of random trials and adversarial instance generators.
 
 A target's trials come in blocks of BLOCK.  Block b holds trials
-b*BLOCK ... (b+1)*BLOCK - 1 and is drawn, one array per kind of draw,
-from its own generator keyed by (seed, target, b), the counter-based
-scheme of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
-(SC'11).  Trial t is row t % BLOCK of block t // BLOCK, so one trial is
+b*BLOCK ... (b+1)*BLOCK - 1 and is drawn from its own generator keyed by
+(seed, target, b), the counter-based scheme of Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3" (SC'11).  The generator draws the
+block in chunks of consecutive trials, one array per kind of draw in each,
+so that one draw holds at most CHUNK_VALUES values (or one trial's, if
+more).  Trial t is row t % BLOCK of block t // BLOCK, so one trial is
 redrawn from its block alone, and different seeds or targets draw
 different trials.  Checks evaluate the trials in order as row stacks.
 Random instances are complex Gaussian with one-hot and heavy-tail
@@ -21,11 +23,16 @@ import numpy as np
 from .grid import TorusGrid, finite_kernel, kernel_size
 
 __all__ = ["trial_rng", "gaussian", "random_coeffs", "random_kernel",
-           "trial_block", "trial_stacks"]
+           "block_chunks", "trial_stacks", "gaussian_trials"]
 
-# Trials per block.  The block is the unit of drawing, so it must not
+# Trials per block.  The block is the unit of seeding, so it must not
 # depend on STACK_BYTES: a trial's instance would then depend on it too.
 BLOCK = 50
+
+# Values per chunk of a block.  A chunk's arrays and their temporaries
+# take a few times 16 bytes per value, whatever BLOCK is; a trial above
+# half of it (a kernel's at n^d above about 180) is drawn alone.
+CHUNK_VALUES = 1 << 16
 
 # Bytes of instances per stack.  Stacking only saves per-call overhead,
 # which small instances need, and a check's temporaries take a few times
@@ -72,35 +79,64 @@ def random_kernel(grid: TorusGrid, rng: np.random.Generator,
     return finite_kernel(_mixture(rng, rows, N * N).reshape(rows, N, N))
 
 
-def trial_block(grid: TorusGrid, seed: int, target: str, block: int,
-                coeffs: int, kernel: bool) -> tuple:
-    """The instances of one block of trials: with ``kernel`` a kernel
-    stack (BLOCK, N, N), then ``coeffs`` coefficient stacks (BLOCK, N)."""
+def block_chunks(grid: TorusGrid, seed: int, target: str, block: int,
+                 coeffs: int, kernel: bool):
+    """The instances of one block of trials, in order, chunk by chunk.
+
+    Each chunk is drawn after the last from the block's generator: with
+    ``kernel`` a kernel stack (T, N, N), then ``coeffs`` coefficient
+    stacks (T, N), with T trials of at most CHUNK_VALUES values in all.
+    """
+    N = grid.size
+    step = min(BLOCK, max(1, CHUNK_VALUES // (N * (coeffs + N * kernel))))
     rng = trial_rng(seed, target, block)
-    kernels = (random_kernel(grid, rng, BLOCK),) if kernel else ()
-    return kernels + tuple(random_coeffs(grid, rng, coeffs * BLOCK).reshape(
-        coeffs, BLOCK, grid.size))
+    for lo in range(0, BLOCK, step):
+        rows = min(step, BLOCK - lo)
+        kernels = (random_kernel(grid, rng, rows),) if kernel else ()
+        yield kernels + tuple(random_coeffs(grid, rng, coeffs * rows).reshape(
+            coeffs, rows, N))
+
+
+def _trial_chunks(grid: TorusGrid, seed: int, target: str, trials: range,
+                  coeffs: int, kernel: bool):
+    """The chunks holding the given trials, cut to them."""
+    first = trials.start - trials.start % BLOCK  # of the next chunk
+    for b in range(trials.start // BLOCK, -(-trials.stop // BLOCK)):
+        for chunk in block_chunks(grid, seed, target, b, coeffs, kernel):
+            lo, first = first, first + len(chunk[0])
+            if first > trials.start:
+                yield tuple(a[max(trials.start - lo, 0):trials.stop - lo]
+                            for a in chunk)
+            if first >= trials.stop:
+                return
 
 
 def trial_stacks(grid: TorusGrid, seed: int, target: str, trials: range,
                  coeffs: int, kernel: bool = False):
     """Instances of the given trials, in order, as row stacks.
 
-    Trial t is row t % BLOCK of ``trial_block(..., t // BLOCK, ...)``.
+    Trial t is row t % BLOCK of block t // BLOCK (see ``block_chunks``).
     Yields the kernels (T, N, N) and coefficient stacks (T, N) of each run
-    of consecutive trials within STACK_BYTES, cut from the blocks.
+    of consecutive trials within STACK_BYTES (at least one trial), cut
+    from the chunks.
     """
     N = grid.size
     step = max(1, STACK_BYTES // (16 * N * (coeffs + N * kernel)))
-    drawn = {}  # the last block drawn: a run may start inside it
-    for lo in range(trials.start, trials.stop, step):
-        hi = min(lo + step, trials.stop)
-        parts = []
-        for b in range(lo // BLOCK, (hi - 1) // BLOCK + 1):
-            if b not in drawn:
-                drawn.clear()  # one block of large kernels at a time
-                drawn[b] = trial_block(grid, seed, target, b, coeffs, kernel)
-            first = b * BLOCK
-            parts.append([a[max(lo - first, 0):hi - first] for a in drawn[b]])
-        yield tuple(p[0] if len(p) == 1 else np.concatenate(p)
-                    for p in zip(*parts))
+    rest = ()  # rows drawn and not yet yielded
+    for chunk in _trial_chunks(grid, seed, target, trials, coeffs, kernel):
+        rest = tuple(np.concatenate(p) for p in zip(rest, chunk)) \
+            if rest and len(rest[0]) else chunk
+        while len(rest[0]) >= step:
+            yield tuple(a[:step] for a in rest)
+            rest = tuple(a[step:] for a in rest)
+    if rest and len(rest[0]):
+        yield rest
+
+
+def gaussian_trials(seed: int, target: str, trials: range, size: int):
+    """Each of the given trials' row of ``size`` standard complex Gaussian
+    values; trial t is row t % BLOCK of its block's one draw."""
+    for b in range(trials.start // BLOCK, -(-trials.stop // BLOCK)):
+        rows = gaussian(trial_rng(seed, target, b), BLOCK, size)
+        yield from rows[max(trials.start - b * BLOCK, 0):
+                        trials.stop - b * BLOCK]

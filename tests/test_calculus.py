@@ -8,6 +8,7 @@ from flwave.calculus import (
     convolve_norm_check,
     moderation_constant,
     product_critical_norm_check,
+    product_critical_rows,
     product_norm_check,
     wf_convolution_check,
     wf_derivative_check,
@@ -15,7 +16,8 @@ from flwave.calculus import (
 )
 from flwave.corpus import make_delta, make_power_cusp, make_smooth, \
     standard_corpus
-from flwave.grid import Signal, TorusGrid, impulse, random_signal, single_mode
+from flwave.grid import Signal, TorusGrid, forward_transform, impulse, \
+    random_signal, single_mode
 from flwave.norms import FLNormSpec, fl_norm
 from flwave.rng import trial_stacks
 from flwave.weights import Weight
@@ -137,21 +139,54 @@ def test_critical_product_l1_reduction():
     assert worst <= 1 + 1e-10
 
 
+def _lq_dual(y, q):
+    """The direction of unit l^q' norm on which y attains its l^q norm."""
+    z = np.abs(y) ** (q - 1) * np.exp(1j * np.angle(y))
+    return z / np.linalg.norm(z, q / (q - 1))
+
+
+def _critical_ascent(f1, f2, q, s1, s2, r, s, rounds=15):
+    """Largest critical-product ratio met on an ascent from (f1, f2).
+
+    With one factor held, the ratio is the l^q -> l^q gain of a linear map
+    of the other factor's weighted spectrum, which Boyd's power method
+    ("The power method for l^p norms", Linear Algebra Appl. 9, 1974)
+    raises; the two factors take turns.
+    """
+    g = f1.grid
+    eye = np.eye(g.size, dtype=complex)
+    F = np.stack([forward_transform(Signal(g, e)).coeffs for e in eye], 1)
+    F_inv = np.linalg.inv(F)
+    ws, w1, w2 = (Weight.power(t).on_lattice(g) for t in (s, s1, s2 + r))
+    v = [f1.values, f2.values]
+    best = product_critical_norm_check(f1, f2, q, s1, s2, r, s=s)["ratio"]
+    for _ in range(rounds):
+        for side, w in ((1, w2), (0, w1)):
+            A = ws[:, None] * (F @ (v[1 - side][:, None] * F_inv)) / w
+            x = w * (F @ v[side])
+            for _ in range(3):
+                x = _lq_dual(A.conj().T @ _lq_dual(A @ x, q), q / (q - 1))
+            v[side] = F_inv @ (x / w)
+            best = max(best, product_critical_rows(
+                g, v[0][None], v[1][None], q, s1, s2, r, s)["ratio"][0])
+    return best
+
+
 def test_critical_product_stability():
-    # the pair f1 = f2 = 1 first, as in `verify product-critical`: random
-    # pairs alone do not pin the constant (their maxima at n = 16 and 32
-    # differ by 50% or more for most seeds)
+    # random pairs sit far below the constant (at seed 8 their maxima are
+    # 0.104 at n = 16 and 0.029 at n = 32), so the best random pair at
+    # each n starts an ascent toward it
     ratios = {}
     for n in (16, 32):
         g = TorusGrid(1, n)
-        ones = Signal(g, np.ones(n, dtype=complex))
-        worst = product_critical_norm_check(ones, ones, 4.0, 1.0, 1.0, 0.6,
-                                            s=1.0)["ratio"]
+        worst = 0.0
         for f1, f2 in _trials(g, 8, 100, 2):
             rep = product_critical_norm_check(f1, f2, 4.0, 1.0, 1.0, 0.6,
                                               s=1.0)
-            worst = max(worst, rep["ratio"])
-        ratios[n] = worst
+            if rep["ratio"] > worst:
+                worst, start = rep["ratio"], (f1, f2)
+        ratios[n] = _critical_ascent(*start, 4.0, 1.0, 1.0, 0.6, 1.0)
+        assert ratios[n] >= worst
     assert abs(ratios[32] - ratios[16]) / ratios[16] < 0.5
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import flwave.bilinear as bilinear
 import flwave.cli as cli
+import flwave.rng as rng_mod
 from flwave.cli import NORM, VERIFY, WAVEFRONT, build_parser, main
 from flwave.corpus import standard_corpus
 from flwave.grid import TorusGrid, read_signal, write_signal, zero_signal
@@ -433,7 +434,7 @@ def test_tf_bounds_checks_every_case_before_any_trial(capsys, monkeypatch):
 def test_modulation_equiv_runs_the_given_trials(capsys, monkeypatch):
     # 120 trials: the first three blocks, and one check per trial
     blocks, signals = [], []
-    trial_rng, equivalence_check = cli.trial_rng, cli.equivalence_check
+    trial_rng, equivalence_check = rng_mod.trial_rng, cli.equivalence_check
 
     def counted_rng(*key):
         blocks.append(key)
@@ -443,7 +444,7 @@ def test_modulation_equiv_runs_the_given_trials(capsys, monkeypatch):
         signals.append(sig.values.tobytes())
         return equivalence_check(sig, *args)
 
-    monkeypatch.setattr(cli, "trial_rng", counted_rng)
+    monkeypatch.setattr(rng_mod, "trial_rng", counted_rng)
     monkeypatch.setattr(cli, "equivalence_check", counted_check)
     code, _ = _run(["verify", "modulation-equiv", "--trials", "120"], capsys)
     assert code == 0

@@ -7,6 +7,7 @@ The references evaluate one instance at a time: one signal, one
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,8 +135,8 @@ def _structured(grid, q, r):
 
 def _trial(grid, seed, target, t, count, kernel=False):
     """Trial t's instance, redrawn from its block alone."""
-    block = rng_mod.trial_block(grid, seed, target, t // rng_mod.BLOCK, count,
-                                kernel)
+    block = [np.concatenate(parts) for parts in zip(*rng_mod.block_chunks(
+        grid, seed, target, t // rng_mod.BLOCK, count, kernel))]
     return [a[t % rng_mod.BLOCK] for a in block]
 
 
@@ -386,6 +387,38 @@ def test_one_trial_redrawn_alone_is_its_stack_row(t):
         grid, 9, TARGET, range(200), 3, kernel=True))]
     alone = _trial(grid, 9, TARGET, t, 3, kernel=True)
     assert all(np.array_equal(a[t], b) for a, b in zip(stacked, alone))
+
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 16)])
+def test_large_kernels_are_drawn_one_at_a_time(d, n):
+    # 256 points: a kernel is 1 MB and a block of them 52 MB, which the
+    # draws held at once before; now a chunk holds one kernel
+    grid = TorusGrid(d, n)
+    tracemalloc.start()
+    try:
+        sizes = [len(K) for K, *_ in rng_mod.trial_stacks(
+            grid, 0, "duality", range(120), 3, kernel=True)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [1] * 120
+    assert peak < 8e6
+
+
+def test_lattice_limit_kernels_are_asked_for_one_at_a_time(monkeypatch):
+    # at the 4096-point limit a block of kernels would take 13 GB; the
+    # kernel drawer hands back untouched zero pages here
+    asked = []
+
+    def counted(grid, rng, rows):
+        asked.append(rows)
+        return np.zeros((rows, grid.size, grid.size), dtype=complex)
+
+    monkeypatch.setattr(rng_mod, "random_kernel", counted)
+    grid = TorusGrid(1, 4096)
+    sizes = [len(K) for K, *_ in rng_mod.trial_stacks(
+        grid, 0, "duality", range(3), 3, kernel=True)]
+    assert sizes == asked == [1, 1, 1]
 
 
 @pytest.mark.parametrize("draw", [rng_mod.random_coeffs,
