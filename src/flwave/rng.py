@@ -100,6 +100,8 @@ def block_chunks(grid: TorusGrid, seed: int, target: str, block: int,
 def _trial_chunks(grid: TorusGrid, seed: int, target: str, trials: range,
                   coeffs: int, kernel: bool):
     """The chunks holding the given trials, cut to them."""
+    if not trials:
+        return
     first = trials.start - trials.start % BLOCK  # of the next chunk
     for b in range(trials.start // BLOCK, -(-trials.stop // BLOCK)):
         for chunk in block_chunks(grid, seed, target, b, coeffs, kernel):

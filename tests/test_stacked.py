@@ -391,23 +391,23 @@ def test_one_trial_redrawn_alone_is_its_stack_row(t):
 
 @pytest.mark.parametrize("d, n", [(1, 256), (2, 16)])
 def test_large_kernels_are_drawn_one_at_a_time(d, n):
-    # 256 points: a kernel is 1 MB and a block of them 52 MB, which the
-    # draws held at once before; now a chunk holds one kernel
+    # 256 points: a kernel is 1 MB and a block of them 52 MB, so the
+    # peak shows that a draw holds a few kernels, not a block
     grid = TorusGrid(d, n)
     tracemalloc.start()
     try:
         sizes = [len(K) for K, *_ in rng_mod.trial_stacks(
-            grid, 0, "duality", range(120), 3, kernel=True)]
+            grid, 0, "duality", range(60), 3, kernel=True)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sizes == [1] * 120
+    assert sizes == [1] * 60
     assert peak < 8e6
 
 
 def test_lattice_limit_kernels_are_asked_for_one_at_a_time(monkeypatch):
-    # at the 4096-point limit a block of kernels would take 13 GB; the
-    # kernel drawer hands back untouched zero pages here
+    # at the 4096-point limit a block of kernels takes 13 GB; the
+    # counted drawer hands back untouched zero pages
     asked = []
 
     def counted(grid, rng, rows):
