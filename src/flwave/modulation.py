@@ -20,9 +20,10 @@ it comes, never holding V.
 max of their magnitudes in ``fftn`` order, shifting once at the end.
 ``modulation_wavefront``, the third wave-front scan mode, fits the cones
 of that profile near each position over every direction at once;
-``modulation_direction_verdict`` fits one direction.  Both decide through
-the spectral estimators' verdict kernel (``wavefront._decide``) and floor
-against the signal's cached scale (``Signal.peak_off_origin``).
+``modulation_direction_verdict`` fits one direction, with its weight
+evaluated on that cone's points alone.  Both decide through the spectral
+estimators' verdict kernel (``wavefront._band_sums`` and ``_verdicts``)
+and floor against the signal's cached scale (``Signal.peak_off_origin``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .grid import Signal, TorusGrid, _prefactor, lattice
 from .grid import forward_transform  # noqa: F401
 from .norms import FLNormSpec, _lp_reduce, fl_norm
 from .wavefront import (WavefrontQuery, WavefrontReport, _decide, _fl_bound,
-                        _scan, _segment_table)
+                        _scan, _segment_table, _weight_terms)
 from .weights import Weight
 from .windows import WindowSpec, origin_window, windowed_spectra
 
@@ -236,11 +237,12 @@ def modulation_direction_verdict(f: Signal, x0, direction, q: float,
     if sup_v is None:
         sup_v = modulation_sup_profile(f, x0, window, position_radius,
                                        position_step)
-    # a product buffer of its own: callers share one sup_v over directions
+    # the weight <k>^s on this cone's points alone, the bits of on_lattice
+    table = _segment_table(grid, (direction,), aperture, octaves).centred
+    w = _weight_terms(lattice(grid).brackets[table.index]**s, q)
     [[regular]], [[slope]], _ = _decide(
-        _segment_table(grid, (direction,), aperture, octaves).centred, sup_v,
-        [Weight.power(s).on_lattice(grid)], q, rel_floor * f.peak_off_origin,
-        _fl_bound(grid.d, q), np.empty_like(sup_v))
+        table, sup_v, [w], q, rel_floor * f.peak_off_origin,
+        _fl_bound(grid.d, q))
     return {"verdict": "regular" if regular else "singular",
             "slope": float(slope)}
 

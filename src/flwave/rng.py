@@ -53,14 +53,30 @@ def gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 def _mixture(rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
     """(rows, size) instances, each of one kind: one-hot (kind 0), heavy
-    tail (kind 1) or Gaussian; each kind's rows are drawn as one array."""
+    tail (kind 1) or Gaussian; each kind's rows are drawn as one array.
+
+    The Gaussian rows, drawn as ``gaussian`` draws them, and then the
+    heavy rows, formed in place by the same operations as on whole
+    arrays, are written into the leading rows of the output and then
+    moved to their places.  Only rows that move are copied, and a single
+    row (a large kernel) never moves, so it is never held twice.
+    """
     kind = rng.integers(0, 10, size=rows)
-    gauss, heavy, hot = kind >= 2, kind == 1, np.flatnonzero(kind == 0)
-    out = np.zeros((rows, size), dtype=complex)
-    out[gauss] = gaussian(rng, np.count_nonzero(gauss), size)
-    shape = (np.count_nonzero(heavy), size)
-    out[heavy] = (rng.pareto(1.5, size=shape) + 0.01) \
-        * np.exp(1j * rng.uniform(0, 2 * np.pi, size=shape))
+    gauss = np.count_nonzero(kind >= 2)
+    places = np.concatenate([np.flatnonzero(kind >= 2),
+                             np.flatnonzero(kind == 1)])
+    out = np.empty((rows, size), dtype=complex)
+    rng.standard_normal(out=out[:gauss].view(float))
+    heavy = out[gauss:places.size]
+    moduli = rng.pareto(1.5, size=heavy.shape)
+    moduli += 0.01
+    np.exp(np.multiply(1j, rng.uniform(0, 2 * np.pi, size=heavy.shape),
+                       out=heavy), out=heavy)
+    heavy *= moduli
+    moves = places != np.arange(places.size)
+    out[places[moves]] = out[:places.size][moves]
+    hot = np.flatnonzero(kind == 0)
+    out[hot] = 0.0
     out[hot, rng.integers(0, size, size=hot.size)] = gaussian(rng, hot.size)
     return out
 

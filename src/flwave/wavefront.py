@@ -19,16 +19,20 @@ directions, aperture, octaves): an int32 gather index that lists each
 direction cone's lattice points, banded by octave, as positions of the
 unshifted ``fftn`` output.  A scan reads its spectra from
 ``windows.windowed_spectra``, one reused buffer rolling the cached origin
-window to each position; its weight is permuted to ``fftn`` order once.
+window to each position.
 
 Every estimator (``estimate_wavefront``, ``classical_wavefront``,
 ``superior_scan``, ``regular_directions`` and both modulation verdicts)
-decides a position through one kernel, ``_decide``: the spectrum's |F| is
-gathered and reduced by one ``reduceat`` over the band starts, then per
-weight the weighted spectrum is reduced again (a classical scan reuses
-the first reduction), giving the averages and cone seminorms of every
-direction at once, and one array fit and one array verdict decide every
-direction under every weight.
+reduces a spectrum through one kernel, ``_band_sums``: its |F| is
+gathered once into table order and reduced by one ``reduceat`` over the
+band starts.  A weight w > 0 is real, so |F w|^q = |F|^q w^q: each
+weight is gathered into table order once per scan (``_weight_terms``),
+and its w^q multiplies the gathered terms before a second ``reduceat``
+(a classical scan reuses the first reduction).  ``_verdicts`` turns the
+band sums into the averages and cone seminorms, one array fit and one
+array verdict: a scan keeps every position's sums and decides all of its
+(position, direction) cones in one call; ``_decide`` does the same for
+one spectrum under several weights.
 
 Annuli whose content falls below a relative floor are dropped from the
 fit; if nothing in the fit range rises above the floor the direction is
@@ -202,10 +206,12 @@ class _SegmentTable:
 
     @cached_property
     def centred(self) -> "_SegmentTable":
-        """The table over centred-lattice arrays.  Its one user is
-        ``modulation.modulation_direction_verdict``, which the benchmark's
-        criterion-9c op calls per direction; both go once that op calls
-        ``modulation_wavefront`` instead."""
+        """The table over centred-lattice arrays: its ``index`` gathers the
+        same points, in the same order, from arrays in ``lattice`` order.
+        Scans gather their weights (``Weight.on_lattice``) through it;
+        ``regular_directions`` and ``modulation_direction_verdict`` decide
+        centred spectra on it, the latter evaluating its weight on the
+        gathered points alone."""
         other = copy.copy(self)
         other.index = _shift_positions(self.grid)[self.index]
         return other
@@ -230,75 +236,98 @@ def _segment_table(grid: TorusGrid, directions, aperture,
     return _TABLE_CACHE[key]
 
 
-def _unshifted(grid: TorusGrid, centred: np.ndarray) -> np.ndarray:
-    """A new array of centred-lattice values in ``fftn`` order, shape
-    ``grid.shape`` (an exact permutation)."""
-    return np.fft.ifftshift(centred.reshape(grid.shape))
+def _band_sums(table: _SegmentTable, spec: np.ndarray, weights, q: float,
+               scratch=None):
+    """Per (direction, band) sums of one spectrum's cone terms: the sum of
+    |F|^q, or the max at q=inf; 0 if the band is empty.
 
-
-def _band_reduce(table: _SegmentTable, values: np.ndarray, q: float,
-                 scratch=None) -> np.ndarray:
-    """Per (direction, band): sum of |values|^q, or max at q=inf; 0 if empty.
-
-    ``values`` are in ``fftn`` order (centred for ``table.centred``).
-    ``scratch``, two float arrays of the sizes of ``values`` and
-    ``table.index``, receives |values| and the gathered terms in place of
-    new arrays.
+    ``spec`` is in ``fftn`` order (centred for ``table.centred``) and is
+    not written.  Its |F| is gathered once into table order and reduced
+    as the raw bands, shape (directions, octaves + 2).  Each weight is a
+    ``_weight_terms`` array in table order that multiplies the gathered
+    terms (|F w|^q = |F|^q w^q for w > 0) before its own reduction; None
+    reuses the raw bands.  Returns (raw, bands), bands of shape (weights,
+    directions, octaves + 2).  ``scratch``, float arrays of the size of
+    ``spec`` and twice of ``table.index``, receives |F|, the terms and the
+    weighted terms in place of new arrays.
     """
-    mags, terms = scratch or (None, None)
-    mags = np.abs(values.reshape(-1), out=mags)
+    mags, terms, product = scratch or (None, None, None)
+    mags = np.abs(spec.reshape(-1), out=mags)
     # the index is in range; unlike "raise", "clip" writes straight to out
     terms = np.take(mags, table.index, out=terms, mode="clip")
-    out = np.zeros(table.counts.size)
     if np.isinf(q):
-        out[table.filled] = np.maximum.reduceat(terms, table.starts)
+        reduceat = np.maximum.reduceat
     else:
+        reduceat = np.add.reduceat
         terms **= q
-        out[table.filled] = np.add.reduceat(terms, table.starts)
-    return out.reshape(table.counts.shape)
+
+    def reduce(values):
+        out = np.zeros(table.counts.size)
+        out[table.filled] = reduceat(values, table.starts)
+        return out.reshape(table.counts.shape)
+
+    raw = reduce(terms)
+    return raw, np.array([
+        raw if w is None else reduce(np.multiply(terms, w, out=product))
+        for w in weights])
+
+
+def _weight_terms(w: np.ndarray, q: float) -> np.ndarray:
+    """Weight values gathered into a table's order, as the factors of its
+    gathered terms: w^q, or w itself at q=inf (the max of |F| w)."""
+    return w if np.isinf(q) else w**q
+
+
+def _scratch(table: _SegmentTable) -> tuple:
+    """``_band_sums`` scratch arrays for spectra over the table's grid."""
+    return (np.empty(table.grid.size), np.empty(table.index.size),
+            np.empty(table.index.size))
 
 
 def annulus_averages(table: _SegmentTable, raw_bands: np.ndarray,
                      bands: np.ndarray, q: float):
     """Annulus statistics of every cone in the table at once.
 
-    Takes the ``_band_reduce`` sums of the unweighted and the weighted
-    coefficients.  Returns (raw_avgs, avgs, seminorms): the
-    count-normalized l^q annulus averages of each (max at q=inf), of
-    shape (directions, octaves) with NaN where the annulus is empty, and
-    the weighted l^q norm over each whole cone (0 for an empty cone).
+    Takes ``_band_sums`` sums of the unweighted and the weighted terms,
+    each of shape (..., directions, octaves + 2).  Returns (raw_avgs,
+    avgs, seminorms): the count-normalized l^q annulus averages of each
+    (max at q=inf), of shape (..., directions, octaves) with NaN where the
+    annulus is empty, and the weighted l^q norm over each whole cone (0
+    for an empty cone).
     """
     inner = table.counts[:, 1:-1]
 
     def averages(bands):
-        bands = bands[:, 1:-1]
+        bands = bands[..., 1:-1]
         if not np.isinf(q):
             bands = (bands / np.maximum(inner, 1)) ** (1.0 / q)
         return np.where(inner > 0, bands, np.nan)
 
-    seminorms = (bands.max(axis=1) if np.isinf(q)
-                 else bands.sum(axis=1) ** (1.0 / q))
+    seminorms = (bands.max(axis=-1) if np.isinf(q)
+                 else bands.sum(axis=-1) ** (1.0 / q))
     return averages(raw_bands), averages(bands), seminorms
 
 
 def fit_decay_slope(averages: np.ndarray, usable: np.ndarray, octaves):
     """LSQ slopes of log2(average) vs octave, one per row.
 
-    ``averages`` and ``usable`` have shape (directions, octaves); an
-    annulus enters its row's fit when it is usable and its average is
-    positive.  Returns (slopes, used): the slopes, NaN where fewer than
-    two annuli carry content, and the number of annuli each row fitted.
-    The centred least-squares sums add exact zeros at unused annuli, and
+    ``averages`` has shape (..., octaves), one row per cone, and
+    ``usable`` broadcasts against it; an annulus enters its row's fit
+    when it is usable and its average is positive.  Returns (slopes,
+    used), of shape (...): the slopes, NaN where fewer than two annuli
+    carry content, and the number of annuli each row fitted.  The
+    centred least-squares sums add exact zeros at unused annuli, and
     numpy adds fewer than 8 values left to right, so up to 7 octaves a
-    slope is bit for bit the fit over its row's used annuli alone.
+    slope is bit for bit the fit over its row's used annuli alone, however
+    many rows are fitted together.
     """
     ok = usable & (averages > 0)
-    used = ok.sum(axis=1)
-    slopes = np.full(len(ok), np.nan)
+    used = ok.sum(axis=-1)
+    slopes = np.full(used.shape, np.nan)
     rows = used >= 2
     if not rows.any():
         return slopes, used
-    ok, k = ok[rows], used[rows, None]
+    ok, k = ok[rows], used[rows][:, None]
     ms = np.where(ok, np.arange(octaves[0], octaves[1] + 1, dtype=float), 0.0)
     logs = np.log2(np.where(ok, averages[rows], 1.0))  # 0 where unused
     dm = np.where(ok, ms - ms.sum(axis=1, keepdims=True) / k, 0.0)
@@ -312,33 +341,35 @@ def _fl_bound(d, q) -> float:
     return -((0.0 if np.isinf(q) else d / q) + SLOPE_MARGIN)
 
 
-def _decide(table: _SegmentTable, spec: np.ndarray, weights, q, floor,
-            bound, product: np.ndarray, scratch=None):
-    """Verdicts of every table cone on one spectrum ``spec`` (in the
-    table's order) under each weight: (regular, slopes, seminorms), each
-    of shape (weights, directions).  The verdict kernel of every estimator.
+def _verdicts(table: _SegmentTable, raw: np.ndarray, bands: np.ndarray, q,
+              floor, bound):
+    """(regular, slopes, seminorms) of ``_band_sums`` sums: raw of shape
+    (..., directions, octaves + 2) and bands broadcasting against it, the
+    verdicts of shape (..., directions) after the bands' shape.
 
-    The unweighted bands are reduced once; per weight, spec * w goes into
-    ``product`` (spec itself only for a single weight, else spec is left
-    unchanged) and is reduced, while None reuses the unweighted bands.
     Usability is decided on the unweighted averages against ``floor``, so
     it does not move with the weight; the slopes fit the weighted
     averages.  A cone is regular when its slope is <= ``bound``, or
     outright (slope REGULAR_SENTINEL) below two usable annuli: an empty
     cone or an isolated spectral blob, band-limited with no growing tail.
     """
-    raw = _band_reduce(table, spec, q, scratch)
-    regular = np.empty((len(weights), len(table.counts)), dtype=bool)
-    slopes, seminorms = np.empty(regular.shape), np.empty(regular.shape)
-    for i, w in enumerate(weights):
-        bands = raw if w is None else _band_reduce(
-            table, np.multiply(spec, w, out=product), q, scratch)
-        raw_avgs, avgs, seminorms[i] = annulus_averages(table, raw, bands, q)
-        fit, used = fit_decay_slope(avgs, raw_avgs > floor, table.octaves)
-        fitted = used >= 2
-        regular[i] = ~fitted | (fit <= bound)
-        slopes[i] = np.where(fitted, fit, REGULAR_SENTINEL)
-    return regular, slopes, seminorms
+    raw_avgs, avgs, seminorms = annulus_averages(table, raw, bands, q)
+    fit, used = fit_decay_slope(avgs, raw_avgs > floor, table.octaves)
+    fitted = used >= 2
+    return (~fitted | (fit <= bound), np.where(fitted, fit, REGULAR_SENTINEL),
+            seminorms)
+
+
+def _decide(table: _SegmentTable, spec: np.ndarray, weights, q, floor,
+            bound, scratch=None):
+    """Verdicts of every table cone on one spectrum ``spec`` (in the
+    table's order, left unchanged) under each ``_weight_terms`` weight or
+    None (unweighted): (regular, slopes, seminorms), each of shape
+    (weights, directions).  The verdict kernel of every estimator; a scan
+    keeps each position's ``_band_sums`` and calls ``_verdicts`` once.
+    """
+    return _verdicts(table, *_band_sums(table, spec, weights, q, scratch), q,
+                     floor, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +409,14 @@ class WavefrontReport:
 
     @cached_property
     def records(self) -> tuple:
+        """One record per entry; a position's records share one x0 tuple
+        and every position's share the direction tuples."""
         thetas = [tuple(t) for t in self.query.directions]
         return tuple(
-            WavefrontRecord(tuple(x0), theta,
-                            "singular" if flag else "regular", slope, semi)
+            WavefrontRecord(x0, theta, "singular" if flag else "regular",
+                            slope, semi)
             for x0, flags, slopes, semis in zip(
-                self.cells.tolist(), self.singular_mask.tolist(),
+                map(tuple, self.cells.tolist()), self.singular_mask.tolist(),
                 self.slopes.tolist(), self.seminorms.tolist())
             for theta, flag, slope, semi in zip(thetas, flags, slopes, semis)
         )
@@ -540,11 +573,11 @@ def regular_directions(f: Signal, spec: FLNormSpec, aperture: float,
     if octaves is None:
         m_hi = int(np.log2(grid.n // 2))
         octaves = (max(1, m_hi - 3), m_hi)
-    coeffs = _unshifted(grid, forward_transform(f).coeffs)
+    table = _segment_table(grid, dirs, aperture, octaves).centred
     [regular], [slopes], _ = _decide(
-        _segment_table(grid, dirs, aperture, octaves), coeffs,
-        [_unshifted(grid, spec.weight.on_lattice(grid))], spec.q,
-        REL_FLOOR * f.peak_off_origin, _fl_bound(grid.d, spec.q), coeffs)
+        table, forward_transform(f).coeffs,
+        [_weight_terms(spec.weight.on_lattice(grid)[table.index], spec.q)],
+        spec.q, REL_FLOOR * f.peak_off_origin, _fl_bound(grid.d, spec.q))
     return {"theta": [t for t, ok in zip(dirs, regular) if ok],
             "sigma": [t for t, ok in zip(dirs, regular) if not ok],
             "slopes": dict(zip(dirs, slopes.tolist()))}
@@ -555,36 +588,38 @@ def _scan(f: Signal, query: WavefrontQuery, mode: str,
     """Scan in ``mode`` "fl", "classical" or "modulation".
 
     ``spectra`` yields one array of shape ``grid.shape`` per query
-    position, in ``fftn`` order (default: ``windowed_spectra`` of f); the
-    kernel weights each in place once its unweighted bands are reduced.
+    position, in ``fftn`` order (default: ``windowed_spectra`` of f).  Each
+    position's band sums are kept, and one ``_verdicts`` call fits every
+    (position, direction) cone at once.
     """
     grid = f.grid
     query.validate(grid)
     classical = mode == "classical"
     if classical and query.octaves[1] - query.octaves[0] + 1 < 3:
         raise ValueError("classical scan needs at least 3 octaves")
+    table = _segment_table(grid, query.directions, query.aperture,
+                           query.octaves)
     if classical:
         rel = query.classical_rel_floor
         q, w, bound = np.inf, None, -query.decay_threshold
     else:
         rel, q = query.rel_floor, query.spec.q
-        w = _unshifted(grid, query.spec.weight.on_lattice(grid))
+        w = _weight_terms(query.spec.weight.on_lattice(grid)[
+            table.centred.index], q)
         bound = _fl_bound(grid.d, q)
     # global reference scale: the floor must not depend on how much of the
     # signal the window catches, or far-away windows see pure noise
     floor = rel * f.peak_off_origin
-    table = _segment_table(grid, query.directions, query.aperture,
-                           query.octaves)
     if spectra is None:
         spectra = windowed_spectra(f, origin_window(grid, query.window),
                                    query.positions)
-    scratch = (np.empty(grid.size), np.empty(table.index.size))
-    shape = (len(query.positions), len(query.directions))
-    regular, slopes, seminorms = (np.empty(shape, dtype=bool),
-                                  np.empty(shape), np.empty(shape))
+    scratch = _scratch(table)
+    raw = np.empty((len(query.positions), *table.counts.shape))
+    bands = np.empty_like(raw)
     for i, spec in enumerate(spectra):
-        regular[i], slopes[i], seminorms[i] = _decide(
-            table, spec, [w], q, floor, bound, spec, scratch)
+        raw[i], [bands[i]] = _band_sums(table, spec, [w], q, scratch)
+    regular, slopes, seminorms = _verdicts(table, raw, bands, q, floor,
+                                           bound)
     return WavefrontReport(grid, query, ~regular, slopes, seminorms, mode)
 
 
@@ -637,17 +672,18 @@ def superior_scan(f: Signal, query: WavefrontQuery, s_list) -> dict:
     tables = {af: _segment_table(grid, query.directions,
                                  query.aperture * af, query.octaves)
               for _, af in ladders}
-    weights = [_unshifted(grid, Weight.power(float(s)).on_lattice(grid))
-               for s in s_list]
-    mags, weighted = np.empty(grid.size), np.empty(grid.shape, dtype=complex)
-    scratch = {af: (mags, np.empty(table.index.size))
+    lattice_weights = [Weight.power(float(s)).on_lattice(grid)
+                       for s in s_list]
+    weights = {af: [_weight_terms(w[table.centred.index], q)
+                    for w in lattice_weights]
                for af, table in tables.items()}
+    scratch = {af: _scratch(table) for af, table in tables.items()}
     out = {}
     for x0, *specs in zip(query.positions, *spectra.values()):
         coeffs = dict(zip(spectra, specs))
         # passes[ladder, order, direction]; ladder 0 is the fixed variant
-        passes = np.array([_decide(tables[af], coeffs[wf], weights, q, floor,
-                                   bound, weighted, scratch[af])[0]
+        passes = np.array([_decide(tables[af], coeffs[wf], weights[af], q,
+                                   floor, bound, scratch[af])[0]
                            for wf, af in ladders])
         cell = tuple(int(c) for c in np.atleast_1d(x0))
         for i, direction in enumerate(query.directions):

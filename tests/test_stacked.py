@@ -421,6 +421,49 @@ def test_lattice_limit_kernels_are_asked_for_one_at_a_time(monkeypatch):
     assert sizes == asked == [1, 1, 1]
 
 
+def _whole_array_mixture(rng, rows, size):
+    """Each kind's rows drawn as a new array and assigned into place."""
+    kind = rng.integers(0, 10, size=rows)
+    gauss, heavy, hot = kind >= 2, kind == 1, np.flatnonzero(kind == 0)
+    out = np.zeros((rows, size), dtype=complex)
+    out[gauss] = rng_mod.gaussian(rng, np.count_nonzero(gauss), size)
+    shape = (np.count_nonzero(heavy), size)
+    out[heavy] = (rng.pareto(1.5, size=shape) + 0.01) \
+        * np.exp(1j * rng.uniform(0, 2 * np.pi, size=shape))
+    out[hot, rng.integers(0, size, size=hot.size)] = rng_mod.gaussian(
+        rng, hot.size)
+    return out
+
+
+@pytest.mark.parametrize("rows, size", [(1, 7), (2, 5), (50, 16), (200, 3)])
+def test_mixture_draws_the_whole_array_values(rows, size):
+    # drawing into the output's rows moves no bit and no generator state
+    for seed in range(40):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert rng_mod._mixture(got, rows, size).tobytes() == \
+            _whole_array_mixture(want, rows, size).tobytes()
+        assert got.random() == want.random()
+
+
+def test_one_large_instance_is_held_once():
+    # one 1 MB row: a Gaussian or one-hot row takes its output alone, a
+    # heavy-tail row adds its float moduli and phases (1 MB together) and
+    # numpy's casting buffer for the phases (128 KB)
+    size = 1 << 16
+    kinds = set()
+    for seed in range(30):
+        kind = np.random.default_rng(seed).integers(0, 10)
+        tracemalloc.start()
+        try:
+            rng_mod._mixture(np.random.default_rng(seed), 1, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2.25 if kind == 1 else 1.1) * 16 * size, kind
+        kinds.add(min(int(kind), 2))
+    assert kinds == {0, 1, 2}
+
+
 @pytest.mark.parametrize("draw", [rng_mod.random_coeffs,
                                   rng_mod.random_kernel])
 def test_one_hot_and_heavy_tail_shares(draw):

@@ -19,9 +19,12 @@ from flwave.wavefront import (
     WavefrontQuery,
     WavefrontRecord,
     WavefrontReport,
-    _band_reduce,
+    _band_sums,
+    _decide,
     _merge_singular,
     _segment_table,
+    _verdicts,
+    _weight_terms,
     annulus_averages,
     classical_wavefront,
     default_query,
@@ -311,11 +314,14 @@ def _reference_stats(grid, raw, weighted, direction, aperture, octaves, q):
     return averages(raw), averages(weighted), sequence_norm(weighted[cone], q)
 
 
-def _table_stats(table, raw, weighted, q):
-    """``annulus_averages`` of two centred coefficient arrays."""
+def _table_stats(table, coeffs, w, q):
+    """``annulus_averages`` of a centred coefficient array, unweighted and
+    weighted by the positive centred weight ``w`` (an array or a scalar):
+    |c| is gathered first and the gathered terms are weighted."""
     table = table.centred
-    return annulus_averages(table, _band_reduce(table, raw, q),
-                            _band_reduce(table, weighted, q), q)
+    w = np.broadcast_to(w, coeffs.shape)[table.index]
+    raw, [bands] = _band_sums(table, coeffs, [_weight_terms(w, q)], q)
+    return annulus_averages(table, raw, bands, q)
 
 
 @settings(max_examples=80, deadline=None)
@@ -336,7 +342,8 @@ def test_engine_matches_mask_reference(d, size, q, aperture, m_lo, span,
     grid = TorusGrid(d, n)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    weighted = raw * rng.uniform(0.5, 4.0, grid.size)
+    w = rng.uniform(0.5, 4.0, grid.size)
+    weighted = raw * w
     if d == 1:
         dirs = ((1.0,), (-1.0,))[:count]
     else:
@@ -344,7 +351,7 @@ def test_engine_matches_mask_reference(d, size, q, aperture, m_lo, span,
         dirs = tuple(tuple(rng.standard_normal(d)) for _ in range(count))
     octaves = (m_lo, m_lo + span)
     raw_avgs, avgs, seminorms = _table_stats(
-        _segment_table(grid, dirs, aperture, octaves), raw, weighted, q)
+        _segment_table(grid, dirs, aperture, octaves), raw, w, q)
     assert raw_avgs.shape == avgs.shape == (len(dirs), span + 1)
     for i, direction in enumerate(dirs):
         want = _reference_stats(grid, raw, weighted, direction, aperture,
@@ -359,7 +366,7 @@ def test_engine_empty_cone_and_annuli():
     coeffs = np.ones(grid.size, dtype=complex)
     table = _segment_table(grid, ((np.cos(0.1), np.sin(0.1)), (1.0, 0.0)),
                            1e-3, (0, 3))
-    raw_avgs, avgs, seminorms = _table_stats(table, coeffs, coeffs, 1.0)
+    raw_avgs, avgs, seminorms = _table_stats(table, coeffs, 1.0, 1.0)
     # the first cone holds no lattice point; the second only k = (1..3, 0),
     # which fill octaves 0 and 1
     assert np.all(np.isnan(avgs[0])) and seminorms[0] == 0.0
@@ -367,6 +374,65 @@ def test_engine_empty_cone_and_annuli():
                                   [False, False, True, True])
     np.testing.assert_array_equal(avgs[1][:2], [1.0, 1.0])
     assert seminorms[1] == 3.0
+
+
+def _full_lattice_decide(table, spec, w, q, floor, bound):
+    """The verdict kernel that weighted the whole lattice: |spec * w| over
+    every point (``w`` in ``fftn`` order), then gathered and reduced the
+    way |spec| is."""
+    def bands(values):
+        terms = np.abs(values).ravel()[table.index]
+        out = np.zeros(table.counts.size)
+        if np.isinf(q):
+            out[table.filled] = np.maximum.reduceat(terms, table.starts)
+        else:
+            out[table.filled] = np.add.reduceat(terms**q, table.starts)
+        return out.reshape(table.counts.shape)
+
+    return _verdicts(table, bands(spec), bands(spec * w)[None], q, floor,
+                     bound)
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+def test_gathered_weighting_matches_the_full_lattice_product(d, n):
+    # |F|^q w^q on the gathered terms and |F w|^q on the lattice differ
+    # only by rounding: the same verdicts, slopes and seminorms to 1e-12
+    grid = TorusGrid(d, n)
+    rng = np.random.default_rng(d)
+    lat = lattice(grid)
+    if d == 1:
+        dirs, aperture = ((1.0,), (-1.0,)), np.pi / 2
+    elif d == 2:
+        dirs, aperture = directions_for(2, 16), np.pi / 8
+    else:
+        dirs = tuple(map(tuple, np.vstack([np.eye(3), -np.eye(3)])))
+        aperture = np.pi / 4
+    table = _segment_table(grid, dirs, aperture, (1, int(np.log2(n // 2))))
+    weights = [Weight.power(0.5), Weight.power(2.0), Weight.from_table(
+        grid, lat.brackets**1.5 * rng.uniform(0.5, 2.0, grid.size))]
+    verdicts = set()
+    for law in (0.5, 2.0, 4.0):
+        # power-law decay whose order turns with the direction of k
+        cosine = lat.points[:, 0] / np.maximum(lat.norms, 1.0)
+        centred = (rng.standard_normal(grid.size)
+                   + 1j * rng.standard_normal(grid.size)) \
+            * (1.0 + lat.norms) ** -(law + 1.5 * cosine)
+        spec = np.fft.ifftshift(centred.reshape(grid.shape))
+        floor = 1e-4 * np.max(np.abs(centred))
+        for q in (1.0, 1.5, 2.0, np.inf):
+            bound = -(0.0 if np.isinf(q) else d / q) - 0.25
+            for weight in weights:
+                w = weight.on_lattice(grid)
+                got = _decide(table, spec, [_weight_terms(
+                    w[table.centred.index], q)], q, floor, bound)
+                want = _full_lattice_decide(
+                    table, spec, np.fft.ifftshift(w.reshape(grid.shape)), q,
+                    floor, bound)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_allclose(got[1], want[1], rtol=1e-12)
+                np.testing.assert_allclose(got[2], want[2], rtol=1e-12)
+                verdicts.update(got[0].ravel().tolist())
+    assert verdicts == {True, False}
 
 
 def _reference_fit(averages, usable, octaves):
@@ -446,7 +512,7 @@ def _reference_scan(f, query, classical, table_stats=False):
     slopes, seminorms = np.empty(shape), np.empty(shape)
     for i, x0 in enumerate(query.positions):
         coeffs = forward_transform(window_signal(f, query.window, x0)).coeffs
-        stats = (zip(*_table_stats(table, coeffs, coeffs * w, q))
+        stats = (zip(*_table_stats(table, coeffs, w, q))
                  if table_stats else
                  (_reference_stats(grid, coeffs, coeffs * w, direction,
                                    query.aperture, query.octaves, q)
@@ -820,6 +886,11 @@ def test_report_serialization_matches_record_serializer(tmp_path):
                 assert (tmp_path / "got.csv").read_bytes() == csv_bytes
                 assert rep.singular() == [r for r in records
                                           if r.verdict == "singular"]
+                # one x0 tuple per position, shared by its records
+                x0s = [id(r.x0) for r in rep.records]
+                assert len(set(x0s)) == len(query.positions)
+                assert x0s == [x0s[i - i % len(query.directions)]
+                               for i in range(len(x0s))]
 
 
 def test_inclusion_rejects_reports_of_different_scans():

@@ -16,20 +16,23 @@ import pytest
 import flwave.wavefront
 from flwave.corpus import standard_corpus
 from flwave.grid import Signal, TorusGrid, forward_transform, random_signal
-from flwave.modulation import modulation_sup_profile, modulation_wavefront
+from flwave.modulation import (modulation_direction_verdict,
+                               modulation_sup_profile, modulation_wavefront)
 from flwave.norms import FLNormSpec
 from flwave.wavefront import (
     WavefrontRecord,
     _decide,
     _fl_bound,
     _last_true_prefix,
+    _scratch,
     _segment_table,
-    _unshifted,
+    _weight_terms,
     annulus_averages,
     classical_wavefront,
     default_query,
     estimate_wavefront,
     fit_decay_slope,
+    regular_directions,
     superior_scan,
 )
 from flwave.weights import Weight
@@ -70,16 +73,21 @@ def _reference_sup_profile(f, x0, window, radius, step):
     return sup_v
 
 
-def _centred_bands(table, coeffs, q):
-    """Per (direction, band) sums gathered from a centred array."""
+def _centred_bands(table, coeffs, w, q):
+    """Per (direction, band) sums gathered from a centred array: |c| is
+    gathered, raised to q and then multiplied by the gathered centred
+    weight ``w`` raised to q (None: unweighted)."""
     grid = table.grid
     centred = np.fft.ifftshift(np.arange(grid.size).reshape(grid.shape))
-    mags = np.take(np.abs(coeffs), centred.ravel()[table.index])
+    points = centred.ravel()[table.index]
+    terms = np.take(np.abs(coeffs), points)
+    if not np.isinf(q):
+        terms = terms**q
+    if w is not None:
+        terms = terms * (w[points] if np.isinf(q) else w[points]**q)
     out = np.zeros(table.counts.size)
-    if np.isinf(q):
-        out[table.filled] = np.maximum.reduceat(mags, table.starts)
-    else:
-        out[table.filled] = np.add.reduceat(mags**q, table.starts)
+    reduceat = np.maximum.reduceat if np.isinf(q) else np.add.reduceat
+    out[table.filled] = reduceat(terms, table.starts)
     return out.reshape(table.counts.shape)
 
 
@@ -88,8 +96,8 @@ def _reference_verdicts(table, coeffs, w, q, floor, bound):
     the unweighted averages, the fit on the weighted ones, and regular
     when slope <= bound or below two usable annuli (slope -99)."""
     raw_avgs, avgs, seminorms = annulus_averages(
-        table, _centred_bands(table, coeffs, q),
-        _centred_bands(table, coeffs * w, q), q)
+        table, _centred_bands(table, coeffs, None, q),
+        _centred_bands(table, coeffs, w, q), q)
     slopes, used = fit_decay_slope(avgs, raw_avgs > floor, table.octaves)
     fitted = used >= 2
     return (~fitted | (slopes <= bound), np.where(fitted, slopes, -99.0),
@@ -101,7 +109,7 @@ def _reference_scan(f, query, mode, spectrum):
     centred spectra ``spectrum(x0)``."""
     grid = f.grid
     if mode == "classical":
-        q, w, bound = np.inf, 1.0, -query.decay_threshold
+        q, w, bound = np.inf, None, -query.decay_threshold
         floor = query.classical_rel_floor * f.peak_off_origin
     else:
         q, w = query.spec.q, query.spec.weight.on_lattice(grid)
@@ -213,35 +221,64 @@ def test_superior_scan_equals_the_rolled_window_reference(d, n):
 @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
 def test_kernel_rows_equal_one_call_per_weight(d, n, q):
     # several weights in one call, a classical (None) row among them, give
-    # the rows of one call per weight; a separate product buffer leaves the
-    # spectrum as it was, so callers may share it across calls
+    # the rows of one call per weight, with or without scratch arrays, and
+    # leave the spectrum as it was, so callers may share it across calls
     f = standard_corpus(d, n)[2].signal
     grid = f.grid
     query = default_query(grid)
     table = _segment_table(grid, query.directions, query.aperture,
                            query.octaves)
-    weights = [_unshifted(grid, Weight.power(s).on_lattice(grid))
-               for s in (0.5, 2.0, 4.0)]
+    weights = [_weight_terms(Weight.power(s).on_lattice(grid)[
+        table.centred.index], q) for s in (0.5, 2.0, 4.0)]
     weights.insert(1, None)
     floor, bound = query.rel_floor * f.peak_off_origin, _fl_bound(d, q)
-    scratch = (np.empty(grid.size), np.empty(table.index.size))
+    scratch = _scratch(table)
     spectra = windowed_spectra(f, origin_window(grid, query.window),
                                query.positions)
     fitted = False
     for spec in spectra:
         before = spec.copy()
-        got = _decide(table, spec, weights, q, floor, bound,
-                      np.empty_like(spec))
+        got = _decide(table, spec, weights, q, floor, bound)
         assert _same_bits(spec, before)
         assert all(a.shape == (len(weights), len(query.directions))
                    for a in got)
         for i, w in enumerate(weights):
-            own = before.copy()  # weighted in place by its own call
-            want = _decide(table, own, [w], q, floor, bound, own, scratch)
+            want = _decide(table, spec, [w], q, floor, bound, scratch)
             assert all(_same_bits(a[i], b[0]) for a, b in zip(got, want))
         # some slope differs between the weights, so the rows are not copies
         fitted |= not _same_bits(got[1][0], got[1][3])
     assert fitted
+
+
+def test_kernel_leaves_every_callers_spectrum_unchanged(monkeypatch):
+    calls = []
+    original = flwave.wavefront._band_sums
+
+    def checking(table, spec, *args):
+        before = spec.copy()
+        out = original(table, spec, *args)
+        calls.append(_same_bits(spec, before))
+        return out
+
+    monkeypatch.setattr(flwave.wavefront, "_band_sums", checking)
+    entry = standard_corpus(2, 32)[2]
+    f, query = entry.signal, default_query(entry.signal.grid)
+    x0 = query.positions[5]
+    sup_v = modulation_sup_profile(f, x0, query.window, 2, 2)
+    kept = sup_v.copy()
+    runs = [partial(estimate_wavefront, f, query),
+            partial(classical_wavefront, f, query),
+            partial(modulation_wavefront, f, query, 2, 2),
+            partial(superior_scan, f, query, [1.0, 2.0]),
+            partial(regular_directions, f, query.spec, query.aperture),
+            partial(modulation_direction_verdict, f, x0, query.directions[3],
+                    1.0, 1.0, query.window, query.aperture, query.octaves,
+                    sup_v=sup_v)]
+    for run in runs:
+        count = len(calls)
+        run()
+        assert len(calls) > count and all(calls), run.func.__name__
+    assert _same_bits(sup_v, kept)
 
 
 def test_sup_profiles_equal_the_rolled_window_reference():
