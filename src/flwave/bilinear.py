@@ -92,8 +92,7 @@ def tf_dual_rows(grid: TorusGrid, kernels, f, g, h) -> tuple:
 
 def _reflect(grid: TorusGrid, g: np.ndarray) -> np.ndarray:
     """g(-k) along the last axis, with -n/2 wrapping to itself."""
-    neg = grid.n // 2 - lattice(grid).points
-    return g[..., np.ravel_multi_index(tuple(neg.T), grid.shape, mode="wrap")]
+    return g[..., grid.flat(grid.n // 2 - lattice(grid).points)]
 
 
 def _tf_case_grid(case: int, q: float, r: float, trials: int, n: int,

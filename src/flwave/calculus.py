@@ -55,11 +55,9 @@ def moderation_constant(grid: TorusGrid, w: Weight, w1: Weight, w2: Weight,
     """
     lat = lattice(grid)
     pts = lat.points
+    sums = pts[:, None, :] + pts[None, :, :]
     if wrapped:
-        n = grid.n
-        sums = (pts[:, None, :] + pts[None, :, :] + n // 2) % n - n // 2
-    else:
-        sums = pts[:, None, :] + pts[None, :, :]
+        sums = grid.wrap(sums)
     num = w.evaluate_points(sums.reshape(-1, grid.d)).reshape(len(pts), -1)
     den = w1.evaluate_points(pts)[:, None] * w2.evaluate_points(pts)[None, :]
     return float(np.max(num / den))

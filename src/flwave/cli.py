@@ -212,13 +212,12 @@ def _run_wavefront(args, scan, row) -> dict:
         args.s = query.spec.weight.s if args.s is None else args.s
         query = replace(query, spec=FLNormSpec(args.q, Weight.power(args.s)))
     report = scan(sig, query)
-    text = report.to_json()
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.write(report.to_json())
     if args.csv:
         report.write_csv(args.csv)
-    return {"mode": args.mode, "records": json.loads(text)["records"],
+    return {"mode": args.mode, "records": report.rows(),
             "n_singular": len(report.singular()),
             "params": _echo(args, row)}
 

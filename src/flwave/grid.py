@@ -75,11 +75,33 @@ class TorusGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    def wrap(self, delta):
+        """Shortest periodic offset of ``delta`` (in cells, any shape), in
+        [-n/2, n/2); integer for integer ``delta``."""
+        return (delta + self.n // 2) % self.n - self.n // 2
+
+    def flat(self, index):
+        """Row-major flat position of grid indices, each taken mod n: one
+        index of shape (d,) or an array of them, shape (..., d)."""
+        index = np.asarray(index)
+        return np.ravel_multi_index(tuple(np.moveaxis(index, -1, 0)),
+                                    self.shape, mode="wrap")
+
+    def distances(self, center=0) -> np.ndarray:
+        """Periodic Euclidean distance in cells from every cell to
+        ``center`` (a number or a d-vector, integer or not), row-major:
+        wrapped per axis, then broadcast."""
+        center = np.broadcast_to(np.asarray(center, dtype=float), (self.d,))
+        sq = 0
+        for axis, c in enumerate(center):
+            delta = self.wrap(np.arange(self.n) - c)
+            sq = sq + (delta**2).reshape((-1,) + (1,) * (self.d - 1 - axis))
+        return np.sqrt(sq).ravel()
+
     def cell_distance(self, j1, j2) -> float:
         """Periodic Euclidean distance between grid indices, in cells."""
-        j1 = np.atleast_1d(np.asarray(j1, dtype=float))
-        j2 = np.atleast_1d(np.asarray(j2, dtype=float))
-        delta = (j1 - j2 + self.n / 2) % self.n - self.n / 2
+        delta = self.wrap(np.atleast_1d(np.asarray(j1, dtype=float))
+                          - np.atleast_1d(np.asarray(j2, dtype=float)))
         return float(np.sqrt(np.sum(delta**2)))
 
 
@@ -128,7 +150,7 @@ class FrequencyLattice:
         if np.any(bad):
             raise ValueError(f"lattice point {rows[bad][0]} out of range "
                              f"for n={n}")
-        return np.ravel_multi_index(tuple((k + n // 2).T), self.grid.shape)
+        return self.grid.flat(k + n // 2)
 
     def _pairs(self) -> np.ndarray:
         """k - l over all lattice pairs (k, l), shape (N, N, d)."""
@@ -143,9 +165,7 @@ class FrequencyLattice:
     @cached_property
     def wrap_index(self) -> np.ndarray:
         """Flat index of wrap(k - l) over lattice pairs (N, N)."""
-        diff = self._pairs() + self.grid.n // 2
-        return np.ravel_multi_index(tuple(np.moveaxis(diff, -1, 0)),
-                                    self.grid.shape, mode="wrap")
+        return self.grid.flat(self._pairs() + self.grid.n // 2)
 
 
 @cache
@@ -380,8 +400,7 @@ def impulse(grid: TorusGrid, j=None, value: complex = 1.0) -> Signal:
     vals = np.zeros(grid.size, dtype=complex)
     if j is None:
         j = (0,) * grid.d
-    j = tuple(np.atleast_1d(np.asarray(j, dtype=int)))
-    vals[np.ravel_multi_index(j, grid.shape, mode="wrap")] = value
+    vals[grid.flat(np.atleast_1d(np.asarray(j, dtype=int)))] = value
     return Signal(grid, vals)
 
 

@@ -105,8 +105,9 @@ def noncharacteristic_at(a: Symbol, x0, direction, c: float, R: float,
 def char_set_scan(a: Symbol, positions, directions, c: float, R: float,
                   aperture: float, grid: TorusGrid) -> np.ndarray:
     """(positions, directions) mask, True where |a(x, k)| > c |k|^m fails
-    on the direction's cone beyond radius R within n/16 cells of the
-    position: one symbol evaluation per position, one for a multiplier."""
+    on the direction's cone beyond radius R at a cell within n/16 cells of
+    the position (``TorusGrid.distances``): one symbol evaluation per
+    position, one for a multiplier."""
     if R >= grid.n // 2:
         raise ValueError(f"R = {R} leaves no testable frequencies (n = {grid.n})")
     lat = lattice(grid)
@@ -126,11 +127,9 @@ def char_set_scan(a: Symbol, positions, directions, c: float, R: float,
     if a.x_independent:
         # a multiplier's rows are all equal: one point serves every position
         return np.repeat([flags(pts[:1])], len(positions), axis=0)
-    cells = np.asarray(positions, dtype=float).reshape(-1, 1, grid.d)
-    delta = (pts - cells * grid.h + np.pi) % TWO_PI - np.pi
-    near = np.sqrt(np.sum(delta**2, axis=-1)) <= grid.n / 16.0 * grid.h
-    return np.array([flags(pts[row]) for row in near],
-                    dtype=bool).reshape(len(near), len(cones))
+    return np.array([flags(pts[grid.distances(x0) <= grid.n / 16.0])
+                     for x0 in np.reshape(positions, (-1, grid.d))],
+                    dtype=bool).reshape(-1, len(cones))
 
 
 def transport_check(a: Symbol, f: Signal, q: float, s: float) -> dict:
@@ -198,8 +197,7 @@ def parse_symbol(text: str, grid: TorusGrid) -> Symbol:
                 if np.any(np.abs(np.rint(vals) - vals) > 1e-9):
                     raise ValueError(f"table symbol defined on {kind} only")
             cols = lattice(_grid).index_of(np.rint(ks).astype(int))
-            rows = np.ravel_multi_index(tuple(np.rint(cells).astype(int).T),
-                                        _grid.shape, mode="wrap")
+            rows = _grid.flat(np.rint(cells).astype(int))
             return _table[np.ix_(rows, cols)]
 
         return Symbol(order=float(payload.get("order", 0.0)),

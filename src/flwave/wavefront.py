@@ -236,8 +236,7 @@ def _segment_table(grid: TorusGrid, directions, aperture,
     return _TABLE_CACHE[key]
 
 
-def _band_sums(table: _SegmentTable, spec: np.ndarray, weights, q: float,
-               scratch=None):
+def _band_sums(table: _SegmentTable, spec: np.ndarray, weights, q: float):
     """Per (direction, band) sums of one spectrum's cone terms: the sum of
     |F|^q, or the max at q=inf; 0 if the band is empty.
 
@@ -247,14 +246,9 @@ def _band_sums(table: _SegmentTable, spec: np.ndarray, weights, q: float,
     ``_weight_terms`` array in table order that multiplies the gathered
     terms (|F w|^q = |F|^q w^q for w > 0) before its own reduction; None
     reuses the raw bands.  Returns (raw, bands), bands of shape (weights,
-    directions, octaves + 2).  ``scratch``, float arrays of the size of
-    ``spec`` and twice of ``table.index``, receives |F|, the terms and the
-    weighted terms in place of new arrays.
+    directions, octaves + 2).
     """
-    mags, terms, product = scratch or (None, None, None)
-    mags = np.abs(spec.reshape(-1), out=mags)
-    # the index is in range; unlike "raise", "clip" writes straight to out
-    terms = np.take(mags, table.index, out=terms, mode="clip")
+    terms = np.take(np.abs(spec.reshape(-1)), table.index)
     if np.isinf(q):
         reduceat = np.maximum.reduceat
     else:
@@ -268,7 +262,7 @@ def _band_sums(table: _SegmentTable, spec: np.ndarray, weights, q: float,
 
     raw = reduce(terms)
     return raw, np.array([
-        raw if w is None else reduce(np.multiply(terms, w, out=product))
+        raw if w is None else reduce(terms * w)
         for w in weights])
 
 
@@ -276,12 +270,6 @@ def _weight_terms(w: np.ndarray, q: float) -> np.ndarray:
     """Weight values gathered into a table's order, as the factors of its
     gathered terms: w^q, or w itself at q=inf (the max of |F| w)."""
     return w if np.isinf(q) else w**q
-
-
-def _scratch(table: _SegmentTable) -> tuple:
-    """``_band_sums`` scratch arrays for spectra over the table's grid."""
-    return (np.empty(table.grid.size), np.empty(table.index.size),
-            np.empty(table.index.size))
 
 
 def annulus_averages(table: _SegmentTable, raw_bands: np.ndarray,
@@ -361,15 +349,15 @@ def _verdicts(table: _SegmentTable, raw: np.ndarray, bands: np.ndarray, q,
 
 
 def _decide(table: _SegmentTable, spec: np.ndarray, weights, q, floor,
-            bound, scratch=None):
+            bound):
     """Verdicts of every table cone on one spectrum ``spec`` (in the
     table's order, left unchanged) under each ``_weight_terms`` weight or
     None (unweighted): (regular, slopes, seminorms), each of shape
     (weights, directions).  The verdict kernel of every estimator; a scan
     keeps each position's ``_band_sums`` and calls ``_verdicts`` once.
     """
-    return _verdicts(table, *_band_sums(table, spec, weights, q, scratch), q,
-                     floor, bound)
+    return _verdicts(table, *_band_sums(table, spec, weights, q), q, floor,
+                     bound)
 
 
 # ---------------------------------------------------------------------------
@@ -421,22 +409,19 @@ class WavefrontReport:
             for theta, flag, slope, semi in zip(thetas, flags, slopes, semis)
         )
 
+    def rows(self) -> list:
+        """``records`` as JSON objects: the records of ``to_json`` and of
+        ``flwave wavefront``'s report."""
+        return [{"x0": list(r.x0), "theta": list(r.theta),
+                 "verdict": r.verdict, "slope": r.slope,
+                 "seminorm": r.seminorm} for r in self.records]
+
     def singular(self) -> list:
         return [r for r, flag in zip(self.records, self.singular_mask.flat)
                 if flag]
 
     def to_json(self) -> str:
-        rows = [
-            {
-                "x0": list(r.x0),
-                "theta": list(r.theta),
-                "verdict": r.verdict,
-                "slope": r.slope,
-                "seminorm": r.seminorm,
-            }
-            for r in self.records
-        ]
-        return json.dumps({"mode": self.mode, "records": rows},
+        return json.dumps({"mode": self.mode, "records": self.rows()},
                           sort_keys=True)
 
     def write_csv(self, path: str):
@@ -476,16 +461,15 @@ def _reach(report: WavefrontReport, cells, targets, cell_tol, bin_tol,
     direction, under the rule stated in ``report_included_in``.  A
     ``support`` mask over the grid first dilates the cell ball by it.
     """
-    grid, n = report.grid, report.grid.n
-    delta = (np.indices(grid.shape) + n / 2) % n - n / 2
-    ball = np.sqrt(np.sum(delta**2, axis=0)) <= cell_tol
+    grid = report.grid
+    ball = (grid.distances() <= cell_tol).reshape(grid.shape)
     if support is not None:
         # Minkowski sum ball + support: a cyclic convolution of indicators
         # counts integer overlaps, so > 0.5 is exact
         ball = np.fft.ifftn(np.fft.fftn(ball) * np.fft.fftn(
             support.reshape(grid.shape))).real > 0.5
-    diff = (report.cells[:, None, :] - cells[None, :, :]) % n
-    near_pos = ball[tuple(np.moveaxis(diff, -1, 0))]
+    near_pos = ball.ravel()[grid.flat(report.cells[:, None, :]
+                                      - cells[None, :, :])]
     bins = _nearest_bins(report.query.directions, report.query.directions)
     gap = (bins[:, None] - bins[None, :]) % len(bins)
     near_bin = np.minimum(gap, len(bins) - gap) <= bin_tol
@@ -500,8 +484,8 @@ def report_included_in(left: WavefrontReport, right: WavefrontReport,
 
     The tolerance rule of every verdict match in flwave: an entry at
     (x, theta) is matched by one at (y, eta) when the periodic Euclidean
-    distance between the grid cells x and y (``TorusGrid.cell_distance``)
-    is at most cell_tol, and the nearest direction bins of theta and eta
+    distance between the grid cells x and y (``TorusGrid.distances``) is
+    at most cell_tol, and the nearest direction bins of theta and eta
     lie at most bin_tol bins apart around the circle of bins.  Every
     singular verdict on the left must be matched by a right-side singular
     verdict.  A ``support`` mask over the grid cells shifts each right
@@ -613,11 +597,10 @@ def _scan(f: Signal, query: WavefrontQuery, mode: str,
     if spectra is None:
         spectra = windowed_spectra(f, origin_window(grid, query.window),
                                    query.positions)
-    scratch = _scratch(table)
     raw = np.empty((len(query.positions), *table.counts.shape))
     bands = np.empty_like(raw)
     for i, spec in enumerate(spectra):
-        raw[i], [bands[i]] = _band_sums(table, spec, [w], q, scratch)
+        raw[i], [bands[i]] = _band_sums(table, spec, [w], q)
     regular, slopes, seminorms = _verdicts(table, raw, bands, q, floor,
                                            bound)
     return WavefrontReport(grid, query, ~regular, slopes, seminorms, mode)
@@ -677,13 +660,12 @@ def superior_scan(f: Signal, query: WavefrontQuery, s_list) -> dict:
     weights = {af: [_weight_terms(w[table.centred.index], q)
                     for w in lattice_weights]
                for af, table in tables.items()}
-    scratch = {af: _scratch(table) for af, table in tables.items()}
     out = {}
     for x0, *specs in zip(query.positions, *spectra.values()):
         coeffs = dict(zip(spectra, specs))
         # passes[ladder, order, direction]; ladder 0 is the fixed variant
         passes = np.array([_decide(tables[af], coeffs[wf], weights[af], q,
-                                   floor, bound, scratch[af])[0]
+                                   floor, bound)[0]
                            for wf, af in ladders])
         cell = tuple(int(c) for c in np.atleast_1d(x0))
         for i, direction in enumerate(query.directions):

@@ -8,9 +8,11 @@ Shapes:
 * ``flattop``: unit plateau of half the width with Gaussian skirts; used
   as the outer cutoff in cone-split constructions.
 
-Scans evaluate a window once per (grid, spec), at the origin
-(``origin_window``): periodic cell distances are integer-valued, so the
-window centred at any cell is that origin window rolled there exactly.
+A window is a function of the periodic cell distance to its centre
+(``TorusGrid.distances``).  Scans evaluate it once per (grid, spec), at
+the origin (``origin_window``): distances between cells do not change
+under a shift by whole cells, so the window centred at any cell is that
+origin window rolled there exactly.
 ``windowed_spectra`` turns a signal and a sequence of cells into the
 spectra of the windowed signal, one per cell, in one reused buffer.
 """
@@ -47,25 +49,13 @@ class WindowSpec:
         return WindowSpec(self.shape, max(4.0, self.width * factor))
 
 
-def _cell_distances(grid: TorusGrid, center) -> np.ndarray:
-    """Periodic Euclidean distance (in cells) from every sample to center."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    n, d = grid.n, grid.d
-    axes = []
-    for a in range(d):
-        delta = (np.arange(n) - center[a] + n / 2.0) % n - n / 2.0
-        axes.append(delta)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.sqrt(sum(m**2 for m in mesh)).ravel()
-
-
 def window_values(grid: TorusGrid, spec: WindowSpec, center) -> np.ndarray:
     """Window samples over the grid, peak value 1 at the center."""
     if spec.width >= grid.n:
         raise ValueError(
             f"window width {spec.width} does not fit on the torus (n={grid.n})"
         )
-    dist = _cell_distances(grid, center)
+    dist = grid.distances(center)
     half = spec.width / 2.0
     if spec.shape == "gauss":
         sigma = spec.width / (2.0 * GAUSS_TRUNC_SIGMAS)

@@ -93,3 +93,13 @@ def test_every_public_name_has_a_caller_or_states_a_result():
 def test_kept_names_have_no_caller():
     # a kept name that gains a caller, or leaves __all__, leaves KEPT too
     assert _uncalled(set()) == KEPT
+
+
+def test_only_the_grid_flattens_indices():
+    # every flat grid or lattice index comes from TorusGrid.flat
+    callers = {path.name for path, tree in _trees().items()
+               if path.parent == PACKAGE
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and node.attr == "ravel_multi_index"}
+    assert callers == {"grid.py"}

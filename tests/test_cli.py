@@ -129,6 +129,11 @@ def test_wavefront_scan_outputs(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert any(r["verdict"] == "singular" for r in payload["records"])
     assert csv_path.read_text().startswith("x0,")
+    # stdout carries the records of the --out file (WavefrontReport.to_json)
+    stdout = json.loads(out.strip().splitlines()[-1])
+    assert stdout["records"] == payload["records"]
+    assert report_path.read_text() == json.dumps(
+        {"mode": "fl", "records": stdout["records"]}, sort_keys=True)
 
 
 def test_wavefront_modulation_mode_matches_library(tmp_path, capsys):
@@ -150,6 +155,16 @@ def test_norm_on_missing_file_fails(capsys):
     assert code == 2
     payload = json.loads(out.strip().splitlines()[-1])
     assert "error" in payload and payload["status"] == "error"
+
+
+def test_norm_on_a_file_with_bad_magic_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "sig.flw"
+    write_signal(zero_signal(TorusGrid(1, 8)), str(path))
+    path.write_bytes(b"FLW2" + path.read_bytes()[4:])
+    code, out = _run(["norm", "--input", str(path)], capsys)
+    assert code == 2
+    assert json.loads(out) == {"error": "bad magic; not an FLW1 signal file",
+                               "status": "error"}
 
 
 def _cusp_and_table(tmp_path):

@@ -208,6 +208,14 @@ def test_signal_validation():
         Signal(g, np.full(8, np.nan))
 
 
+def test_spectrum_validation():
+    g = TorusGrid(1, 8)
+    with pytest.raises(ValueError, match="expected 8 coefficients, got 7"):
+        Spectrum(g, np.ones(7))
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        Spectrum(g, np.full(8, np.inf))
+
+
 # ---------------------------------------------------------------------------
 # Exact identities at random sizes
 # ---------------------------------------------------------------------------
@@ -382,6 +390,14 @@ def test_flat_indices_match_row_major_loop(tmp_path_factory, d, n, seed):
     vals = rng.standard_normal(g.size)
     np.testing.assert_array_equal(
         _reflect(g, vals), vals[[_row_major(n // 2 - k, n) for k in pts]])
+    # the formulas these replaced, before TorusGrid.flat
+    np.testing.assert_array_equal(lat.index_of(ks), np.ravel_multi_index(
+        tuple((ks + n // 2).T), g.shape))
+    diff = pts[:, None, :] - pts[None, :, :] + n // 2
+    np.testing.assert_array_equal(lat.wrap_index, np.ravel_multi_index(
+        tuple(np.moveaxis(diff, -1, 0)), g.shape, mode="wrap"))
+    np.testing.assert_array_equal(_reflect(g, vals), vals[np.ravel_multi_index(
+        tuple((n // 2 - pts).T), g.shape, mode="wrap")])
     mags = np.where(rng.random(g.size) < 0.5, 1.0, 1e-12)
     mags[rng.integers(g.size)] = 1.0
     np.testing.assert_array_equal(numerical_support(Signal(g, mags)),
@@ -419,3 +435,68 @@ def test_flat_index_range_errors_keep_their_messages(tmp_path):
     symbol = parse_symbol(f"table:{path}", g)
     with pytest.raises(ValueError, match="out of range for n=4"):
         symbol.evaluator(np.zeros((1, 2)), np.array([[0.0, 2.0]]))
+
+
+# ---------------------------------------------------------------------------
+# Periodic geometry: TorusGrid.wrap, flat and distances
+# ---------------------------------------------------------------------------
+
+_GEOMETRY = st.tuples(st.integers(1, 3), st.sampled_from([4, 6, 8, 16]))
+
+
+def _offsets(n, d, real):
+    """d offsets in [-3n, 3n]; real ones on a 1/64 grid, so that every
+    sum below is exact."""
+    unit = st.integers(-3 * n * 64, 3 * n * 64).map(lambda i: i / 64) \
+        if real else st.integers(-3 * n, 3 * n)
+    return st.lists(unit, min_size=d, max_size=d)
+
+
+def _shortest(delta, n):
+    """Brute force: the offset congruent to delta mod n nearest to 0, the
+    negative one on a tie (so in [-n/2, n/2))."""
+    return min((delta + m * n for m in range(-4, 5)),
+               key=lambda c: (abs(c), c))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_GEOMETRY, st.booleans(), st.data())
+def test_wrap_is_the_shortest_offset(size, real, data):
+    g = TorusGrid(*size)
+    delta = data.draw(_offsets(g.n, g.d, real))
+    got = g.wrap(np.array(delta))
+    assert got.tolist() == [_shortest(x, g.n) for x in delta]
+    assert got.dtype == (float if real else int)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_GEOMETRY, st.integers(0, 2**16))
+def test_flat_is_the_wrapped_row_major_index(size, seed):
+    g = TorusGrid(*size)
+    cells = np.random.default_rng(seed).integers(-3 * g.n, 3 * g.n,
+                                                 size=(7, g.d))
+    want = np.ravel_multi_index(tuple(cells.T), g.shape, mode="wrap")
+    np.testing.assert_array_equal(g.flat(cells), want)
+    assert [g.flat(c) for c in cells] == want.tolist()
+
+
+def _old_cell_distances(grid, center):
+    """The per-axis meshgrid formula that window_values used."""
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    n = grid.n
+    axes = [(np.arange(n) - center[a] + n / 2.0) % n - n / 2.0
+            for a in range(grid.d)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.sqrt(sum(m**2 for m in mesh)).ravel()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_GEOMETRY, st.booleans(), st.data())
+def test_distances_keep_the_bits_of_the_meshgrid_formula(size, real, data):
+    g = TorusGrid(*size)
+    center = data.draw(_offsets(g.n, g.d, real))
+    got, want = g.distances(center), _old_cell_distances(g, center)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    cells = np.indices(g.shape).reshape(g.d, -1).T[::7]
+    assert got[::7].tolist() == [g.cell_distance(c, center) for c in cells]
+    assert g.distances().tobytes() == g.distances([0] * g.d).tobytes()

@@ -175,6 +175,14 @@ def test_mixed_norm_diagonal_collapse():
         assert abs(mixed_norm(F, p, p, 2) - full) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kernel_grid_rejects_non_finite_values(bad):
+    vals = np.ones((8, 8), dtype=complex)
+    vals[3, 5] = bad
+    with pytest.raises(ValueError, match="kernel values must be finite"):
+        KernelGrid(TorusGrid(1, 8), vals)
+
+
 def test_kernel_size_guard():
     # every array over lattice pairs goes through one size check
     grid = TorusGrid(2, 128)

@@ -160,6 +160,13 @@ def _cos_k1_table(tmp_path):
     return parse_symbol(f"table:{path}", g)
 
 
+def _cells_apart(cells, x0, n):
+    """Periodic Euclidean distance in cells from each row of ``cells`` to
+    x0: per axis, the shorter way round."""
+    ahead = (np.asarray(cells) - x0) % n
+    return np.sqrt(np.sum(np.minimum(ahead, n - ahead) ** 2, axis=-1))
+
+
 def _noncharacteristic_reference(a, x0, direction, c, R, aperture, grid):
     """One (position, direction) pair on its own: its own cone mask and
     its own symbol evaluation over the near points and that cone."""
@@ -167,9 +174,8 @@ def _noncharacteristic_reference(a, x0, direction, c, R, aperture, grid):
     mask = cone_mask(grid, Cone(tuple(direction), aperture)) & (lat.norms > R)
     ks = lat.points[mask].astype(float)
     pts = grid.sample_points()
-    x0v = np.atleast_1d(np.asarray(x0, dtype=float)) * grid.h
-    delta = (pts - x0v + np.pi) % (2.0 * np.pi) - np.pi
-    near = np.sqrt(np.sum(delta**2, axis=-1)) <= grid.n / 16.0 * grid.h
+    cells = np.indices(grid.shape).reshape(grid.d, -1).T
+    near = _cells_apart(cells, x0, grid.n) <= grid.n / 16
     vals = np.abs(np.asarray(a.evaluator(pts[near], ks)))
     return bool(np.all(vals > c * lat.norms[mask] ** a.order))
 
@@ -194,6 +200,39 @@ def test_char_set_scan_matches_the_per_pair_reference(tmp_path):
                     sym, x0, th, c, 4.0, query.aperture, g)
                 for th in query.directions] for x0 in query.positions]
         np.testing.assert_array_equal(char, ref, err_msg=sym.label)
+
+
+def _fails_at(grid, x_star) -> Symbol:
+    """Order-0 symbol, 1 at every cell but x_star and 0 there: the bound
+    |a| > c |k|^0 with c < 1 fails at x_star alone."""
+    def evaluator(xs, ks):
+        cells = np.rint(np.atleast_2d(xs) / grid.h).astype(int) % grid.n
+        bad = np.all(cells == x_star, axis=-1)
+        return np.where(bad[:, None], 0.0, np.ones((len(bad), len(ks))))
+
+    return Symbol(order=0.0, evaluator=evaluator)
+
+
+@pytest.mark.parametrize("d, n, x_star", [(1, 256, (192,)), (2, 64, (2, 61))])
+def test_char_set_scan_neighbourhood_is_the_same_ball_everywhere(d, n,
+                                                                  x_star):
+    # a position is characteristic exactly when x_star lies within n/16
+    # cells of it, wherever the two sit: every cell in 1-D, and in 2-D
+    # the box of cells around x_star (across the wrap) plus far cells
+    g = TorusGrid(d, n)
+    if d == 1:
+        positions = np.arange(n)[:, None]
+    else:
+        box = np.indices((11, 11)).reshape(2, -1).T - 5 + x_star
+        far = np.random.default_rng(0).integers(0, n, size=(8, 2))
+        positions = np.concatenate([box, far]) % n
+    dirs = directions_for(d, 8)
+    char = char_set_scan(_fails_at(g, x_star), positions, dirs, 0.5, 4.0,
+                         np.pi / 4, g)
+    near = _cells_apart(positions, x_star, n) <= n / 16
+    assert near.sum() == (33 if d == 1 else 49)
+    np.testing.assert_array_equal(char, np.repeat(near[:, None], len(dirs),
+                                                  axis=1))
 
 
 def test_transport_identity_symbol():

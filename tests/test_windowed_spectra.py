@@ -24,7 +24,6 @@ from flwave.wavefront import (
     _decide,
     _fl_bound,
     _last_true_prefix,
-    _scratch,
     _segment_table,
     _weight_terms,
     annulus_averages,
@@ -221,8 +220,8 @@ def test_superior_scan_equals_the_rolled_window_reference(d, n):
 @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
 def test_kernel_rows_equal_one_call_per_weight(d, n, q):
     # several weights in one call, a classical (None) row among them, give
-    # the rows of one call per weight, with or without scratch arrays, and
-    # leave the spectrum as it was, so callers may share it across calls
+    # the rows of one call per weight, and leave the spectrum as it was,
+    # so callers may share it across calls
     f = standard_corpus(d, n)[2].signal
     grid = f.grid
     query = default_query(grid)
@@ -232,7 +231,6 @@ def test_kernel_rows_equal_one_call_per_weight(d, n, q):
         table.centred.index], q) for s in (0.5, 2.0, 4.0)]
     weights.insert(1, None)
     floor, bound = query.rel_floor * f.peak_off_origin, _fl_bound(d, q)
-    scratch = _scratch(table)
     spectra = windowed_spectra(f, origin_window(grid, query.window),
                                query.positions)
     fitted = False
@@ -243,7 +241,7 @@ def test_kernel_rows_equal_one_call_per_weight(d, n, q):
         assert all(a.shape == (len(weights), len(query.directions))
                    for a in got)
         for i, w in enumerate(weights):
-            want = _decide(table, spec, [w], q, floor, bound, scratch)
+            want = _decide(table, spec, [w], q, floor, bound)
             assert all(_same_bits(a[i], b[0]) for a, b in zip(got, want))
         # some slope differs between the weights, so the rows are not copies
         fitted |= not _same_bits(got[1][0], got[1][3])
