@@ -16,8 +16,8 @@ from itertools import chain
 import numpy as np
 
 from .cones import RegionMask
-from .grid import TorusGrid, finite_kernel, lattice
-from .norms import KernelGrid, _lp_reduce, _mixed_rows, _ratio
+from .grid import TorusGrid, _lp_reduce, finite_kernel, lattice
+from .norms import KernelGrid, _mixed_rows, _ratio
 from .rng import trial_stacks
 from .weights import Weight
 
@@ -164,10 +164,6 @@ def conjugate_exponent(q: float) -> float:
 
 def d_over_conjugate(q, d) -> float:
     """d/q' for the conjugate exponent q' of q: 0 at q = 1, d at q = inf."""
-    if q == 1:
-        return 0.0
-    if np.isinf(q):
-        return float(d)
     return d * (1.0 - 1.0 / q)
 
 
@@ -206,7 +202,7 @@ def _log_branch(t: float, target: float) -> str:
 
 def _slice_bound_regions12(spec, p, brackets, region):
     """Bound formula per slice <k> for regions 1 and 2 (eta sums)."""
-    dp = 1.0 / p if not np.isinf(p) else 0.0  # d/p with d = 1
+    dp = 1.0 / p  # d/p with d = 1
     t_in = spec.t2 if region == 1 else spec.t1
     t_out = spec.t2 if region == 2 else spec.t1
     base = brackets ** (spec.t0 + t_out)
@@ -218,7 +214,7 @@ def _slice_bound_regions12(spec, p, brackets, region):
 
 def _slice_bound_regions345(spec, p, brackets, region):
     """Bound formula per slice <l> for regions 3, 4, 5 (xi sums)."""
-    dp = 1.0 / p if not np.isinf(p) else 0.0
+    dp = 1.0 / p
     if region == 3:
         return brackets ** (spec.t1 + spec.t2), "bounded"
     branch = _log_branch(spec.t0, -dp)
@@ -268,7 +264,7 @@ def tail_slice_norms(grid: TorusGrid, spec: PowerKernelSpec, c: float,
     if p < 1:
         raise ValueError("slice norm exponent must be >= 1")
     d = grid.d
-    dp = d / p if not np.isinf(p) else 0.0
+    dp = d / p
     if np.isinf(p):
         if spec.t1 + spec.t2 > 0:
             raise ValueError("needs t1 + t2 <= 0 at p = infinity")

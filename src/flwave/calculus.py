@@ -113,10 +113,7 @@ def convolve_norm_check(f1: Signal, f2: Signal, q, q1, q2,
 def convolve_norm_rows(grid: TorusGrid, v1, v2, q, q1, q2,
                        w: Weight, w1: Weight, w2: Weight) -> dict:
     """convolve_norm_check of each row pair of two value stacks."""
-    inv = (0.0 if np.isinf(q1) else 1.0 / q1) + \
-          (0.0 if np.isinf(q2) else 1.0 / q2)
-    target = 0.0 if np.isinf(q) else 1.0 / q
-    if abs(inv - target) > 1e-12:
+    if abs(1.0 / q1 + 1.0 / q2 - 1.0 / q) > 1e-12:
         raise ValueError("exponents must satisfy 1/q1 + 1/q2 = 1/q")
     pts = lattice(grid).points
     c_scan = float(np.max(w.evaluate_points(pts) / (
@@ -236,7 +233,7 @@ def wf_product_check(f1: Signal, f2: Signal, mode: str, q, s1, s2,
     """
     d = f1.grid.d
     dqp = d_over_conjugate(q, d)
-    dq = 0.0 if np.isinf(q) else d / q
+    dq = d / q
     hypotheses = {"mode": mode, "q": q, "s1": s1, "s2": s2, "r": r}
     product = f1 * f2
     if mode == "dominant":

@@ -37,10 +37,10 @@ from .calculus import (
     wf_product_check,
 )
 from .cones import Cone, omega_masks, parse_direction
-from .corpus import make_smooth, standard_corpus
+from .corpus import corpus_entry, make_smooth, standard_corpus
 from .grid import Signal, TorusGrid, read_signal, write_signal
 from .modulation import embedding_check, equivalence_check, modulation_norm, \
-    modulation_wavefront, SpaceFreqWeight
+    modulation_wavefront, SpaceFreqWeight, _stft_window
 from .norms import FLNormSpec, KernelGrid, cone_seminorm, fl_norm, mixed_norm
 from .pdo import parse_symbol, transport_check
 from .rng import gaussian_trials, trial_stacks
@@ -174,7 +174,7 @@ def _mod(sig: Signal, args) -> float:
     if weight.kind != "power":
         raise ValueError("--space mod takes only s: --weight values")
     if args.window is None:
-        args.window = float(max(8, sig.grid.n // 4))
+        args.window = float(_stft_window(sig.grid).width)
     return modulation_norm(sig, args.p, args.q, SpaceFreqWeight(s=weight.s),
                            WindowSpec("gauss", args.window))
 
@@ -190,8 +190,8 @@ def _cone(sig: Signal, args) -> float:
 
 
 # Each space's norm and the flags it reads, with their defaults; a None
-# window is max(8, n/4) cells, a None aperture pi/8.  mixed applies no
-# weight.
+# window is the default STFT window's width, a None aperture pi/8.  mixed
+# applies no weight.
 NORM = {
     "fl": (_fl, {"q": 1.0, "weight": "s:0"}),
     "mixed": (_mixed, {"q": 1.0, "p": 2.0, "order": 1}),
@@ -240,11 +240,9 @@ _CORPUS_IDS = ("smooth", "delta", "edge", "cusp-0.5", "cusp-2.5",
 def _run_corpus(args) -> dict:
     if args.corpus_command == "list":
         return {"entries": list(_CORPUS_IDS)}
-    for entry in standard_corpus(args.d, args.n):
-        if entry.id == args.id or entry.id.startswith(args.id + "-"):
-            write_signal(entry.signal, args.out)
-            return {"id": entry.id, "out": args.out, "n": args.n, "d": args.d}
-    raise ValueError(f"unknown corpus id {args.id!r} at d={args.d}")
+    entry = corpus_entry(args.d, args.n, args.id)
+    write_signal(entry.signal, args.out)
+    return {"id": entry.id, "out": args.out, "n": args.n, "d": args.d}
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +346,16 @@ def _verify_product_critical(args) -> dict:
 
 
 def _verify_wf_product(args) -> dict:
-    corpus = standard_corpus(1, 256)
-    smooth = corpus[0]
-    cusp = corpus[3]
-    rep = wf_product_check(smooth.signal, cusp.signal, "dominant",
-                           q=1.0, s1=6.0, s2=2.0)
+    rep = wf_product_check(corpus_entry(1, 256, "smooth").signal,
+                           corpus_entry(1, 256, "cusp-2.5").signal,
+                           "dominant", q=1.0, s1=6.0, s2=2.0)
     return {"pass": bool(rep["holds"]), "violations": rep["violations"]}
 
 
 def _verify_wf_conv(args) -> dict:
-    grid = TorusGrid(1, 256)
-    corpus = standard_corpus(1, 256)
-    delta = corpus[1]
-    bump = make_smooth(grid, seed=3, degree=2)
-    rep = wf_convolution_check(bump.signal, delta.signal)
+    bump = make_smooth(TorusGrid(1, 256), seed=3, degree=2)
+    rep = wf_convolution_check(bump.signal,
+                               corpus_entry(1, 256, "delta").signal)
     return {"pass": bool(rep["holds"]), "violations": rep["violations"]}
 
 
@@ -389,10 +383,9 @@ def _verify_slice_norms(args) -> dict:
 
 
 def _verify_transport(args) -> dict:
-    corpus = standard_corpus(1, 256)
-    cusp = corpus[3]
-    symbol = parse_symbol(args.symbol, cusp.signal.grid)
-    rep = transport_check(symbol, cusp.signal, q=1.0,
+    cusp = corpus_entry(1, 256, "cusp-2.5").signal
+    symbol = parse_symbol(args.symbol, cusp.grid)
+    rep = transport_check(symbol, cusp, q=1.0,
                           s=2.75 + max(0.0, symbol.order - 2.0))
     ok = rep["forward_holds"] and rep["lift_holds"] and rep["union_holds"]
     return {"pass": bool(ok),
@@ -440,10 +433,9 @@ def _verify_corpus(args) -> dict:
         corpus = standard_corpus(d, n)
         query = default_query(corpus[0].signal.grid)
         for entry in corpus:
-            # oracle components within two cells and one direction bin
             missed, extras = oracle_recovery(
                 estimate_wavefront(entry.signal, query),
-                entry.expected_singular(query.spec.weight.s), 2.0, 1)
+                entry.expected_singular(query.spec.weight.s))
             if missed or extras:
                 detail = (f"missed component at {missed[0].cells[0]}"
                           if missed else

@@ -14,6 +14,7 @@ tails at neighboring scan positions fall below the mass floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "make_power_cusp",
     "make_example_sum",
     "standard_corpus",
+    "corpus_entry",
     "ALWAYS_SINGULAR",
 ]
 
@@ -250,8 +252,9 @@ def make_example_sum(grid: TorusGrid, count: int = 3) -> CorpusEntry:
     )
 
 
-def standard_corpus(d: int, n: int) -> list:
-    """The acceptance corpus for one dimension (n >= 16)."""
+@cache
+def standard_corpus(d: int, n: int) -> tuple:
+    """The acceptance corpus for one dimension (n >= 16), built once."""
     if n < 16:
         raise ValueError(f"the standard corpus needs n >= 16 (its smooth "
                          f"entry has degree 4 <= n/4); got n = {n}")
@@ -262,20 +265,29 @@ def standard_corpus(d: int, n: int) -> list:
     grid = TorusGrid(d, n)
     if d == 1:
         stride = n // 4
-        return [
+        return (
             make_smooth(grid, seed=1),
             make_delta(grid, (2 * stride,)),
             make_power_cusp(grid, 0.5, 3 * stride),
             make_power_cusp(grid, 2.5, stride),
             make_example_sum(grid, count=3),
-        ]
+        )
     if d == 2:
         stride = n // 4
-        return [
+        return (
             make_smooth(grid, seed=2),
             make_delta(grid, (2 * stride, 2 * stride)),
             make_edge(grid, axis=0, offset=0),
             make_edge(grid, axis=1, offset=stride),
-        ]
+        )
     raise ValueError("corpus targets d in {1, 2}")
+
+
+def corpus_entry(d: int, n: int, entry_id: str) -> CorpusEntry:
+    """The ``standard_corpus(d, n)`` entry named ``entry_id``, or whose
+    id continues it after a dash ("smooth" names "smooth-1")."""
+    for entry in standard_corpus(d, n):
+        if entry.id == entry_id or entry.id.startswith(entry_id + "-"):
+            return entry
+    raise ValueError(f"unknown corpus id {entry_id!r} at d={d}")
 

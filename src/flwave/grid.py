@@ -298,6 +298,32 @@ def _convolve_rows(grid: TorusGrid, v1: np.ndarray,
         len(v1), -1)
 
 
+def _lp_reduce(mags: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
+    """l^p norm of magnitudes along ``axis`` (the max at p = inf).
+
+    Where the plain sum of mags**p overflows, or at p > 1 underflows below
+    the normal floats over nonzero terms, terms are rescaled by their max.
+    The root is ``np.float_power``, the libm ``pow`` of a scalar ``**``
+    (an array ``**`` may take a SIMD ``pow`` off in the last bit).
+    """
+    if np.isinf(p):
+        return np.max(mags, axis=axis)
+    with np.errstate(over="ignore"):
+        sums = np.sum(mags**p, axis=axis)
+    redo = np.isinf(sums)
+    low = sums < np.finfo(float).tiny  # 0, or subnormal with few digits
+    if p > 1 and low.any():
+        redo = redo | (low & (np.max(mags, axis=axis) > 0))
+    norms = np.float_power(sums, 1.0 / p)
+    if redo.any():
+        norms = np.array(norms)
+        rows = np.moveaxis(mags, axis, -1)[redo]
+        peak = np.max(rows, axis=-1, keepdims=True)
+        norms[redo] = peak[..., 0] * np.float_power(
+            np.sum((rows / peak)**p, axis=-1), 1.0 / p)
+    return norms
+
+
 def lp_norm(f: Signal, p: float) -> float:
     """L^p norm (h^d sum_j |f(x_j)|^p)^(1/p); max norm at p=inf.
 
@@ -307,13 +333,7 @@ def lp_norm(f: Signal, p: float) -> float:
     """
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    mags = np.abs(f.values)
-    peak = float(np.max(mags)) if mags.size else 0.0
-    if np.isinf(p) or peak == 0.0:
-        return peak
-    # scaled by the peak, so that mags**p cannot overflow
-    hd = f.grid.h**f.grid.d
-    return float(peak * (hd * np.sum((mags / peak) ** p)) ** (1.0 / p))
+    return float(f.grid.h ** (f.grid.d / p) * _lp_reduce(np.abs(f.values), p))
 
 
 # ---------------------------------------------------------------------------

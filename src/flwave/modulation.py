@@ -34,13 +34,14 @@ import numpy as np
 
 from .bilinear import conjugate_exponent
 from .calculus import numerical_support
-from .grid import Signal, TorusGrid, _prefactor, lattice
+from .grid import Signal, TorusGrid, _lp_reduce, _prefactor, lattice
 # not called here: kept bound so that tracers which rebind forward_transform
 # in every flwave module keep finding it in this one
 from .grid import forward_transform  # noqa: F401
-from .norms import FLNormSpec, _lp_reduce, fl_norm
-from .wavefront import (WavefrontQuery, WavefrontReport, _decide, _fl_bound,
-                        _scan, _segment_table, _weight_terms)
+from .norms import FLNormSpec, fl_norm
+from .wavefront import (WavefrontQuery, WavefrontReport, _band_sums,
+                        _fl_bound, _scan, _segment_table, _verdicts,
+                        _weight_terms)
 from .weights import Weight
 from .windows import WindowSpec, origin_window, windowed_spectra
 
@@ -68,6 +69,18 @@ class SpaceFreqWeight:
         pts = grid.sample_points()
         pos = (1.0 + np.sum(pts**2, axis=-1)) ** (self.t / 2.0)
         return pos, lattice(grid).brackets**self.s
+
+
+def _stft_window(grid: TorusGrid) -> WindowSpec:
+    """The default STFT window: Gaussian, n/4 cells wide but at least 8."""
+    return WindowSpec("gauss", max(8, grid.n // 4))
+
+
+def _neighbourhood(n: int) -> tuple:
+    """(radius, step) of the sup-profile neighbourhood at n cells per axis:
+    an eighth and a sixteenth of the n/4 scan stride, at least 2 cells;
+    criterion 9c certifies the modulation scan at it."""
+    return max(2, n // 32), max(2, n // 64)
 
 
 def _rolled_windows(grid: TorusGrid, window: WindowSpec) -> np.ndarray:
@@ -116,7 +129,7 @@ def modulation_norm(f: Signal, p: float, q: float,
     if p < 1 or q < 1:
         raise ValueError("modulation norm exponents must be >= 1")
     grid = f.grid
-    window = window or WindowSpec("gauss", max(8, grid.n // 4))
+    window = window or _stft_window(grid)
     pos, freq = (w or SpaceFreqWeight()).factors(grid)
     freq = np.fft.ifftshift(freq.reshape(grid.shape)).ravel()
     pos = pos.reshape(grid.n, -1)
@@ -185,16 +198,19 @@ def embedding_check(f: Signal, q: float, p1: float, p2: float,
 
 def modulation_sup_profile(f: Signal, x0, window: WindowSpec,
                            position_radius: int | None = None,
-                           position_step: int = 4) -> np.ndarray:
+                           position_step: int | None = None) -> np.ndarray:
     """Per-frequency sup of |V(x, k)| over window positions near x0.
 
-    Shared by all direction verdicts at the same scan point.  The default
-    radius is an eighth of the window width: the sup must stay within the
-    spectral estimator's effective localization, or it drags neighboring
-    singularities into the verdict.
+    Shared by all direction verdicts at the same scan point.  The near
+    positions lie within ``position_radius`` cells of x0, on the cells
+    whose indices are multiples of ``position_step``; either one left
+    None is ``_neighbourhood(n)``'s.
     """
+    radius, step = _neighbourhood(f.grid.n)
     return np.fft.fftshift(_unshifted_sup_profile(
-        f, x0, window, position_radius, position_step)).ravel()
+        f, x0, window,
+        radius if position_radius is None else position_radius,
+        step if position_step is None else position_step)).ravel()
 
 
 def _unshifted_sup_profile(f: Signal, x0, window: WindowSpec,
@@ -202,17 +218,10 @@ def _unshifted_sup_profile(f: Signal, x0, window: WindowSpec,
     """``modulation_sup_profile`` in ``fftn`` order, shape ``grid.shape``:
     the running max of |spectrum| over the near cells' windowed spectra."""
     grid = f.grid
-    if position_radius is None:
-        position_radius = max(2, int(window.width) // 8)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=int))
     w0 = origin_window(grid, window)  # raises for a window wider than n
-    # the shortest periodic offset to a near cell lies in this box, which
-    # holds one offset per residue mod n on each axis
-    h = int(np.clip(position_radius, 0, grid.n // 2))
-    offsets = np.indices((min(2 * h + 1, grid.n),) * grid.d).reshape(
-        grid.d, -1).T - h
-    offsets = offsets[np.sqrt(np.sum(offsets**2, axis=-1)) <= position_radius]
-    cells = (x0 + offsets) % grid.n
+    # the max is exact, so the order of the near cells does not matter
+    cells = np.argwhere((grid.distances(x0) <= position_radius).reshape(
+        grid.shape))
     sup_v, mags = np.zeros(grid.shape), np.empty(grid.shape)
     for spec in windowed_spectra(
             f, w0, cells[np.all(cells % position_step == 0, axis=-1)]):
@@ -222,10 +231,7 @@ def _unshifted_sup_profile(f: Signal, x0, window: WindowSpec,
 
 def modulation_direction_verdict(f: Signal, x0, direction, q: float,
                                  s: float, window: WindowSpec,
-                                 aperture: float, octaves,
-                                 position_radius: int | None = None,
-                                 rel_floor: float = 1e-6,
-                                 position_step: int = 4,
+                                 aperture: float, octaves, rel_floor: float,
                                  sup_v: np.ndarray | None = None) -> dict:
     """Wave-front verdict from cone-restricted modulation content.
 
@@ -235,24 +241,21 @@ def modulation_direction_verdict(f: Signal, x0, direction, q: float,
     """
     grid = f.grid
     if sup_v is None:
-        sup_v = modulation_sup_profile(f, x0, window, position_radius,
-                                       position_step)
+        sup_v = modulation_sup_profile(f, x0, window)
     # the weight <k>^s on this cone's points alone, the bits of on_lattice
     table = _segment_table(grid, (direction,), aperture, octaves).centred
     w = _weight_terms(lattice(grid).brackets[table.index]**s, q)
-    [[regular]], [[slope]], _ = _decide(
-        table, sup_v, [w], q, rel_floor * f.peak_off_origin,
-        _fl_bound(grid.d, q))
+    [[regular]], [[slope]], _ = _verdicts(
+        table, *_band_sums(table, sup_v, [w], q), q,
+        rel_floor * f.peak_off_origin, _fl_bound(grid.d, q))
     return {"verdict": "regular" if regular else "singular",
             "slope": float(slope)}
 
 
-def modulation_wavefront(f: Signal, query: WavefrontQuery,
-                         position_radius: int | None = None,
-                         position_step: int = 4) -> WavefrontReport:
+def modulation_wavefront(f: Signal, query: WavefrontQuery) -> WavefrontReport:
     """``modulation_direction_verdict`` at every position and direction of
     the query (weight ``query.spec.weight``, floor ``query.rel_floor``):
     one sup profile per position, one cone fit over all directions."""
+    radius, step = _neighbourhood(f.grid.n)
     return _scan(f, query, "modulation", (_unshifted_sup_profile(
-        f, x0, query.window, position_radius, position_step)
-        for x0 in query.positions))
+        f, x0, query.window, radius, step) for x0 in query.positions))

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import Cone, cone_mask
-from .grid import (Signal, TorusGrid, _transform_rows, finite_kernel,
-                   forward_transform, kernel_size)
+from .grid import (Signal, TorusGrid, _lp_reduce, _transform_rows,
+                   finite_kernel, forward_transform, kernel_size)
 from .weights import Weight
 
 __all__ = [
@@ -108,13 +108,3 @@ def _ratio(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """num / denom, and 0 where the denominator is not positive."""
     return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
 
-
-def _lp_reduce(mags: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
-    """l^p norm of magnitudes along ``axis`` (the max at p = inf).
-
-    The root is ``np.float_power``, the libm ``pow`` of a scalar ``**``
-    (an array ``**`` may take a SIMD ``pow`` off in the last bit).
-    """
-    if np.isinf(p):
-        return np.max(mags, axis=axis)
-    return np.float_power(np.sum(mags**p, axis=axis), 1.0 / p)

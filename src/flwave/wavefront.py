@@ -31,8 +31,8 @@ and its w^q multiplies the gathered terms before a second ``reduceat``
 (a classical scan reuses the first reduction).  ``_verdicts`` turns the
 band sums into the averages and cone seminorms, one array fit and one
 array verdict: a scan keeps every position's sums and decides all of its
-(position, direction) cones in one call; ``_decide`` does the same for
-one spectrum under several weights.
+(position, direction) cones in one call, and the single-spectrum
+estimators decide one spectrum under each of their weights.
 
 Annuli whose content falls below a relative floor are dropped from the
 fit; if nothing in the fit range rises above the floor the direction is
@@ -78,8 +78,9 @@ __all__ = [
 
 SLOPE_MARGIN = 0.25  # summability margin on the fitted slope
 REL_FLOOR = 1e-4  # annulus content below floor*scale is treated as absent
-CLASSICAL_REL_FLOOR = 1e-9  # max statistics need deeper usable octaves
 REGULAR_SENTINEL = -99.0  # slope recorded when the floor rule decides
+CELL_TOL = 2.0  # verdict matches (report_included_in): grid cells ...
+BIN_TOL = 1  # ... and direction bins, the windowed estimator's blur
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,10 @@ class WavefrontQuery:
     window: WindowSpec
     aperture: float
     spec: FLNormSpec
-    decay_threshold: float = 6.0  # classical T
-    octaves: tuple = (3, 6)  # inclusive fit range [m_lo, m_hi]
-    rel_floor: float = REL_FLOOR
-    classical_rel_floor: float = CLASSICAL_REL_FLOOR
+    decay_threshold: float  # classical T
+    octaves: tuple  # inclusive fit range [m_lo, m_hi]
+    rel_floor: float
+    classical_rel_floor: float
 
     def __post_init__(self):
         if not (0 < self.aperture <= np.pi / 2):
@@ -326,7 +327,7 @@ def fit_decay_slope(averages: np.ndarray, usable: np.ndarray, octaves):
 
 def _fl_bound(d, q) -> float:
     """Largest regular slope under the summability rule."""
-    return -((0.0 if np.isinf(q) else d / q) + SLOPE_MARGIN)
+    return -(d / q + SLOPE_MARGIN)
 
 
 def _verdicts(table: _SegmentTable, raw: np.ndarray, bands: np.ndarray, q,
@@ -346,18 +347,6 @@ def _verdicts(table: _SegmentTable, raw: np.ndarray, bands: np.ndarray, q,
     fitted = used >= 2
     return (~fitted | (fit <= bound), np.where(fitted, fit, REGULAR_SENTINEL),
             seminorms)
-
-
-def _decide(table: _SegmentTable, spec: np.ndarray, weights, q, floor,
-            bound):
-    """Verdicts of every table cone on one spectrum ``spec`` (in the
-    table's order, left unchanged) under each ``_weight_terms`` weight or
-    None (unweighted): (regular, slopes, seminorms), each of shape
-    (weights, directions).  The verdict kernel of every estimator; a scan
-    keeps each position's ``_band_sums`` and calls ``_verdicts`` once.
-    """
-    return _verdicts(table, *_band_sums(table, spec, weights, q), q, floor,
-                     bound)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +467,7 @@ def _reach(report: WavefrontReport, cells, targets, cell_tol, bin_tol,
 
 
 def report_included_in(left: WavefrontReport, right: WavefrontReport,
-                       cell_tol: float = 2.0, bin_tol: int = 1,
+                       cell_tol: float = CELL_TOL, bin_tol: int = BIN_TOL,
                        support: np.ndarray | None = None) -> dict:
     """Check singular(left) within (cell_tol, bin_tol) of singular(right).
 
@@ -507,8 +496,8 @@ def report_included_in(left: WavefrontReport, right: WavefrontReport,
     return {"holds": not violations, "violations": violations}
 
 
-def oracle_recovery(report: WavefrontReport, components, cell_tol,
-                    bin_tol) -> tuple:
+def oracle_recovery(report: WavefrontReport, components, cell_tol=CELL_TOL,
+                    bin_tol=BIN_TOL) -> tuple:
     """(missed components, extra singular records) against an oracle.
 
     A component (``cells``, and ``directions`` as vectors or "all") is
@@ -558,9 +547,9 @@ def regular_directions(f: Signal, spec: FLNormSpec, aperture: float,
         m_hi = int(np.log2(grid.n // 2))
         octaves = (max(1, m_hi - 3), m_hi)
     table = _segment_table(grid, dirs, aperture, octaves).centred
-    [regular], [slopes], _ = _decide(
-        table, forward_transform(f).coeffs,
-        [_weight_terms(spec.weight.on_lattice(grid)[table.index], spec.q)],
+    w = _weight_terms(spec.weight.on_lattice(grid)[table.index], spec.q)
+    [regular], [slopes], _ = _verdicts(
+        table, *_band_sums(table, forward_transform(f).coeffs, [w], spec.q),
         spec.q, REL_FLOOR * f.peak_off_origin, _fl_bound(grid.d, spec.q))
     return {"theta": [t for t, ok in zip(dirs, regular) if ok],
             "sigma": [t for t, ok in zip(dirs, regular) if not ok],
@@ -664,9 +653,9 @@ def superior_scan(f: Signal, query: WavefrontQuery, s_list) -> dict:
     for x0, *specs in zip(query.positions, *spectra.values()):
         coeffs = dict(zip(spectra, specs))
         # passes[ladder, order, direction]; ladder 0 is the fixed variant
-        passes = np.array([_decide(tables[af], coeffs[wf], weights[af], q,
-                                   floor, bound)[0]
-                           for wf, af in ladders])
+        passes = np.array([_verdicts(
+            tables[af], *_band_sums(tables[af], coeffs[wf], weights[af], q),
+            q, floor, bound)[0] for wf, af in ladders])
         cell = tuple(int(c) for c in np.atleast_1d(x0))
         for i, direction in enumerate(query.directions):
             fixed = passes[0, :, i].tolist()

@@ -49,6 +49,8 @@ from flwave.rng import trial_stacks
 from flwave.semilinear import PolynomialNonlinearity, bootstrap_indices, \
     wf_nonlinearity_check
 from flwave.wavefront import (
+    BIN_TOL,
+    CELL_TOL,
     classical_wavefront,
     default_query,
     estimate_wavefront,
@@ -61,8 +63,6 @@ from flwave.weights import Weight
 from flwave.windows import WindowSpec, window_signal
 
 EXACT = 1e-10
-CELL_TOL = 2.0
-BIN_TOL = 1
 
 TWO_PI = 2.0 * np.pi
 
@@ -576,11 +576,7 @@ def test_criterion_9c_wavefront_agreement():
         query = default_query(grid)
         for entry in corpus:
             est = estimate_wavefront(entry.signal, query)
-            # the sup radius must stay inside the scan stride's isolation
-            # budget or neighbors bleed into the verdict
-            mod = modulation_wavefront(entry.signal, query,
-                                       position_radius=max(2, n // 32),
-                                       position_step=max(2, n // 64))
+            mod = modulation_wavefront(entry.signal, query)
             # matched at the same position within BIN_TOL bins, both ways
             for left, right, side in ((mod, est, "mod-only"),
                                       (est, mod, "est-only")):

@@ -20,7 +20,8 @@ from flwave.corpus import standard_corpus
 from flwave.grid import TorusGrid, read_signal, write_signal, zero_signal
 from flwave.modulation import modulation_wavefront
 from flwave.norms import FLNormSpec
-from flwave.wavefront import default_query, estimate_wavefront
+from flwave.wavefront import (BIN_TOL, default_query, estimate_wavefront,
+                              report_included_in)
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -148,6 +149,27 @@ def test_wavefront_modulation_mode_matches_library(tmp_path, capsys):
                                   default_query(entry.signal.grid))
     assert payload["mode"] == "modulation"
     assert payload["records"] == json.loads(report.to_json())["records"]
+
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 128)])
+def test_modulation_mode_agrees_with_the_fl_scan(tmp_path, capsys, d, n):
+    # criterion 9c's reading: the CLI's modulation scan is the library's
+    # default one, and each side's singular verdicts are matched by the
+    # other's at the same position within BIN_TOL bins
+    sig_path = tmp_path / "sig.bin"
+    for entry in standard_corpus(d, n):
+        write_signal(entry.signal, str(sig_path))
+        code, out = _run(["wavefront", "--input", str(sig_path),
+                          "--mode", "modulation"], capsys)
+        query = default_query(entry.signal.grid)
+        mod = modulation_wavefront(entry.signal, query)
+        assert code == 0
+        assert json.loads(out.splitlines()[-1])["records"] == json.loads(
+            mod.to_json())["records"], entry.id
+        est = estimate_wavefront(entry.signal, query)
+        for left, right in ((mod, est), (est, mod)):
+            assert report_included_in(left, right, 0, BIN_TOL)["holds"], \
+                entry.id
 
 
 def test_norm_on_missing_file_fails(capsys):
@@ -570,3 +592,49 @@ def test_malformed_json_input_is_a_usage_error(tmp_path, capsys, argv,
     report = json.loads(out)
     assert set(report) == {"error", "status"}
     assert report["status"] == "error" and missing in report["error"]
+
+
+# The deterministic verify targets' last report lines, compared exactly.
+# ``transport --symbol dx1`` exits 1, a known failure: A f scans singular
+# at cells 0 and 128, away from the cusp at cell 64 where f is singular.
+_PASS = '"build": "flwave-0.1.0", '
+_PINNED = [
+    (["wf-product"], 0,
+     '{' + _PASS + '"pass": true, "seed": 0, "target": "wf-product", '
+     '"violations": []}'),
+    (["wf-conv"], 0,
+     '{' + _PASS + '"pass": true, "seed": 0, "target": "wf-conv", '
+     '"violations": []}'),
+    (["slice-norms"], 0,
+     '{' + _PASS + '"cases": 16, "pass": true, "seed": 0, '
+     '"target": "slice-norms"}'),
+    (["corpus-oracles"], 0,
+     '{' + _PASS + '"failures": [], "pass": true, "seed": 0, '
+     '"target": "corpus-oracles"}'),
+    (["bootstrap", "--n", "2"], 0,
+     '{"accepted": true, ' + _PASS + '"final_index": 4.0, "params": '
+     '{"d": 1, "k": 0, "m": 2, "n": 2.0, "q": 1.0, "r": 0.0, "s": 1.0, '
+     '"variant": 1}, "pass": true, "rejection": null, "seed": 0, '
+     '"target": "bootstrap", "trace": [[1, 1.0, 2.0], [2, 2.0, 2.0]]}'),
+    (["transport"], 0,
+     '{' + _PASS + '"forward_violations": [], "lift_violations": [], '
+     '"pass": true, "seed": 0, "target": "transport", '
+     '"union_violations": []}'),
+    (["transport", "--symbol", "poly:1,0,1"], 0,
+     '{' + _PASS + '"forward_violations": [], "lift_violations": [], '
+     '"pass": true, "seed": 0, "target": "transport", '
+     '"union_violations": []}'),
+    (["transport", "--symbol", "dx1"], 1,
+     '{' + _PASS + '"forward_violations": [{"theta": [1.0], "x0": [0]}, '
+     '{"theta": [-1.0], "x0": [0]}, {"theta": [1.0], "x0": [128]}, '
+     '{"theta": [-1.0], "x0": [128]}], "lift_violations": [], '
+     '"pass": false, "seed": 0, "target": "transport", '
+     '"union_violations": []}'),
+]
+
+
+@pytest.mark.parametrize("argv, code, last", _PINNED,
+                         ids=[" ".join(a) for a, _, _ in _PINNED])
+def test_deterministic_verify_report_is_pinned(capsys, argv, code, last):
+    got, out = _run(["verify", *argv], capsys)
+    assert (got, out.strip().splitlines()[-1]) == (code, last)

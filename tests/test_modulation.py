@@ -109,19 +109,13 @@ def test_sup_profile_without_near_cell_is_zero():
     assert sup_v.shape == (g.size,) and np.all(sup_v == 0)
 
 
-def _ninec_radius_step(n):
-    """Sup-profile radius and position step of the criterion-9c scans."""
-    return max(2, n // 32), max(2, n // 64)
-
-
 def _per_direction_verdicts(f, query):
     """(singular mask, slopes) from one modulation_direction_verdict call
     per position and direction, sharing one sup profile per position."""
-    radius, step = _ninec_radius_step(f.grid.n)
     shape = (len(query.positions), len(query.directions))
     singular, slopes = np.zeros(shape, dtype=bool), np.zeros(shape)
     for i, x0 in enumerate(query.positions):
-        sup_v = modulation_sup_profile(f, x0, query.window, radius, step)
+        sup_v = modulation_sup_profile(f, x0, query.window)
         for j, theta in enumerate(query.directions):
             out = modulation_direction_verdict(
                 f, x0, theta, query.spec.q, query.spec.weight.s,
@@ -136,9 +130,8 @@ def _per_direction_verdicts(f, query):
 def test_modulation_wavefront_equals_per_direction_verdicts(d, n):
     corpus = standard_corpus(d, n)
     query = default_query(corpus[0].signal.grid)
-    radius, step = _ninec_radius_step(n)
     for entry in corpus:
-        report = modulation_wavefront(entry.signal, query, radius, step)
+        report = modulation_wavefront(entry.signal, query)
         singular, slopes = _per_direction_verdicts(entry.signal, query)
         assert report.mode == "modulation"
         assert np.array_equal(report.singular_mask, singular), entry.id
@@ -150,10 +143,9 @@ def test_one_9c_point_transforms_the_signal_at_most_once(count_transforms):
     # a fresh signal over the same samples: nothing cached yet
     f = Signal(entry.signal.grid, entry.signal.values)
     query = default_query(f.grid)
-    radius, step = _ninec_radius_step(f.grid.n)
     tally = count_transforms(f)
     for x0 in query.positions[:2]:
-        sup_v = modulation_sup_profile(f, x0, query.window, radius, step)
+        sup_v = modulation_sup_profile(f, x0, query.window)
         for theta in query.directions:
             modulation_direction_verdict(
                 f, x0, theta, query.spec.q, query.spec.weight.s,
@@ -162,8 +154,7 @@ def test_one_9c_point_transforms_the_signal_at_most_once(count_transforms):
         assert tally["whole"] == 1  # the first verdict's floor, then cached
     near_cells = tally["all"] - tally["whole"]
     tally["all"] = tally["whole"] = 0
-    modulation_wavefront(f, replace(query, positions=query.positions[:2]),
-                         radius, step)
+    modulation_wavefront(f, replace(query, positions=query.positions[:2]))
     assert tally == {"all": near_cells, "whole": 0}
 
 

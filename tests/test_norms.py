@@ -10,6 +10,7 @@ from flwave.grid import (
     Signal,
     TorusGrid,
     forward_transform,
+    impulse,
     lp_norm,
     random_signal,
     single_mode,
@@ -21,6 +22,7 @@ from flwave.norms import (
     cone_seminorm,
     fl_norm,
     mixed_norm,
+    sequence_norm,
 )
 from flwave.pdo import multiplier_symbol
 from flwave.weights import Weight
@@ -47,6 +49,23 @@ def test_fl_norm_parseval_match():
     f = random_signal(g, np.random.default_rng(0))
     n2 = fl_norm(f, FLNormSpec(2.0))
     assert abs(n2 - lp_norm(f, 2.0)) < 1e-10 * n2
+
+
+def test_lp_sums_that_overflow_or_underflow_give_the_norm():
+    # the impulse's flat spectrum c = (2 pi)^(-1/2) h: weighted by <k>^6
+    # its 30th powers overflow, unweighted its 200th powers underflow to 0
+    g = TorusGrid(1, 256)
+    c = (2.0 * np.pi) ** -0.5 * g.h
+    got = fl_norm(impulse(g), FLNormSpec(30.0, Weight.power(6.0)))
+    log_terms = 30.0 * (np.log(c) + 6.0 * np.log(
+        np.hypot(1.0, np.arange(-128, 128))))
+    assert np.isclose(np.log(got), np.logaddexp.reduce(log_terms) / 30.0,
+                      rtol=1e-13, atol=0)
+    got = fl_norm(impulse(g), FLNormSpec(200.0, Weight.power(0.0)))
+    assert np.isclose(got, c * 256 ** (1 / 200), rtol=1e-14, atol=0)
+    for x in (1e200, 1e-161):  # squares overflow; squares are subnormal
+        got = sequence_norm(np.array([x, x]), 2.0)
+        assert np.isclose(got, x * np.sqrt(2.0), rtol=1e-15, atol=0)
 
 
 def test_fl_norm_exponent_validation():

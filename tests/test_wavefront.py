@@ -20,7 +20,6 @@ from flwave.wavefront import (
     WavefrontRecord,
     WavefrontReport,
     _band_sums,
-    _decide,
     _merge_singular,
     _segment_table,
     _verdicts,
@@ -423,8 +422,9 @@ def test_gathered_weighting_matches_the_full_lattice_product(d, n):
             bound = -(0.0 if np.isinf(q) else d / q) - 0.25
             for weight in weights:
                 w = weight.on_lattice(grid)
-                got = _decide(table, spec, [_weight_terms(
-                    w[table.centred.index], q)], q, floor, bound)
+                got = _verdicts(table, *_band_sums(table, spec, [
+                    _weight_terms(w[table.centred.index], q)], q), q, floor,
+                    bound)
                 want = _full_lattice_decide(
                     table, spec, np.fft.ifftshift(w.reshape(grid.shape)), q,
                     floor, bound)
@@ -810,7 +810,9 @@ def test_matcher_matches_pairwise_reference(d, size, bins, count, cell_frac,
     query = WavefrontQuery(positions=tuple(zip(*cells)),
                            directions=directions_for(d, bins),
                            window=WindowSpec("gauss", 4),
-                           aperture=np.pi / 8, spec=FLNormSpec(1.0))
+                           aperture=np.pi / 8, spec=FLNormSpec(1.0),
+                           decay_threshold=6.0, octaves=(1, 2),
+                           rel_floor=1e-4, classical_rel_floor=1e-6)
     left = _random_report(query, grid, rng, 0.3)
     right = _random_report(query, grid, rng, 0.2)
     cell_tol = cell_frac * n / 2

@@ -13,18 +13,20 @@ from functools import partial
 import numpy as np
 import pytest
 
+import flwave.modulation
 import flwave.wavefront
 from flwave.corpus import standard_corpus
 from flwave.grid import Signal, TorusGrid, forward_transform, random_signal
-from flwave.modulation import (modulation_direction_verdict,
+from flwave.modulation import (_neighbourhood, modulation_direction_verdict,
                                modulation_sup_profile, modulation_wavefront)
 from flwave.norms import FLNormSpec
 from flwave.wavefront import (
     WavefrontRecord,
-    _decide,
+    _band_sums,
     _fl_bound,
     _last_true_prefix,
     _segment_table,
+    _verdicts,
     _weight_terms,
     annulus_averages,
     classical_wavefront,
@@ -190,11 +192,11 @@ def test_scans_equal_the_rolled_window_reference(d, n, mode, q):
     query = default_query(entries[0].signal.grid)
     if q is not None:
         query = replace(query, spec=FLNormSpec(q, query.spec.weight))
-    radius, step = max(2, n // 32), max(2, n // 64)
+    radius, step = _neighbourhood(n)
     for entry in entries:
         f = entry.signal
         if mode == "modulation":
-            report = modulation_wavefront(f, query, radius, step)
+            report = modulation_wavefront(f, query)
             spectrum = partial(_reference_sup_profile, f, window=query.window,
                                radius=radius, step=step)
         else:
@@ -236,12 +238,14 @@ def test_kernel_rows_equal_one_call_per_weight(d, n, q):
     fitted = False
     for spec in spectra:
         before = spec.copy()
-        got = _decide(table, spec, weights, q, floor, bound)
+        got = _verdicts(table, *_band_sums(table, spec, weights, q), q,
+                        floor, bound)
         assert _same_bits(spec, before)
         assert all(a.shape == (len(weights), len(query.directions))
                    for a in got)
         for i, w in enumerate(weights):
-            want = _decide(table, spec, [w], q, floor, bound)
+            want = _verdicts(table, *_band_sums(table, spec, [w], q), q,
+                             floor, bound)
             assert all(_same_bits(a[i], b[0]) for a, b in zip(got, want))
         # some slope differs between the weights, so the rows are not copies
         fitted |= not _same_bits(got[1][0], got[1][3])
@@ -258,7 +262,9 @@ def test_kernel_leaves_every_callers_spectrum_unchanged(monkeypatch):
         calls.append(_same_bits(spec, before))
         return out
 
-    monkeypatch.setattr(flwave.wavefront, "_band_sums", checking)
+    # both modules that call the kernel bind it
+    for module in (flwave.wavefront, flwave.modulation):
+        monkeypatch.setattr(module, "_band_sums", checking)
     entry = standard_corpus(2, 32)[2]
     f, query = entry.signal, default_query(entry.signal.grid)
     x0 = query.positions[5]
@@ -266,12 +272,12 @@ def test_kernel_leaves_every_callers_spectrum_unchanged(monkeypatch):
     kept = sup_v.copy()
     runs = [partial(estimate_wavefront, f, query),
             partial(classical_wavefront, f, query),
-            partial(modulation_wavefront, f, query, 2, 2),
+            partial(modulation_wavefront, f, query),
             partial(superior_scan, f, query, [1.0, 2.0]),
             partial(regular_directions, f, query.spec, query.aperture),
             partial(modulation_direction_verdict, f, x0, query.directions[3],
                     1.0, 1.0, query.window, query.aperture, query.octaves,
-                    sup_v=sup_v)]
+                    query.rel_floor, sup_v=sup_v)]
     for run in runs:
         count = len(calls)
         run()
