@@ -240,7 +240,7 @@ _CORPUS_IDS = ("smooth", "delta", "edge", "cusp-0.5", "cusp-2.5",
 def _run_corpus(args) -> dict:
     if args.corpus_command == "list":
         return {"entries": list(_CORPUS_IDS)}
-    entry = corpus_entry(args.d, args.n, args.id)
+    entry = corpus_entry(standard_corpus(args.d, args.n), args.id)
     write_signal(entry.signal, args.out)
     return {"id": entry.id, "out": args.out, "n": args.n, "d": args.d}
 
@@ -346,8 +346,9 @@ def _verify_product_critical(args) -> dict:
 
 
 def _verify_wf_product(args) -> dict:
-    rep = wf_product_check(corpus_entry(1, 256, "smooth").signal,
-                           corpus_entry(1, 256, "cusp-2.5").signal,
+    corpus = standard_corpus(1, 256)
+    rep = wf_product_check(corpus_entry(corpus, "smooth").signal,
+                           corpus_entry(corpus, "cusp-2.5").signal,
                            "dominant", q=1.0, s1=6.0, s2=2.0)
     return {"pass": bool(rep["holds"]), "violations": rep["violations"]}
 
@@ -355,7 +356,8 @@ def _verify_wf_product(args) -> dict:
 def _verify_wf_conv(args) -> dict:
     bump = make_smooth(TorusGrid(1, 256), seed=3, degree=2)
     rep = wf_convolution_check(bump.signal,
-                               corpus_entry(1, 256, "delta").signal)
+                               corpus_entry(standard_corpus(1, 256),
+                                            "delta").signal)
     return {"pass": bool(rep["holds"]), "violations": rep["violations"]}
 
 
@@ -383,7 +385,7 @@ def _verify_slice_norms(args) -> dict:
 
 
 def _verify_transport(args) -> dict:
-    cusp = corpus_entry(1, 256, "cusp-2.5").signal
+    cusp = corpus_entry(standard_corpus(1, 256), "cusp-2.5").signal
     symbol = parse_symbol(args.symbol, cusp.grid)
     rep = transport_check(symbol, cusp, q=1.0,
                           s=2.75 + max(0.0, symbol.order - 2.0))

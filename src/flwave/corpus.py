@@ -14,7 +14,6 @@ tails at neighboring scan positions fall below the mass floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -252,9 +251,8 @@ def make_example_sum(grid: TorusGrid, count: int = 3) -> CorpusEntry:
     )
 
 
-@cache
 def standard_corpus(d: int, n: int) -> tuple:
-    """The acceptance corpus for one dimension (n >= 16), built once."""
+    """The acceptance corpus for one dimension (n >= 16)."""
     if n < 16:
         raise ValueError(f"the standard corpus needs n >= 16 (its smooth "
                          f"entry has degree 4 <= n/4); got n = {n}")
@@ -283,11 +281,11 @@ def standard_corpus(d: int, n: int) -> tuple:
     raise ValueError("corpus targets d in {1, 2}")
 
 
-def corpus_entry(d: int, n: int, entry_id: str) -> CorpusEntry:
-    """The ``standard_corpus(d, n)`` entry named ``entry_id``, or whose
-    id continues it after a dash ("smooth" names "smooth-1")."""
-    for entry in standard_corpus(d, n):
+def corpus_entry(entries: tuple, entry_id: str) -> CorpusEntry:
+    """The entry of ``entries`` (a ``standard_corpus``) named ``entry_id``,
+    or whose id continues it after a dash ("smooth" names "smooth-1")."""
+    for entry in entries:
         if entry.id == entry_id or entry.id.startswith(entry_id + "-"):
             return entry
-    raise ValueError(f"unknown corpus id {entry_id!r} at d={d}")
-
+    raise ValueError(f"unknown corpus id {entry_id!r} at "
+                     f"d={entries[0].signal.grid.d}")

@@ -15,6 +15,7 @@ exact on the lattice:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -298,29 +299,40 @@ def _convolve_rows(grid: TorusGrid, v1: np.ndarray,
         len(v1), -1)
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
 def _lp_reduce(mags: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
     """l^p norm of magnitudes along ``axis`` (the max at p = inf).
 
     Where the plain sum of mags**p overflows, or at p > 1 underflows below
     the normal floats over nonzero terms, terms are rescaled by their max.
     The root is ``np.float_power``, the libm ``pow`` of a scalar ``**``
-    (an array ``**`` may take a SIMD ``pow`` off in the last bit).
+    (an array ``**`` may take a SIMD ``pow`` off in the last bit).  The
+    reductions are the bare ufunc ones of ``np.sum`` and ``np.max``: this
+    runs several times on every trial stack.
     """
-    if np.isinf(p):
-        return np.max(mags, axis=axis)
+    if math.isinf(p):
+        return np.maximum.reduce(mags, axis=axis)
     with np.errstate(over="ignore"):
-        sums = np.sum(mags**p, axis=axis)
-    redo = np.isinf(sums)
-    low = sums < np.finfo(float).tiny  # 0, or subnormal with few digits
-    if p > 1 and low.any():
-        redo = redo | (low & (np.max(mags, axis=axis) > 0))
+        sums = np.add.reduce(mags**p, axis=axis)
+        total = np.add.reduce(sums, axis=None)
     norms = np.float_power(sums, 1.0 / p)
-    if redo.any():
-        norms = np.array(norms)
-        rows = np.moveaxis(mags, axis, -1)[redo]
-        peak = np.max(rows, axis=-1, keepdims=True)
-        norms[redo] = peak[..., 0] * np.float_power(
-            np.sum((rows / peak)**p, axis=-1), 1.0 / p)
+    # a finite total means every sum is finite
+    redo = None if total < np.inf else np.isinf(sums)
+    if p > 1 and np.fmin.reduce(sums, axis=None) < _TINY:
+        low = sums < _TINY  # 0, or subnormal with few digits
+        # rows of zeros are exact; only low rows with a nonzero term redo
+        if np.moveaxis(mags, axis, -1)[low].any():
+            under = low & (np.max(mags, axis=axis) > 0)
+            redo = under if redo is None else redo | under
+    if redo is None or not redo.any():
+        return norms
+    norms = np.array(norms)
+    rows = np.moveaxis(mags, axis, -1)[redo]
+    peak = np.max(rows, axis=-1, keepdims=True)
+    norms[redo] = peak[..., 0] * np.float_power(
+        np.sum((rows / peak)**p, axis=-1), 1.0 / p)
     return norms
 
 
