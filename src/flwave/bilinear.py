@@ -45,10 +45,11 @@ def power_kernel(grid: TorusGrid, spec: PowerKernelSpec) -> np.ndarray:
     """Dense power kernel over lattice pairs (plain differences): the real
     (N, N) array <k>^t0 <k-l>^t1 <l>^t2, row k and column l."""
     lat = lattice(grid)
-    k_br = lat.brackets[:, None]
-    l_br = lat.brackets[None, :]
-    kl_br = np.sqrt(1.0 + lat.pair_sq_dists)
-    return finite_kernel(k_br**spec.t0 * kl_br**spec.t1 * l_br**spec.t2)
+    # <k-l>^t1 is raised once per difference, then laid over the pairs
+    kernel = lat.brackets[:, None] ** spec.t0 * lat.over_pairs(
+        np.sqrt(1.0 + lat.diff_sq_norms) ** spec.t1)
+    kernel *= lat.brackets[None, :] ** spec.t2
+    return finite_kernel(kernel)
 
 
 def apply_tf(F: KernelGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -234,6 +235,9 @@ def kernel_slice_norms(spec: PowerKernelSpec, regions: RegionMask,
     slice; regions 3-5 take it over the first variable for each second
     slice.  For each region the smallest constant C with every computed
     value <= C * bound is fitted; residuals are computed v - C*bound <= 0.
+    Each region is reduced in place through its mask (``_lp_reduce``'s
+    ``where``): the kernel is the one (N, N) float array held, besides
+    the terms of the reduction running.
     """
     if p < 1:
         raise ValueError("slice norm exponent must be >= 1")
@@ -242,12 +246,11 @@ def kernel_slice_norms(spec: PowerKernelSpec, regions: RegionMask,
     brackets = lattice(grid).brackets
     out = {}
     for j, mask in enumerate(regions.masks, start=1):
-        vals = mags * mask
         if j in (1, 2):
-            slices = _lp_reduce(vals, p, axis=1)
+            slices = _lp_reduce(mags, p, axis=1, where=mask)
             bound, branch = _slice_bound_regions12(spec, p, brackets, j)
         else:
-            slices = _lp_reduce(vals, p, axis=0)
+            slices = _lp_reduce(mags, p, axis=0, where=mask)
             bound, branch = _slice_bound_regions345(spec, p, brackets, j)
         out[j] = _fitted_constant(slices, bound, branch)
     return out
@@ -274,10 +277,9 @@ def tail_slice_norms(grid: TorusGrid, spec: PowerKernelSpec, c: float,
     k_abs = lat.norms[:, None]
     k_br = lat.brackets[:, None]
     l_br = lat.brackets[None, :]
-    sep = np.sqrt(lat.pair_sq_dists) >= c * k_abs  # |l - k| >= c|k|
-    mask = sep & (k_br >= R) & (l_br >= R)
-    vals = power_kernel(grid, spec) * mask
-    slices = _lp_reduce(vals, p, axis=1)
+    kl_abs = lat.over_pairs(np.sqrt(lat.diff_sq_norms))
+    mask = (kl_abs >= c * k_abs) & (k_br >= R) & (l_br >= R)  # |l-k| >= c|k|
+    slices = _lp_reduce(power_kernel(grid, spec), p, axis=1, where=mask)
     brackets = lat.brackets
     if spec.t2 >= -dp:
         bound = brackets**spec.t0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from functools import partial
@@ -61,6 +62,8 @@ FLAG_TYPES = {"q": float, "s": float, "r": float, "n": float, "p": float,
               "window": float, "aperture": float, "d": int, "k": int,
               "m": int, "trials": int, "order": int, "bins": int,
               "variant": int, "weight": str, "direction": str, "symbol": str}
+# The domain of a float flag: finite values, and inf for the exponents.
+_EXPONENTS = {"q", "p"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,11 +148,19 @@ def _echo(args, keys) -> dict:
 
 
 def _settle(args, row: dict, where: str) -> None:
-    """Reject a flag given to ``where`` outside ``row``, then fill in the
-    row's defaults."""
-    for flag in vars(args):  # in command-line order
-        if flag in FLAG_TYPES and flag not in row:
+    """Reject a flag given to ``where`` outside ``row`` or outside its
+    domain (a NaN, or an infinity other than an exponent's inf), then fill
+    in the row's defaults."""
+    for flag, value in vars(args).items():  # in command-line order
+        if flag not in FLAG_TYPES:
+            continue
+        if flag not in row:
             raise ValueError(f"{where} does not read --{flag}")
+        if FLAG_TYPES[flag] is float and not (
+                math.isfinite(value) or (flag in _EXPONENTS
+                                         and value == math.inf)):
+            domain = "finite or inf" if flag in _EXPONENTS else "finite"
+            raise ValueError(f"--{flag} must be {domain}, got {value}")
     for flag, value in row.items():
         vars(args).setdefault(flag, value)
 
@@ -233,13 +244,10 @@ WAVEFRONT = {
 }
 
 
-_CORPUS_IDS = ("smooth", "delta", "edge", "cusp-0.5", "cusp-2.5",
-               "graded-sum")
-
-
 def _run_corpus(args) -> dict:
-    if args.corpus_command == "list":
-        return {"entries": list(_CORPUS_IDS)}
+    if args.corpus_command == "list":  # the ids do not depend on n
+        return {"entries": {str(d): [e.id for e in standard_corpus(d, 16)]
+                            for d in (1, 2)}}
     entry = corpus_entry(standard_corpus(args.d, args.n), args.id)
     write_signal(entry.signal, args.out)
     return {"id": entry.id, "out": args.out, "n": args.n, "d": args.d}

@@ -100,7 +100,7 @@ def omega_masks(grid: TorusGrid, delta: float, R: float) -> RegionMask:
     k_abs = lat.norms[:, None]  # |k|, broadcast over l
     k_br = lat.brackets[:, None]  # <k>
     l_br = lat.brackets[None, :]  # <l>
-    kl_br = np.sqrt(1.0 + lat.pair_sq_dists)  # <k - l>, plain difference
+    kl_br = lat.over_pairs(np.sqrt(1.0 + lat.diff_sq_norms))  # <k - l>
 
     om1 = l_br < delta * k_br
     om2 = (kl_br < delta * k_br) & ~om1

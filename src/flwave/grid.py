@@ -127,9 +127,12 @@ def finite_kernel(values: np.ndarray) -> np.ndarray:
 class FrequencyLattice:
     """Centered integer frequency lattice of a grid, with cached geometry.
 
-    Enumerates k in {-n/2, ..., n/2-1}^d row-major; exposes |k| and
-    the Japanese bracket <k> = (1+|k|^2)^(1/2), and for lattices of at
-    most KERNEL_SIZE_LIMIT points two arrays over the pairs (k, l).
+    Enumerates k in {-n/2, ..., n/2-1}^d row-major; exposes |k|, the
+    Japanese bracket <k> = (1+|k|^2)^(1/2) and the table ``diff_sq_norms``
+    of |m|^2 over the plain differences m = k - l.  ``over_pairs`` lays
+    such a table over the pairs (k, l), for lattices of at most
+    KERNEL_SIZE_LIMIT points; ``wrap_index`` is the one array over the
+    pairs that stays cached.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -153,20 +156,37 @@ class FrequencyLattice:
                              f"for n={n}")
         return self.grid.flat(k + n // 2)
 
-    def _pairs(self) -> np.ndarray:
-        """k - l over all lattice pairs (k, l), shape (N, N, d)."""
-        kernel_size(self.grid)
-        return self.points[:, None, :] - self.points[None, :, :]
+    def _differences(self) -> np.ndarray:
+        """Every plain difference m = k - l in (-n, n)^d, shape
+        (2n-1, ..., 2n-1, d)."""
+        axis = np.arange(1 - self.grid.n, self.grid.n)
+        return np.stack(np.meshgrid(*([axis] * self.grid.d), indexing="ij"),
+                        axis=-1)
 
     @cached_property
-    def pair_sq_dists(self) -> np.ndarray:
-        """|k - l|^2 over lattice pairs (N, N), plain differences."""
-        return np.sum(self._pairs().astype(float) ** 2, axis=-1)
+    def diff_sq_norms(self) -> np.ndarray:
+        """|m|^2 over the plain differences m = k - l, shape (2n-1,)*d."""
+        return np.sum(self._differences().astype(float) ** 2, axis=-1)
+
+    def over_pairs(self, table: np.ndarray) -> np.ndarray:
+        """``table[k - l]`` over the lattice pairs (N, N), row k and column
+        l, for a table over the plain differences (shape (2n-1,)*d).
+
+        At d = 1 this is a read-only strided view of the table, with no
+        copy; above d = 1 it is one copy.
+        """
+        n, d, size = self.grid.n, self.grid.d, kernel_size(self.grid)
+        # windows[a, b] = table[a + b] per axis; with b reversed it is
+        # table[a - b + n-1] = table[k - l + n-1] at a = k + n/2, b = l + n/2
+        windows = np.lib.stride_tricks.sliding_window_view(table, (n,) * d)
+        back = (Ellipsis,) + (slice(None, None, -1),) * d
+        return windows[back].reshape(size, size)
 
     @cached_property
     def wrap_index(self) -> np.ndarray:
         """Flat index of wrap(k - l) over lattice pairs (N, N)."""
-        return self.grid.flat(self._pairs() + self.grid.n // 2)
+        return np.ascontiguousarray(self.over_pairs(
+            self.grid.flat(self._differences() + self.grid.n // 2)))
 
 
 @cache
@@ -302,8 +322,14 @@ def _convolve_rows(grid: TorusGrid, v1: np.ndarray,
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
-def _lp_reduce(mags: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
+def _lp_reduce(mags: np.ndarray, p: float, axis: int = -1,
+               where=True) -> np.ndarray:
     """l^p norm of magnitudes along ``axis`` (the max at p = inf).
+
+    Only the terms where the boolean ``where`` (broadcast against
+    ``mags``) holds count, every term by default: a region of a kernel is
+    reduced in place, with no masked copy.  The mask goes to every
+    reduction and guard below.
 
     Where the plain sum of mags**p overflows, or at p > 1 underflows below
     the normal floats over nonzero terms, terms are rescaled by their max.
@@ -313,9 +339,11 @@ def _lp_reduce(mags: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
     runs several times on every trial stack.
     """
     if math.isinf(p):
-        return np.maximum.reduce(mags, axis=axis)
+        return np.maximum.reduce(mags, axis=axis, where=where, initial=0.0)
     with np.errstate(over="ignore"):
-        sums = np.add.reduce(mags**p, axis=axis)
+        # mags**1 would be a copy of mags
+        sums = np.add.reduce(mags if p == 1 else mags**p, axis=axis,
+                             where=where)
         total = np.add.reduce(sums, axis=None)
     norms = np.float_power(sums, 1.0 / p)
     # a finite total means every sum is finite
@@ -323,17 +351,28 @@ def _lp_reduce(mags: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
     if p > 1 and np.fmin.reduce(sums, axis=None) < _TINY:
         low = sums < _TINY  # 0, or subnormal with few digits
         # rows of zeros are exact; only low rows with a nonzero term redo
-        if np.moveaxis(mags, axis, -1)[low].any():
-            under = low & (np.max(mags, axis=axis) > 0)
+        if _kept_rows(mags, where, axis, low).any():
+            under = low & (np.maximum.reduce(mags, axis=axis, where=where,
+                                             initial=0.0) > 0)
             redo = under if redo is None else redo | under
     if redo is None or not redo.any():
         return norms
     norms = np.array(norms)
-    rows = np.moveaxis(mags, axis, -1)[redo]
+    rows = _kept_rows(mags, where, axis, redo)
     peak = np.max(rows, axis=-1, keepdims=True)
     norms[redo] = peak[..., 0] * np.float_power(
         np.sum((rows / peak)**p, axis=-1), 1.0 / p)
     return norms
+
+
+def _kept_rows(mags: np.ndarray, where, axis: int, pick) -> np.ndarray:
+    """The rows of ``mags`` along ``axis`` that ``pick`` selects, with the
+    terms off ``where`` set to 0."""
+    rows = np.moveaxis(mags, axis, -1)[pick]
+    if where is True:
+        return rows
+    return rows * np.moveaxis(np.broadcast_to(where, mags.shape), axis,
+                              -1)[pick]
 
 
 def lp_norm(f: Signal, p: float) -> float:

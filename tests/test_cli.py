@@ -109,11 +109,22 @@ def test_corpus_emit_roundtrip(tmp_path, capsys):
     assert np.max(np.abs(sig.values)) > 0
 
 
-def test_corpus_list(capsys):
+def test_corpus_list(tmp_path, capsys):
+    # every listed id emits at its own dimension, and nothing else is built
     code, out = _run(["corpus", "list"], capsys)
     assert code == 0
-    payload = json.loads(out)
-    assert "graded-sum" in payload["entries"]
+    entries = json.loads(out)["entries"]
+    assert entries == {str(d): [e.id for e in standard_corpus(d, 32)]
+                       for d in (1, 2)}
+    assert "graded-sum-3" in entries["1"] and "edge-ax1" in entries["2"]
+    out_path = str(tmp_path / "entry.json")
+    for d, ids in entries.items():
+        for entry_id in ids:
+            code, out = _run(["corpus", "emit", "--id", entry_id, "--d", d,
+                              "--n", "32", "--out", out_path], capsys)
+            assert code == 0, out
+            assert json.loads(out)["id"] == entry_id
+            assert read_signal(out_path).grid == TorusGrid(int(d), 32)
 
 
 def test_wavefront_scan_outputs(tmp_path, capsys):
@@ -638,3 +649,43 @@ _PINNED = [
 def test_deterministic_verify_report_is_pinned(capsys, argv, code, last):
     got, out = _run(["verify", *argv], capsys)
     assert (got, out.strip().splitlines()[-1]) == (code, last)
+
+
+_EXP, _FIN = "must be finite or inf, got", "must be finite, got"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "tf-bounds", "--q", "nan"], f"--q {_EXP} nan"),
+    (["verify", "tf-bounds", "--r", "nan"], f"--r {_FIN} nan"),
+    (["verify", "tf-bounds", "--q=-inf"], f"--q {_EXP} -inf"),
+    (["verify", "young-conv", "--q", "nan"], f"--q {_EXP} nan"),
+    (["verify", "bootstrap", "--n", "1e400"], f"--n {_FIN} inf"),
+    (["norm", "--input", "{sig}", "--space", "fl", "--q", "nan"],
+     f"--q {_EXP} nan"),
+    (["norm", "--input", "{sig}", "--space", "mod", "--p", "nan"],
+     f"--p {_EXP} nan"),
+    (["wavefront", "--input", "{sig}", "--s", "nan"], f"--s {_FIN} nan"),
+    (["wavefront", "--input", "{sig}", "--s", "inf"], f"--s {_FIN} inf"),
+])
+def test_a_flag_outside_its_domain_is_a_usage_error(tmp_path, capsys, argv,
+                                                    error):
+    # a NaN used to pass tf-bounds and young-conv with every ratio 0
+    sig = tmp_path / "f.json"
+    write_signal(standard_corpus(1, 16)[2].signal, str(sig))
+    code, out = _run([a.format(sig=sig) for a in argv], capsys)
+    assert code == 2
+    assert json.loads(out) == {"error": error, "status": "error"}
+
+
+def test_an_exponent_may_be_inf(tmp_path, capsys):
+    sig = tmp_path / "f.json"
+    write_signal(standard_corpus(1, 16)[2].signal, str(sig))
+    code, out = _run(["norm", "--input", str(sig), "--q", "inf"], capsys)
+    assert code == 0 and json.loads(out.splitlines()[-1])["params"]["q"] \
+        == float("inf")
+    code, out = _run(["verify", "tf-bounds", "--q", "inf", "--r", "1.5",
+                      "--trials", "2"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["pass"]
+    assert [r["q"] for r in report["reports"]] == [float("inf"), 2.0,
+                                                   float("inf")]
